@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import GroupShape, format_shape
-from .invariance import enumerate_characteristic, fi_from_profiles
-from .lattice import Subgroup, enumerate_subgroups
+from .invariance import characteristic_from_orbits, fi_from_profiles
+from .lattice import Subgroup
 
 
 def subgroup_descriptor(h: Subgroup) -> dict:
@@ -70,8 +70,8 @@ def classify_ifi(shape: GroupShape) -> bool:
     return _pairwise_iso_witness(_nontrivial(fi_from_profiles(shape))) is None
 
 
-def classify_ic(shape: GroupShape, subgroups=None) -> bool:
-    chars = enumerate_characteristic(shape, subgroups)
+def classify_ic(shape: GroupShape) -> bool:
+    chars = characteristic_from_orbits(shape)
     return _pairwise_iso_witness(_nontrivial(chars)) is None
 
 
@@ -79,21 +79,18 @@ def classify_strongly_ifi(shape: GroupShape) -> bool:
     return _pairwise_iso_witness(_nonzero(fi_from_profiles(shape))) is None
 
 
-def classify_strongly_ic(shape: GroupShape, subgroups=None) -> bool:
-    chars = enumerate_characteristic(shape, subgroups)
+def classify_strongly_ic(shape: GroupShape) -> bool:
+    chars = characteristic_from_orbits(shape)
     return _pairwise_iso_witness(_nonzero(chars)) is None
 
 
-def classify_strongly(shape: GroupShape, subgroups=None) -> tuple[bool, bool]:
+def classify_strongly(shape: GroupShape) -> tuple[bool, bool]:
     """(strongly ifi, strongly ic)."""
-    return (
-        classify_strongly_ifi(shape),
-        classify_strongly_ic(shape, subgroups),
-    )
+    return classify_strongly_ifi(shape), classify_strongly_ic(shape)
 
 
-def classify_weakly_ic(shape: GroupShape, subgroups=None) -> bool:
-    chars = enumerate_characteristic(shape, subgroups)
+def classify_weakly_ic(shape: GroupShape) -> bool:
+    chars = characteristic_from_orbits(shape)
     return any(
         not h.is_full() and h.iso_type() == shape for h in chars
     )
@@ -125,13 +122,12 @@ class ClassificationVerdict:
         }
 
 
-def classify(shape: GroupShape, subgroups=None) -> ClassificationVerdict:
-    """Full verdict.  Needs the subgroup lattice, so the enumeration cap
-    applies; pass `subgroups` to reuse one already enumerated."""
-    if subgroups is None:
-        subgroups = enumerate_subgroups(shape)
+def classify(shape: GroupShape) -> ClassificationVerdict:
+    """Full verdict.  Reads only the characteristic lattice (from Aut-orbits)
+    and the fully invariant one (from profiles), so no subgroup enumeration
+    runs and only the carrier cap applies."""
     fi = fi_from_profiles(shape)
-    chars = enumerate_characteristic(shape, subgroups)
+    chars = characteristic_from_orbits(shape)
     char_eq_fi = {h.mask for h in chars} == {h.mask for h in fi}
 
     witnesses: dict = {}

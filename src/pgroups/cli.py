@@ -84,8 +84,7 @@ def _render_table(verdict: dict) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     shape = make_shape(args.p, _parse_partition(args.partition))
-    lat = _store(args.cache).get(shape)
-    verdict = classify(shape, subgroups=lat.subgroups).to_dict()
+    verdict = classify(shape).to_dict()
     if args.table:
         print(_render_table(verdict))
     else:
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = cl.add_mutually_exclusive_group()
     mode.add_argument("--json", action="store_true", help="JSON output (default)")
     mode.add_argument("--table", action="store_true", help="human-readable table")
-    cl.add_argument("--cache", help="lattice cache directory")
     cl.set_defaults(func=cmd_classify)
 
     en = sub.add_parser("enumerate", help="list subgroups of one shape")

@@ -192,38 +192,31 @@ def is_automorphism(m: EndoMatrix) -> bool:
 # ---- carrier-level induced maps ---------------------------------------------------
 
 
-def _scalar_multiple_table(car: Carrier, y: GroupElement) -> np.ndarray:
-    """t[c] = index of c*y, for c in 0..order(G) range of the acting coordinate.
-
-    Only used below with c ranging over one coordinate's radix; building the
-    full range once per generator image is cheap enough.
-    """
-    n = car.n
-    cs = np.arange(max(car.radices) if car.radices else 1, dtype=np.int64)
-    total = np.zeros_like(cs)
-    for t, (r, s) in enumerate(zip(car.radices, car.strides)):
-        total += ((cs * y.coords[t]) % r) * s
-    return total
+def _induced_tables(car: Carrier, entries: np.ndarray) -> np.ndarray:
+    """Table kernel behind `induced_table` and `induced_tables_batch`: one
+    carrier table per matrix in a (B, n, n) entry batch."""
+    shape = car.shape
+    n = shape.rank
+    if n == 0:
+        return np.zeros((entries.shape[0], car.n), dtype=np.int64)
+    weights = np.array(
+        [[_scale(shape, i, j) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
+    radices = np.array(car.radices, dtype=np.int64)
+    strides = np.array(car.strides, dtype=np.int64)
+    # image coordinate i of point x is sum_j e_ij * w_ij * coords[j, x] mod p^ki;
+    # weights and coordinates are each < 2^16 under the carrier cap, so the
+    # accumulated sums stay far inside int64
+    imgs = np.einsum("bij,jx->bix", entries.astype(np.int64) * weights, car.coords_mat)
+    imgs %= radices[None, :, None]
+    return np.einsum("bix,i->bx", imgs, strides)
 
 
 def induced_table(m: EndoMatrix, car: Carrier | None = None) -> np.ndarray:
     """Dense table of the induced map on the carrier: out[i] = index of m(x_i)."""
     if car is None:
         car = carrier(m.shape)
-    table = np.zeros(car.n, dtype=np.int64)
-    images = generator_images(m)
-    for j in range(m.shape.rank):
-        mult = _scalar_multiple_table(car, images[j])
-        contrib = mult[car.coords_mat[j]]
-        table = _add_index_arrays(car, table, contrib)
-    return table
-
-
-def _add_index_arrays(car: Carrier, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    for r, s in zip(car.radices, car.strides):
-        out += (((a // s) % r + (b // s) % r) % r) * s
-    return out
+    return _induced_tables(car, np.array([m.entries], dtype=np.int64))[0]
 
 
 def is_bijective_by_table(m: EndoMatrix) -> bool:
@@ -283,9 +276,10 @@ def endo_entry_batches(
         yield np.zeros((1, 0, 0), dtype=np.int64)
         return
     if batch_size is None:
-        # keep the (B, n, N) intermediate of induced_tables_batch around 2^20 cells
+        # keep the (B, n, N) intermediate of induced_tables_batch around 2^17
+        # cells (1 MB): larger batches scan no faster and only raise peak memory
         denom = max(1, n * carrier(shape).n)
-        batch_size = max(64, (1 << 20) // denom)
+        batch_size = max(64, (1 << 17) // denom)
     moduli = np.array(
         [_cell_modulus(shape, i, j) for i in range(n) for j in range(n)],
         dtype=np.int64,
@@ -305,23 +299,10 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
 
     Row b equals `induced_table(endo(shape, entries[b]))`.
     """
-    car = carrier(shape)
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
         raise ValueError(f"expected a (B, {n}, {n}) entry array for {shape}")
-    if n == 0:
-        return np.zeros((entries.shape[0], car.n), dtype=np.int64)
-    weights = np.array(
-        [[_scale(shape, i, j) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
-    radices = np.array(car.radices, dtype=np.int64)
-    strides = np.array(car.strides, dtype=np.int64)
-    # image coordinate i of point x is sum_j e_ij * w_ij * coords[j, x] mod p^ki;
-    # weights and coordinates are each < 2^16 under the carrier cap, so the
-    # accumulated sums stay far inside int64
-    imgs = np.einsum("bij,jx->bix", entries.astype(np.int64) * weights, car.coords_mat)
-    imgs %= radices[None, :, None]
-    return np.einsum("bix,i->bx", imgs, strides)
+    return _induced_tables(carrier(shape), entries)
 
 
 def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:

@@ -50,6 +50,7 @@ from .invariance import (
     _layer_mask,
     _stability_rows,
     _stable_under,
+    characteristic_from_orbits,
     distinct_exponents,
     fi_from_profiles,
     fi_profile_iso_types,
@@ -634,6 +635,19 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
                 profile_count=len(profile_subs),
                 brute_count=len(brute),
                 detail="profile route and brute filtering disagree",
+            )
+        )
+    # orbit route against the generator flags, order included
+    orbit_masks = [h.mask for h in characteristic_from_orbits(shape)]
+    flag_masks = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
+    if orbit_masks != flag_masks:
+        out.violations.append(
+            _violation(
+                shape,
+                check="char-orbits-vs-flags",
+                orbit_count=len(orbit_masks),
+                flag_count=len(flag_masks),
+                detail="orbit route and generator flags disagree",
             )
         )
     arith = sorted(_iso_string(t) for _, t in fi_profile_iso_types(shape))

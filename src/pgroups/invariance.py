@@ -17,6 +17,11 @@ the exponent gap between consecutive layers.  Projections onto layers are
 endomorphisms, which is what pins every fully invariant subgroup to that
 form; the brute filtered-enumeration route stays available as the oracle and
 the two are cross-checked by the harness.
+
+Its characteristic-side twin is `characteristic_from_orbits`: a
+characteristic subgroup is an addition-closed union of Aut-orbits, so the
+lattice is closed up from orbit labels without enumerating subgroups, and it
+too is cross-checked against the generator flags of the enumerated lattice.
 """
 
 from __future__ import annotations
@@ -44,16 +49,37 @@ from .lattice import (
 )
 
 
+def _tables_of(shape: GroupShape, maps) -> np.ndarray:
+    """Induced carrier tables, one row per map.  Rows are filled in place so
+    that a shape's tables are never held twice while they are built, and
+    int32 is enough for a carrier index while halving what the caches keep."""
+    car = carrier(shape)
+    out = np.empty((len(maps), car.n), dtype=np.int32)
+    for row, m in zip(out, maps):
+        row[:] = induced_table(m, car)
+    return out
+
+
+# the numpy tables serve the shape at hand; unlike the row lists below they
+# are not kept for every shape a sweep has passed through
+@lru_cache(maxsize=8)
+def _aut_tables(shape: GroupShape) -> np.ndarray:
+    return _tables_of(shape, aut_generators(shape))
+
+
+@lru_cache(maxsize=8)
+def _stability_tables(shape: GroupShape) -> np.ndarray:
+    return _tables_of(shape, stability_test_set(shape))
+
+
 @lru_cache(maxsize=256)
 def _aut_rows(shape: GroupShape) -> tuple[list[int], ...]:
-    car = carrier(shape)
-    return tuple(induced_table(g, car).tolist() for g in aut_generators(shape))
+    return tuple(t.tolist() for t in _aut_tables(shape))
 
 
 @lru_cache(maxsize=256)
 def _stability_rows(shape: GroupShape) -> tuple[list[int], ...]:
-    car = carrier(shape)
-    return tuple(induced_table(m, car).tolist() for m in stability_test_set(shape))
+    return tuple(t.tolist() for t in _stability_tables(shape))
 
 
 def _stable_under(mask: int, rows) -> bool:
@@ -67,14 +93,32 @@ def _stable_under(mask: int, rows) -> bool:
     return True
 
 
+# The bit loop over cached row lists, which stops at the first escaping
+# member, beats a numpy call on subgroups of fewer than 32 members.  The row
+# lists pay for themselves only on groups small enough to have their whole
+# lattice flagged, so larger groups always take the numpy route.
+_BIT_LOOP_MAX_ORDER = 31
+_ROW_LISTS_MAX_GROUP_ORDER = 2 ** 12
+
+
+def _stable(h: Subgroup, tables_of, rows_of) -> bool:
+    if h.order <= _BIT_LOOP_MAX_ORDER and h.shape.order <= _ROW_LISTS_MAX_GROUP_ORDER:
+        return _stable_under(h.mask, rows_of(h.shape))
+    tables = tables_of(h.shape)
+    n = tables.shape[1]
+    packed = np.frombuffer(h.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    keep = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+    return all(keep[t[keep]].all() for t in tables)
+
+
 def is_characteristic(h: Subgroup) -> bool:
     """True iff every automorphism maps H into (hence onto) H."""
-    return _stable_under(h.mask, _aut_rows(h.shape))
+    return _stable(h, _aut_tables, _aut_rows)
 
 
 def is_fully_invariant(h: Subgroup) -> bool:
     """True iff every endomorphism maps H into H."""
-    return _stable_under(h.mask, _stability_rows(h.shape))
+    return _stable(h, _stability_tables, _stability_rows)
 
 
 def enumerate_characteristic(shape: GroupShape, subgroups=None) -> list[Subgroup]:
@@ -96,6 +140,111 @@ def char_equals_fi(shape: GroupShape, subgroups=None) -> bool:
     return all(
         is_fully_invariant(h) for h in subgroups if is_characteristic(h)
     )  # fully invariant always implies characteristic
+
+
+# ---- characteristic lattice from Aut-orbits ------------------------------------------
+
+
+def _aut_orbits(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, reps): the Aut-orbit label of every carrier index, and the
+    least member of each orbit.
+
+    Each index starts labelled by itself; pulling the least label back along
+    every generator table, plus pointer jumping, reaches the orbit minimum
+    (a finite group's orbit is strongly connected under its generators).
+    Orbits are numbered by least member, so orbit 0 is {0}.
+    """
+    tables = _aut_tables(shape)
+    least = np.arange(carrier(shape).n, dtype=np.int64)
+    while True:
+        prev = least
+        for t in tables:
+            least = np.minimum(least, least[t])
+        least = least[least]
+        if np.array_equal(least, prev):
+            break
+    reps, labels = np.unique(least, return_inverse=True)
+    return labels, reps
+
+
+def _orbit_sums(shape: GroupShape, labels: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """sums[a, b, c]: whether reps[a] + (orbit b) meets orbit c.
+
+    x + orbit b meets the same orbits for every x in orbit a, because an
+    automorphism carrying reps[a] to x fixes orbit b setwise; so one
+    representative per orbit gives the whole orbit-sum relation.
+    """
+    car = carrier(shape)
+    k = len(reps)
+    radices = np.array(car.radices, dtype=np.int64)[:, None]
+    strides = np.array(car.strides, dtype=np.int64)
+    out = np.zeros((k, k, k), dtype=bool)
+    for a, rep in enumerate(reps.tolist()):
+        moved = strides @ ((car.coords_mat + car.coords_mat[:, rep : rep + 1]) % radices)
+        out[a, labels, labels[moved]] = True
+    return out
+
+
+def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
+    """The characteristic lattice, built from Aut-orbits.
+
+    A characteristic subgroup is an addition-closed union of orbits, so it
+    is the sum of the spans of the orbits it holds.  Spans and sums are taken
+    on orbit-label sets through the orbit-sum relation; starting from {0} and
+    adding one orbit span at a time reaches every such sum.  Masks are built
+    only at the end, in the (order, lexicographic) order of
+    `enumerate_subgroups`, and every result is still checked for stability
+    under the automorphism generators.
+    """
+    car = carrier(shape)
+    labels, reps = _aut_orbits(shape)
+    k = len(reps)
+    sums = _orbit_sums(shape, labels, reps)
+
+    spans = {}
+    for a in range(k):
+        span_a = np.zeros(k, dtype=bool)
+        span_a[[0, a]] = True
+        while True:
+            grown = span_a | sums[span_a, a].any(axis=0)
+            if np.array_equal(grown, span_a):
+                break
+            span_a = grown
+        spans[span_a.tobytes()] = span_a
+    # plus[d, x, c]: orbit x + span d meets orbit c
+    plus = np.stack([sums[:, span_d].any(axis=1) for span_d in spans.values()])
+
+    zero_only = np.zeros(k, dtype=bool)
+    zero_only[0] = True
+    found = {zero_only.tobytes(): zero_only}
+    frontier = [zero_only]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            for total in plus[:, members].any(axis=1):
+                key = total.tobytes()
+                if key not in found:
+                    found[key] = total
+                    nxt.append(total)
+        frontier = nxt
+    chosen = np.array(list(found.values()))
+
+    # characteristic check on every result at once: a union of orbits is
+    # stable under a generator iff no member orbit is sent outside it
+    moves = np.zeros((k, k), dtype=bool)
+    for t in _aut_tables(shape):
+        moves[labels, labels[t]] = True
+    src, dst = np.nonzero(moves)
+    unstable = (chosen[:, src] & ~chosen[:, dst]).any(axis=1)
+    if unstable.any():
+        raise AssertionError(
+            f"orbit closure for {shape} produced a non characteristic subgroup"
+        )
+
+    out = [Subgroup(shape, _mask_from_bool(row[labels])) for row in chosen]
+    nbytes = (car.n + 7) // 8
+    out.sort(key=lambda h: (h.order, _lex_key(h.mask, car.full_mask, nbytes)))
+    return out
 
 
 def kaplansky_2group_predicate(shape: GroupShape) -> bool:
@@ -340,26 +489,9 @@ def is_transitive(shape: GroupShape) -> bool:
     """Do automorphisms act transitively on each Ulm-sequence class?"""
     _check_sweep_cap(shape, "transitivity sweep")
     car = carrier(shape)
-    rows = _aut_rows(shape)
+    orbit_of = _aut_orbits(shape)[0].tolist()
     heights_list = car.heights()
     mulp = car.mul_row(shape.prime)
-    orbit_of = [-1] * car.n
-    orbit_count = 0
-    for start in range(car.n):
-        if orbit_of[start] >= 0:
-            continue
-        orbit_of[start] = orbit_count
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for row in rows:
-                    y = row[x]
-                    if orbit_of[y] < 0:
-                        orbit_of[y] = orbit_count
-                        nxt.append(y)
-            frontier = nxt
-        orbit_count += 1
     by_ulm: dict[tuple, int] = {}
     for idx in range(car.n):
         key = _ulm_key(car, heights_list, mulp, idx)

@@ -15,7 +15,7 @@ from pgroups.classify import (
 )
 from pgroups.core import make_shape
 from pgroups.harness import build_corpus
-from pgroups.lattice import enumerate_subgroups, trivial_subgroup
+from pgroups.lattice import trivial_subgroup
 
 # (ifi, ic, strongly_ifi, strongly_ic, weakly, criterion, char_eq_fi)
 VERDICTS = {
@@ -92,12 +92,6 @@ def test_witness_structure_for_2_1_3():
 def test_no_witnesses_when_everything_agrees():
     v = classify(make_shape(2, [1, 1]))
     assert v.witnesses == {}
-
-
-def test_classify_accepts_precomputed_lattice():
-    shape = make_shape(2, [1, 3])
-    subs = enumerate_subgroups(shape)
-    assert classify(shape, subgroups=subs) == classify(shape)
 
 
 def test_verdict_serialization_round_trip():

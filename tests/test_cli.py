@@ -46,9 +46,9 @@ def test_classify_rejects_bad_partition(capsys):
 
 
 def test_classify_cap_exceeded(capsys, monkeypatch):
-    monkeypatch.setenv("PGROUPS_ENUM_CAP", "16")
+    monkeypatch.setenv("PGROUPS_CARRIER_CAP", "16")
     assert run(["classify", "--p", "2", "--partition", "5"]) == 3
-    assert "enum" in capsys.readouterr().err
+    assert "carrier" in capsys.readouterr().err
 
 
 def test_enumerate_counts(capsys):
@@ -131,7 +131,8 @@ def test_verify_rejects_bad_jobs(capsys):
 
 
 def test_cache_round_trip_through_cli(tmp_path, capsys):
-    args = ["classify", "--p", "2", "--partition", "1,3", "--cache", str(tmp_path)]
+    args = ["enumerate", "--p", "2", "--partition", "1,3", "--kind", "all",
+            "--cache", str(tmp_path)]
     assert run(args) == 0
     first = capsys.readouterr().out
     assert list(tmp_path.glob("*.json.gz"))  # entry written

@@ -14,6 +14,7 @@ from pgroups.invariance import (
     ProfileViolation,
     ProjectionProfile,
     char_equals_fi,
+    characteristic_from_orbits,
     enumerate_characteristic,
     enumerate_fully_invariant,
     fi_from_profiles,
@@ -55,6 +56,22 @@ def test_flags_match_exhaustive_endo_oracle(endo_oracle_shapes):
         assert (sum(got_char), sum(got_fi), len(subs)) == counts
 
 
+def test_numpy_stability_route_matches_oracles():
+    # subgroups of 32 or more members, and every subgroup of a group above
+    # order 2^12, are tested in numpy rather than by the bit loop
+    s = make_shape(2, [2, 4])
+    subs = enumerate_subgroups(s)
+    assert any(h.order >= 32 for h in subs)
+    oracle_char, oracle_fi = dumb_char_fi_flags(s, [h.mask for h in subs])
+    assert [is_characteristic(h) for h in subs] == oracle_char
+    assert [is_fully_invariant(h) for h in subs] == oracle_fi
+
+    big = make_shape(2, [1, 12])
+    assert all(is_characteristic(h) for h in characteristic_from_orbits(big))
+    summand = span(big, [element(big, (1, 0))])  # moved by a_0 -> a_0 + 2^11 a_1
+    assert not is_characteristic(summand) and not is_fully_invariant(summand)
+
+
 def test_fully_invariant_implies_characteristic(endo_oracle_shapes):
     for s in endo_oracle_shapes:
         for h in enumerate_subgroups(s):
@@ -93,6 +110,16 @@ def test_enumerate_wrappers_respect_flags():
     assert [h.mask for h in enumerate_characteristic(s, subs)] == [
         h.mask for h in chars
     ]
+
+
+def test_characteristic_from_orbits_equals_enumeration():
+    from pgroups.harness import build_corpus
+
+    for p, max_order in ((2, 128), (3, 243), (5, 625)):
+        for s in build_corpus(p, max_order).shapes:
+            via_orbits = [h.mask for h in characteristic_from_orbits(s)]
+            brute = [h.mask for h in enumerate_characteristic(s)]
+            assert via_orbits == brute, s
 
 
 @pytest.mark.parametrize(
