@@ -5,218 +5,77 @@ with independent oracles.
 Shapes are exponent partitions (`make_shape(2, [1, 3])` is Z2 + Z8); dense
 carriers index every element, subgroups are bitmasks over that index, and
 everything expensive sits behind an overridable resource cap.
+
+The top level carries what the CLI, the demos and the README examples use,
+plus the types those calls return; everything else is imported from its
+submodule (`pgroups.endos`, `pgroups.invariance`, ...).
 """
 
 from .cache import LatticeCache
-from .caps import (
-    CapExceeded,
-    aut_closure_cap,
-    carrier_cap,
-    default_jobs,
-    endo_oracle_cap,
-    enum_cap,
-    sweep_cap,
-)
-from .classify import (
-    ClassificationVerdict,
-    classify,
-    classify_ic,
-    classify_ifi,
-    classify_strongly,
-    classify_strongly_ic,
-    classify_strongly_ifi,
-    classify_weakly_ic,
-    ifi_criterion,
-    subgroup_descriptor,
-)
+from .caps import CapExceeded
+from .classify import ClassificationVerdict, classify
 from .core import (
-    INFINITE,
-    Carrier,
     GroupElement,
     GroupShape,
     UlmSequence,
-    add,
-    carrier,
     element,
     element_order,
     format_shape,
     height,
-    is_prime,
     make_shape,
-    neg,
     parse_shape,
-    scalar_mul,
     ulm_invariants,
     ulm_sequence,
-    zero,
-)
-from .endos import (
-    EndoMatrix,
-    apply,
-    aut_closure_tables,
-    aut_generators,
-    automorphism_flags,
-    bijective_flags_by_table,
-    compose,
-    endo,
-    endo_count,
-    endo_entry_batches,
-    enumerate_all_endos,
-    from_generator_images,
-    generator_images,
-    identity_endo,
-    induced_table,
-    induced_tables_batch,
-    is_automorphism,
-    is_bijective_by_table,
-    matrix_add,
-    random_endo,
-    single_entry,
-    stability_test_set,
 )
 from .harness import (
     ClaimReport,
     ClaimSpec,
     Corpus,
-    LatticeStore,
-    ShapeLattice,
     UnknownClaimError,
     all_claim_ids,
     build_corpus,
-    compute_shape_lattice,
-    oracle_crosscheck,
     registry,
     run_claims,
-    runnable_claim_ids,
-    verify_claim,
 )
 from .invariance import (
-    ProfileViolation,
-    ProjectionProfile,
-    char_equals_fi,
-    characteristic_from_orbits,
-    endo_image_of,
     enumerate_characteristic,
     enumerate_fully_invariant,
-    fi_from_profiles,
-    fi_profile_iso_types,
     is_characteristic,
     is_fully_invariant,
-    is_fully_transitive,
-    is_transitive,
-    kaplansky_2group_predicate,
-    layer_subgroup,
-    projection_profile,
 )
-from .lattice import (
-    Subgroup,
-    enumerate_subgroups,
-    intersect,
-    power_subgroup,
-    socle,
-    span,
-    subgroup_contains,
-    subgroup_sum,
-)
+from .lattice import Subgroup, enumerate_subgroups, span
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "Carrier",
     "ClaimReport",
     "ClaimSpec",
     "ClassificationVerdict",
     "Corpus",
-    "EndoMatrix",
     "GroupElement",
     "GroupShape",
-    "INFINITE",
     "LatticeCache",
-    "LatticeStore",
-    "ProfileViolation",
-    "ProjectionProfile",
-    "ShapeLattice",
     "Subgroup",
     "UlmSequence",
     "UnknownClaimError",
-    "add",
     "all_claim_ids",
-    "apply",
-    "aut_closure_cap",
-    "aut_closure_tables",
-    "aut_generators",
-    "automorphism_flags",
-    "bijective_flags_by_table",
     "build_corpus",
-    "carrier",
-    "carrier_cap",
-    "char_equals_fi",
-    "characteristic_from_orbits",
     "classify",
-    "classify_ic",
-    "classify_ifi",
-    "classify_strongly",
-    "classify_strongly_ic",
-    "classify_strongly_ifi",
-    "classify_weakly_ic",
-    "compose",
-    "compute_shape_lattice",
-    "default_jobs",
     "element",
     "element_order",
-    "endo",
-    "endo_count",
-    "endo_entry_batches",
-    "endo_image_of",
-    "endo_oracle_cap",
-    "enum_cap",
-    "enumerate_all_endos",
     "enumerate_characteristic",
     "enumerate_fully_invariant",
     "enumerate_subgroups",
-    "fi_from_profiles",
-    "fi_profile_iso_types",
     "format_shape",
-    "from_generator_images",
-    "generator_images",
     "height",
-    "identity_endo",
-    "ifi_criterion",
-    "induced_table",
-    "induced_tables_batch",
-    "intersect",
-    "is_automorphism",
-    "is_bijective_by_table",
     "is_characteristic",
     "is_fully_invariant",
-    "is_fully_transitive",
-    "is_prime",
-    "is_transitive",
-    "kaplansky_2group_predicate",
-    "layer_subgroup",
     "make_shape",
-    "matrix_add",
-    "neg",
-    "oracle_crosscheck",
     "parse_shape",
-    "power_subgroup",
-    "projection_profile",
-    "random_endo",
     "registry",
     "run_claims",
-    "runnable_claim_ids",
-    "scalar_mul",
-    "single_entry",
-    "socle",
     "span",
-    "stability_test_set",
-    "subgroup_contains",
-    "subgroup_descriptor",
-    "subgroup_sum",
-    "sweep_cap",
     "ulm_invariants",
     "ulm_sequence",
-    "verify_claim",
-    "zero",
 ]

@@ -8,10 +8,13 @@ in minutes, and each can be overridden by an environment variable:
 
     PGROUPS_CARRIER_CAP      max group order for which a carrier is built
     PGROUPS_ENUM_CAP         max group order for full subgroup enumeration
-    PGROUPS_SWEEP_CAP        default max order for corpus sweeps
+                             (`enumerate` and `verify`; `classify` never
+                             enumerates)
     PGROUPS_ENDO_ORACLE_CAP  max |End(G)| for exhaustive endo enumeration
     PGROUPS_AUT_CLOSURE_CAP  max closure size when expanding Aut generators
-    PGROUPS_JOBS             default worker count for `verify`
+
+One more variable, PGROUPS_JOBS, is not a cap: it sets the default worker
+count for `verify`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import os
 
 DEFAULT_CARRIER_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 2 ** 12
-DEFAULT_SWEEP_CAP = 2 ** 8
 DEFAULT_ENDO_ORACLE_CAP = 2 ** 20
 DEFAULT_AUT_CLOSURE_CAP = 2 ** 18
 
@@ -61,10 +63,6 @@ def carrier_cap() -> int:
 
 def enum_cap() -> int:
     return _env_int("PGROUPS_ENUM_CAP", DEFAULT_ENUM_CAP)
-
-
-def sweep_cap() -> int:
-    return _env_int("PGROUPS_SWEEP_CAP", DEFAULT_SWEEP_CAP)
 
 
 def endo_oracle_cap() -> int:

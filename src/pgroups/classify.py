@@ -11,6 +11,9 @@ Conventions: "non-trivial" excludes both {0} and G, "non-zero" excludes only
   impossible for finite groups on cardinality grounds, but computed honestly
   by scanning, not short-circuited
 
+The first four verdicts are one predicate, `iso_witnesses`, applied to the
+fully invariant or the characteristic lattice.
+
 `ifi_criterion` is the closed-form test the ifi verdict is measured against
 on sweeps: pG = 0, or p^2 G = 0 with rank(G) = rank(pG); for shapes that
 reads "all exponents equal 1 or all exponents equal 2".
@@ -37,63 +40,31 @@ def subgroup_descriptor(h: Subgroup) -> dict:
     }
 
 
-def _pairwise_iso_witness(subs: list[Subgroup]):
-    """None if all listed subgroups share an iso type, else the first clash."""
-    if not subs:
-        return None
-    first = subs[0]
-    t0 = first.iso_type()
+def iso_witnesses(subs: list[Subgroup]):
+    """The shared predicate behind the ifi and ic verdicts and their strong
+    forms, applied to one subgroup family.
+
+    Returns (proper, nonzero).  `proper` is None when all non-trivial members
+    (neither {0} nor G) are pairwise isomorphic, and otherwise the first
+    clashing pair (first member, first member of another iso type) in list
+    order; `nonzero` is the same over the members other than {0}.
+    """
+    nonzero = [h for h in subs if not h.is_trivial()]
+    proper = [h for h in nonzero if not h.is_full()]
+    return _first_clash(proper), _first_clash(nonzero)
+
+
+def _first_clash(subs: list[Subgroup]):
     for other in subs[1:]:
-        if other.iso_type() != t0:
-            return {
-                "first": subgroup_descriptor(first),
-                "second": subgroup_descriptor(other),
-            }
+        if other.iso_type() != subs[0].iso_type():
+            return subs[0], other
     return None
-
-
-def _nontrivial(subs: list[Subgroup]) -> list[Subgroup]:
-    return [h for h in subs if not h.is_trivial() and not h.is_full()]
-
-
-def _nonzero(subs: list[Subgroup]) -> list[Subgroup]:
-    return [h for h in subs if not h.is_trivial()]
 
 
 def ifi_criterion(shape: GroupShape) -> bool:
     """Closed-form ifi test: every exponent is 1, or every exponent is 2."""
     exps = set(shape.exponents)
     return exps == {1} or exps == {2}
-
-
-def classify_ifi(shape: GroupShape) -> bool:
-    return _pairwise_iso_witness(_nontrivial(fi_from_profiles(shape))) is None
-
-
-def classify_ic(shape: GroupShape) -> bool:
-    chars = characteristic_from_orbits(shape)
-    return _pairwise_iso_witness(_nontrivial(chars)) is None
-
-
-def classify_strongly_ifi(shape: GroupShape) -> bool:
-    return _pairwise_iso_witness(_nonzero(fi_from_profiles(shape))) is None
-
-
-def classify_strongly_ic(shape: GroupShape) -> bool:
-    chars = characteristic_from_orbits(shape)
-    return _pairwise_iso_witness(_nonzero(chars)) is None
-
-
-def classify_strongly(shape: GroupShape) -> tuple[bool, bool]:
-    """(strongly ifi, strongly ic)."""
-    return classify_strongly_ifi(shape), classify_strongly_ic(shape)
-
-
-def classify_weakly_ic(shape: GroupShape) -> bool:
-    chars = characteristic_from_orbits(shape)
-    return any(
-        not h.is_full() and h.iso_type() == shape for h in chars
-    )
 
 
 @dataclass(frozen=True)
@@ -130,22 +101,24 @@ def classify(shape: GroupShape) -> ClassificationVerdict:
     chars = characteristic_from_orbits(shape)
     char_eq_fi = {h.mask for h in chars} == {h.mask for h in fi}
 
-    witnesses: dict = {}
-    ifi_w = _pairwise_iso_witness(_nontrivial(fi))
-    ic_w = _pairwise_iso_witness(_nontrivial(chars))
-    s_ifi_w = _pairwise_iso_witness(_nonzero(fi))
-    s_ic_w = _pairwise_iso_witness(_nonzero(chars))
+    ifi_w, s_ifi_w = iso_witnesses(fi)
+    ic_w, s_ic_w = iso_witnesses(chars)
     weakly_hits = [
         h for h in chars if not h.is_full() and h.iso_type() == shape
     ]
-    if ifi_w:
-        witnesses["ifi"] = ifi_w
-    if ic_w:
-        witnesses["ic"] = ic_w
-    if s_ifi_w:
-        witnesses["strongly_ifi"] = s_ifi_w
-    if s_ic_w:
-        witnesses["strongly_ic"] = s_ic_w
+    witnesses: dict = {}
+    for name, pair in (
+        ("ifi", ifi_w),
+        ("ic", ic_w),
+        ("strongly_ifi", s_ifi_w),
+        ("strongly_ic", s_ic_w),
+    ):
+        if pair:
+            first, second = pair
+            witnesses[name] = {
+                "first": subgroup_descriptor(first),
+                "second": subgroup_descriptor(second),
+            }
     if weakly_hits:
         # can only happen for infinite groups; recorded for honesty
         witnesses["weakly_ic"] = subgroup_descriptor(weakly_hits[0])

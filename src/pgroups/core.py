@@ -244,9 +244,16 @@ def ulm_invariants(shape: GroupShape) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _mask_from_bool(arr: np.ndarray) -> int:
+def mask_from_bool(arr: np.ndarray) -> int:
+    """Bitmask with bit i set where arr[i] is true."""
     packed = np.packbits(arr.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def mask_to_bool(mask: int, n: int) -> np.ndarray:
+    """Inverse of `mask_from_bool`: a length-n membership array."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
 
 def mask_to_indices(mask: int) -> list[int]:
@@ -291,9 +298,7 @@ class Carrier:
         self.full_mask = (1 << self.n) - 1
         self._add_rows: dict[int, list[int]] = {}
         self._mul_rows: dict[int, list[int]] = {}
-        self._neg_row: list[int] | None = None
         self._order_exp: np.ndarray | None = None
-        self._heights: list | None = None
         self._socle_masks: dict[int, int] = {}
         self._power_masks: dict[int, int] = {}
 
@@ -342,13 +347,6 @@ class Carrier:
             self._mul_rows[c] = row
         return row
 
-    def neg_row(self) -> list[int]:
-        if self._neg_row is None:
-            self._neg_row = self._combine(
-                (-self.coords_mat[j]) % r for j, r in enumerate(self.radices)
-            )
-        return self._neg_row
-
     # ---- per-element structure ----------------------------------------------------
 
     def order_exponents(self) -> np.ndarray:
@@ -371,35 +369,13 @@ class Carrier:
             self._order_exp = e
         return self._order_exp
 
-    def heights(self) -> list:
-        """height by index; INFINITE at index 0 only."""
-        if self._heights is None:
-            p = self.shape.prime
-            big = 1 << 30
-            h = np.full(self.n, big, dtype=np.int64)
-            for j, k in enumerate(self.shape.exponents):
-                col = self.coords_mat[j]
-                v = np.zeros(self.n, dtype=np.int64)
-                rem = col.copy()
-                active = rem != 0
-                while active.any():
-                    div = active & (rem % p == 0)
-                    v[div] += 1
-                    rem[div] //= p
-                    active = div
-                v[col == 0] = big
-                h = np.minimum(h, v)
-            out = h.tolist()
-            self._heights = [INFINITE if x >= big else x for x in out]
-        return self._heights
-
     def socle_mask(self, m: int) -> int:
         """Bitmask of G[p^m], the elements killed by p^m."""
         if m < 0:
             raise ValueError("socle level must be >= 0")
         mask = self._socle_masks.get(m)
         if mask is None:
-            mask = _mask_from_bool(self.order_exponents() <= m)
+            mask = mask_from_bool(self.order_exponents() <= m)
             self._socle_masks[m] = mask
         return mask
 
@@ -415,14 +391,8 @@ class Carrier:
                 row = np.asarray(self.mul_row(self.shape.prime ** n), dtype=np.int64)
                 hit = np.zeros(self.n, dtype=bool)
                 hit[row] = True
-                mask = _mask_from_bool(hit)
+                mask = mask_from_bool(hit)
             self._power_masks[n] = mask
-        return mask
-
-    def mask_of(self, elements: Iterable[GroupElement]) -> int:
-        mask = 0
-        for x in elements:
-            mask |= 1 << self.index_of_element(x)
         return mask
 
     def elements_of(self, mask: int) -> list[GroupElement]:

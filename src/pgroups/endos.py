@@ -17,7 +17,6 @@ agree, and the verification harness cross-checks that they do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -239,33 +238,15 @@ def endo_count(shape: GroupShape) -> int:
     return total
 
 
-def enumerate_all_endos(shape: GroupShape) -> Iterator[EndoMatrix]:
-    """Every endomorphism, row-major entry order, ascending residues.
-
-    Guarded by the endo oracle cap; this is the brute-force oracle layer, not
-    something to run on large shapes.
-    """
-    cap = endo_oracle_cap()
-    total = endo_count(shape)
-    if total > cap:
-        raise CapExceeded("endo-oracle", cap, total, f"|End| for {shape}")
-    n = shape.rank
-    cells = [
-        range(_cell_modulus(shape, i, j)) for i in range(n) for j in range(n)
-    ]
-    for flat in itertools.product(*cells):
-        entries = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        yield EndoMatrix(shape, entries)
-
-
 def endo_entry_batches(
     shape: GroupShape, batch_size: int | None = None
 ) -> Iterator[np.ndarray]:
-    """All endomorphism entry matrices as (B, n, n) int64 batches.
+    """Every endomorphism's entry matrix, as (B, n, n) int64 batches.
 
-    Same enumeration order and cap as `enumerate_all_endos`; the batched form
-    exists so exhaustive oracle sweeps can stay in numpy instead of looping
-    over a million matrices one at a time.
+    Row-major entry order with ascending residues (the last cell varies
+    fastest).  Guarded by the endo oracle cap; this is the brute-force oracle
+    layer, batched so exhaustive sweeps stay in numpy instead of looping over
+    a million matrices one at a time.
     """
     cap = endo_oracle_cap()
     total = endo_count(shape)
@@ -284,8 +265,7 @@ def endo_entry_batches(
         [_cell_modulus(shape, i, j) for i in range(n) for j in range(n)],
         dtype=np.int64,
     )
-    # row-major place values so the last cell varies fastest, matching
-    # itertools.product in enumerate_all_endos
+    # row-major place values so the last cell varies fastest
     place = np.ones(n * n, dtype=np.int64)
     place[:-1] = np.cumprod(moduli[::-1])[::-1][1:]
     for start in range(0, total, batch_size):

@@ -25,16 +25,17 @@ import numpy as np
 
 from .cache import LatticeCache
 from .caps import CapExceeded, carrier_cap, endo_oracle_cap
-from .classify import (
-    _nontrivial,
-    _nonzero,
-    _pairwise_iso_witness,
-    classify_ifi,
-    classify_strongly_ifi,
-    ifi_criterion,
-    subgroup_descriptor,
+from .classify import ifi_criterion, iso_witnesses, subgroup_descriptor
+from .core import (
+    GroupShape,
+    carrier,
+    element,
+    format_shape,
+    is_prime,
+    make_shape,
+    mask_to_bool,
+    parse_shape,
 )
-from .core import GroupShape, carrier, element, format_shape, is_prime, make_shape
 from .endos import (
     aut_closure_tables,
     automorphism_flags,
@@ -47,9 +48,6 @@ from .endos import (
 )
 from .invariance import (
     ProfileViolation,
-    _layer_mask,
-    _stability_rows,
-    _stable_under,
     characteristic_from_orbits,
     distinct_exponents,
     fi_from_profiles,
@@ -57,10 +55,13 @@ from .invariance import (
     is_characteristic,
     is_fully_invariant,
     kaplansky_2group_predicate,
+    layer_mask,
     layer_positions,
     project_onto_positions,
     projection_profile,
     restrict_to_positions,
+    stability_rows,
+    stable_under,
 )
 from .lattice import Subgroup, enumerate_subgroups, span, subgroup_contains, subgroup_sum
 
@@ -161,24 +162,32 @@ class LatticeStore:
         return lat
 
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
+        """The cached lattice, or None (so it is recomputed) when the entry is
+        absent or does not rebuild into subgroups of `shape`: a mask without
+        the zero element or wider than the carrier, or an iso string that
+        does not parse or names a group of another order."""
         got = self._cache.load(shape)
         if got is None:
             return None
         masks, char_flags, fi_flags, iso_types = got
+        full_mask = carrier(shape).full_mask
         type_memo: dict[str, GroupShape] = {}
         subs = []
-        for mask, iso in zip(masks, iso_types):
-            h = Subgroup(shape, mask)
-            if iso not in type_memo:
-                if iso == "":
-                    type_memo[iso] = GroupShape(shape.prime, ())
-                else:
-                    prime_s, exps_s = iso.split(":")
-                    type_memo[iso] = GroupShape(
-                        int(prime_s), tuple(int(e) for e in exps_s.split(","))
+        try:
+            for mask, iso in zip(masks, iso_types):
+                if mask & ~full_mask:
+                    return None
+                h = Subgroup(shape, mask)
+                if iso not in type_memo:
+                    type_memo[iso] = (
+                        GroupShape(shape.prime, ()) if iso == "" else parse_shape(iso)
                     )
-            h._iso = type_memo[iso]
-            subs.append(h)
+                if type_memo[iso].order != h.order:
+                    return None
+                h._iso = type_memo[iso]
+                subs.append(h)
+        except (ValueError, TypeError, AttributeError, CapExceeded):
+            return None
         return ShapeLattice(shape, tuple(subs), tuple(char_flags), tuple(fi_flags))
 
 
@@ -258,7 +267,7 @@ def _violation(shape: GroupShape, **witness) -> dict:
 
 def _check_ifi_criterion(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    got = classify_ifi(shape)
+    got = iso_witnesses(fi_from_profiles(shape))[0] is None
     want = ifi_criterion(shape)
     if got != want:
         out.violations.append(
@@ -269,7 +278,7 @@ def _check_ifi_criterion(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
 
 def _check_strongly_elementary(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    got = classify_strongly_ifi(shape)
+    got = iso_witnesses(fi_from_profiles(shape))[1] is None
     want = all(k == 1 for k in shape.exponents)
     if got != want:
         out.violations.append(
@@ -288,7 +297,7 @@ def _check_doubling(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
         return out
     doubled = make_shape(shape.prime, shape.exponents * 2)
     lat = ctx.lattice(shape)
-    ic = _pairwise_iso_witness(_nontrivial(lat.characteristic())) is None
+    ic = iso_witnesses(lat.characteristic())[0] is None
 
     # doubled side by exponent arithmetic; the mask route confirms it while
     # the doubled carrier is still cheap
@@ -296,7 +305,7 @@ def _check_doubling(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     nontrivial_types = [t for t in types if t.exponents and t != doubled]
     ifi_doubled = len(set(nontrivial_types)) <= 1
     if doubled.order <= 1024:
-        direct = classify_ifi(doubled)
+        direct = iso_witnesses(fi_from_profiles(doubled))[0] is None
         if direct != ifi_doubled:
             out.violations.append(
                 _violation(
@@ -375,12 +384,12 @@ def _check_split_stability(ctx: CheckContext, shape: GroupShape) -> CheckOutcome
     n = shape.rank
     lat = ctx.lattice(shape)
     chars = lat.characteristic()
-    srows = _stability_rows(shape)
+    srows = stability_rows(shape)
     for a_pos, b_pos in _splits(n):
         for h in chars:
             for s in a_pos:
                 for u in b_pos:
-                    if not _stable_under(h.mask, (srows[u * n + s],)):
+                    if not stable_under(h.mask, (srows[u * n + s],)):
                         out.violations.append(
                             _violation(
                                 shape,
@@ -417,7 +426,7 @@ def _check_slice_sums(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     for parts in decompositions:
         for h in chars:
             pieces_inter = [
-                Subgroup(shape, h.mask & _layer_mask(shape, pos)) for pos in parts
+                Subgroup(shape, h.mask & layer_mask(shape, pos)) for pos in parts
             ]
             pieces_proj = [project_onto_positions(h, pos) for pos in parts]
             for label, pieces in (
@@ -445,8 +454,8 @@ def _check_odd_split_support(ctx: CheckContext, shape: GroupShape) -> CheckOutco
     lat = ctx.lattice(shape)
     chars = lat.characteristic()
     for a_pos, b_pos in _splits(shape.rank):
-        amask = _layer_mask(shape, a_pos)
-        bmask = _layer_mask(shape, b_pos)
+        amask = layer_mask(shape, a_pos)
+        bmask = layer_mask(shape, b_pos)
         for h in chars:
             if h.mask & ~bmask and (h.mask & amask) == 1:
                 out.violations.append(
@@ -502,7 +511,7 @@ def _check_char_profiles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
             nk = nv[k]
             if nk < k:
                 for k2 in levels[pos_k + 1:]:
-                    tail = _layer_mask(shape, layer_positions(shape, k2)) & car.socle_mask(
+                    tail = layer_mask(shape, layer_positions(shape, k2)) & car.socle_mask(
                         k - nk
                     )
                     if tail & ~h.mask:
@@ -570,12 +579,9 @@ def _check_implications(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
                     detail="fully invariant flag without characteristic flag",
                 )
             )
-    chars = lat.characteristic()
-    fis = lat.fully_invariant()
-    ic = _pairwise_iso_witness(_nontrivial(chars)) is None
-    ifi = _pairwise_iso_witness(_nontrivial(fis)) is None
-    s_ic = _pairwise_iso_witness(_nonzero(chars)) is None
-    s_ifi = _pairwise_iso_witness(_nonzero(fis)) is None
+    ic_w, s_ic_w = iso_witnesses(lat.characteristic())
+    ifi_w, s_ifi_w = iso_witnesses(lat.fully_invariant())
+    ic, s_ic, ifi, s_ifi = (w is None for w in (ic_w, s_ic_w, ifi_w, s_ifi_w))
     rules = [
         ("ic implies ifi", ic, ifi),
         ("strongly ic implies ic", s_ic, ic),
@@ -600,22 +606,10 @@ def _shape_seed(shape: GroupShape) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _member_indices(mask: int) -> np.ndarray:
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return np.array(out, dtype=np.int64)
-
-
 def _mask_stable_under(mask: int, tables: np.ndarray, size: int) -> bool:
     """True iff every table row maps the mask's members into the mask."""
-    members = _member_indices(mask)
-    flags = np.zeros(size, dtype=bool)
-    flags[members] = True
-    return bool(flags[tables[:, members]].all())
+    keep = mask_to_bool(mask, size)
+    return bool(keep[tables[:, keep]].all())
 
 
 def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
@@ -1047,7 +1041,3 @@ def run_claims(
 
 def verify_claim(claim_id: str, corpus: Corpus, **kwargs) -> ClaimReport:
     return run_claims([claim_id], corpus, **kwargs)[0]
-
-
-def oracle_crosscheck(corpus: Corpus, **kwargs) -> ClaimReport:
-    return verify_claim("oracle-crosscheck", corpus, **kwargs)

@@ -1,4 +1,4 @@
-"""Characteristic and fully invariant subgroups, projections, transitivity.
+"""Characteristic and fully invariant subgroups, Aut-orbits, projections.
 
 Both invariance tests are generator-stability tests with early exit:
 
@@ -26,27 +26,14 @@ too is cross-checked against the generator flags of the enumerated lattice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .caps import CapExceeded, sweep_cap
-from .core import (
-    GroupShape,
-    INFINITE,
-    _mask_from_bool,
-    carrier,
-    mask_to_indices,
-)
+from .core import GroupShape, carrier, mask_from_bool, mask_to_bool, ulm_invariants
 from .endos import aut_generators, induced_table, stability_test_set
-from .lattice import (
-    Subgroup,
-    _lex_key,
-    _span_mask,
-    enumerate_subgroups,
-)
+from .lattice import Subgroup, enumerate_subgroups, enumeration_key
 
 
 def _tables_of(shape: GroupShape, maps) -> np.ndarray:
@@ -78,12 +65,16 @@ def _aut_rows(shape: GroupShape) -> tuple[list[int], ...]:
 
 
 @lru_cache(maxsize=256)
-def _stability_rows(shape: GroupShape) -> tuple[list[int], ...]:
+def stability_rows(shape: GroupShape) -> tuple[list[int], ...]:
+    """Carrier tables of `stability_test_set(shape)`, as row lists."""
     return tuple(t.tolist() for t in _stability_tables(shape))
 
 
-def _stable_under(mask: int, rows) -> bool:
+def stable_under(mask: int, rows) -> bool:
+    """True iff every row maps the members of `mask` into `mask`."""
     for row in rows:
+        # walks the bits in place so the first escaping member stops the
+        # test; unpacking the whole mask first is slower on these small masks
         m = mask
         while m:
             low = m & -m
@@ -103,11 +94,9 @@ _ROW_LISTS_MAX_GROUP_ORDER = 2 ** 12
 
 def _stable(h: Subgroup, tables_of, rows_of) -> bool:
     if h.order <= _BIT_LOOP_MAX_ORDER and h.shape.order <= _ROW_LISTS_MAX_GROUP_ORDER:
-        return _stable_under(h.mask, rows_of(h.shape))
+        return stable_under(h.mask, rows_of(h.shape))
     tables = tables_of(h.shape)
-    n = tables.shape[1]
-    packed = np.frombuffer(h.mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    keep = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+    keep = mask_to_bool(h.mask, tables.shape[1])
     return all(keep[t[keep]].all() for t in tables)
 
 
@@ -118,7 +107,7 @@ def is_characteristic(h: Subgroup) -> bool:
 
 def is_fully_invariant(h: Subgroup) -> bool:
     """True iff every endomorphism maps H into H."""
-    return _stable(h, _stability_tables, _stability_rows)
+    return _stable(h, _stability_tables, stability_rows)
 
 
 def enumerate_characteristic(shape: GroupShape, subgroups=None) -> list[Subgroup]:
@@ -131,15 +120,6 @@ def enumerate_fully_invariant(shape: GroupShape, subgroups=None) -> list[Subgrou
     if subgroups is None:
         subgroups = enumerate_subgroups(shape)
     return [h for h in subgroups if is_fully_invariant(h)]
-
-
-def char_equals_fi(shape: GroupShape, subgroups=None) -> bool:
-    """Whether the characteristic and fully invariant lattices coincide."""
-    if subgroups is None:
-        subgroups = enumerate_subgroups(shape)
-    return all(
-        is_fully_invariant(h) for h in subgroups if is_characteristic(h)
-    )  # fully invariant always implies characteristic
 
 
 # ---- characteristic lattice from Aut-orbits ------------------------------------------
@@ -196,7 +176,6 @@ def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
     `enumerate_subgroups`, and every result is still checked for stability
     under the automorphism generators.
     """
-    car = carrier(shape)
     labels, reps = _aut_orbits(shape)
     k = len(reps)
     sums = _orbit_sums(shape, labels, reps)
@@ -241,10 +220,10 @@ def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
             f"orbit closure for {shape} produced a non characteristic subgroup"
         )
 
-    out = [Subgroup(shape, _mask_from_bool(row[labels])) for row in chosen]
-    nbytes = (car.n + 7) // 8
-    out.sort(key=lambda h: (h.order, _lex_key(h.mask, car.full_mask, nbytes)))
-    return out
+    masks = sorted(
+        (mask_from_bool(row[labels]) for row in chosen), key=enumeration_key(shape)
+    )
+    return [Subgroup(shape, m) for m in masks]
 
 
 def kaplansky_2group_predicate(shape: GroupShape) -> bool:
@@ -255,8 +234,6 @@ def kaplansky_2group_predicate(shape: GroupShape) -> bool:
     """
     if shape.prime != 2:
         raise ValueError("predicate is specific to p = 2")
-    from .core import ulm_invariants
-
     ones = [n for n, f in enumerate(ulm_invariants(shape)) if f == 1]
     if len(ones) > 2:
         return False
@@ -287,7 +264,7 @@ def _positions_row(shape: GroupShape, positions: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=512)
-def _layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
+def layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
     """Mask of elements supported only on `positions`."""
     car = carrier(shape)
     keep = np.ones(car.n, dtype=bool)
@@ -295,7 +272,7 @@ def _layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
     for i in range(shape.rank):
         if i not in pos:
             keep &= car.coords_mat[i] == 0
-    return _mask_from_bool(keep)
+    return mask_from_bool(keep)
 
 
 def layer_subgroup(shape: GroupShape, k: int, n: int = 0) -> Subgroup:
@@ -303,7 +280,7 @@ def layer_subgroup(shape: GroupShape, k: int, n: int = 0) -> Subgroup:
     positions = layer_positions(shape, k)
     if not positions:
         raise ValueError(f"{shape} has no summand of exponent {k}")
-    mask = _layer_mask(shape, positions)
+    mask = layer_mask(shape, positions)
     if n:
         mask &= carrier(shape).socle_mask(max(k - n, 0))
     return Subgroup(shape, mask)
@@ -323,7 +300,7 @@ def restrict_to_positions(h: Subgroup, positions: tuple[int, ...]):
     on those summands.  Returns (sub_shape, subgroup_of_sub_shape)."""
     shape = h.shape
     positions = tuple(positions)
-    if h.mask & ~_layer_mask(shape, positions):
+    if h.mask & ~layer_mask(shape, positions):
         raise ValueError("subgroup is not supported on the given positions")
     sub_shape = GroupShape(shape.prime, tuple(shape.exponents[i] for i in positions))
     car = carrier(shape)
@@ -385,7 +362,7 @@ def projection_profile(h: Subgroup) -> ProjectionProfile:
         # order of the projection pins down the only possible n
         e = max(int(car.order_exponents()[m]) for m in proj.members())
         n = k - e
-        expected = _layer_mask(shape, positions) & car.socle_mask(e)
+        expected = layer_mask(shape, positions) & car.socle_mask(e)
         if n < 0 or proj.mask != expected:
             raise ProfileViolation(
                 f"projection onto exponent-{k} layer of {shape} is not a power subgroup"
@@ -437,14 +414,14 @@ def fi_from_profiles(shape: GroupShape) -> list[Subgroup]:
                 continue
             for i in layer_positions(shape, k):
                 keep &= car.coords_mat[i] % modulus == 0
-        h = Subgroup(shape, _mask_from_bool(keep))
+        h = Subgroup(shape, mask_from_bool(keep))
         if not is_fully_invariant(h):
             raise AssertionError(
                 f"profile {vec} for {shape} produced a non fully invariant subgroup"
             )
         out.append(h)
-    nbytes = (car.n + 7) // 8
-    out.sort(key=lambda h: (h.order, _lex_key(h.mask, car.full_mask, nbytes)))
+    key = enumeration_key(shape)
+    out.sort(key=lambda h: key(h.mask))
     return out
 
 
@@ -464,84 +441,3 @@ def fi_profile_iso_types(shape: GroupShape) -> list[tuple[tuple[int, ...], Group
                 exps.extend([k - n] * mult[k])
         out.append((vec, GroupShape(shape.prime, tuple(sorted(exps)))))
     return out
-
-
-# ---- transitivity sweeps -----------------------------------------------------------
-
-
-def _ulm_key(car, heights_list, mulp, idx) -> tuple:
-    seq = []
-    cur = idx
-    while cur:
-        seq.append(heights_list[cur])
-        cur = mulp[cur]
-    seq.append(INFINITE)
-    return tuple(seq)
-
-
-def _check_sweep_cap(shape: GroupShape, what: str) -> None:
-    cap = sweep_cap()
-    if shape.order > cap:
-        raise CapExceeded("sweep", cap, shape.order, f"{what} for {shape}")
-
-
-def is_transitive(shape: GroupShape) -> bool:
-    """Do automorphisms act transitively on each Ulm-sequence class?"""
-    _check_sweep_cap(shape, "transitivity sweep")
-    car = carrier(shape)
-    orbit_of = _aut_orbits(shape)[0].tolist()
-    heights_list = car.heights()
-    mulp = car.mul_row(shape.prime)
-    by_ulm: dict[tuple, int] = {}
-    for idx in range(car.n):
-        key = _ulm_key(car, heights_list, mulp, idx)
-        known = by_ulm.setdefault(key, orbit_of[idx])
-        if known != orbit_of[idx]:
-            return False
-    return True
-
-
-def endo_image_of(shape: GroupShape, idx: int) -> Subgroup:
-    """{phi(x) : phi an endomorphism} for the element with dense index idx.
-
-    Equals the sum over coordinates of c_j * G[p^(k_j)]; an endomorphism is
-    free to send each generator anywhere of compatible order.
-    """
-    car = carrier(shape)
-    coords = car.coords_of(idx)
-    acc = 1
-    for j, c in enumerate(coords):
-        if not c:
-            continue
-        row = car.mul_row(c)
-        part = 0
-        for z in mask_to_indices(car.socle_mask(shape.exponents[j])):
-            part |= 1 << row[z]
-        acc = _span_mask(car, mask_to_indices(part), base=acc)
-    return Subgroup(shape, acc)
-
-
-def is_fully_transitive(shape: GroupShape) -> bool:
-    """Whenever the Ulm sequence of x is pointwise <= that of y, some
-    endomorphism must carry x to y."""
-    _check_sweep_cap(shape, "full transitivity sweep")
-    car = carrier(shape)
-    heights_list = car.heights()
-    mulp = car.mul_row(shape.prime)
-    keys = [_ulm_key(car, heights_list, mulp, idx) for idx in range(car.n)]
-
-    def leq(a: tuple, b: tuple) -> bool:
-        span_len = max(len(a), len(b))
-        for j in range(span_len):
-            av = a[j] if j < len(a) else INFINITE
-            bv = b[j] if j < len(b) else INFINITE
-            if not av <= bv:
-                return False
-        return True
-
-    for x in range(car.n):
-        image = endo_image_of(shape, x)
-        for y in range(car.n):
-            if leq(keys[x], keys[y]) and not image.mask >> y & 1:
-                return False
-    return True

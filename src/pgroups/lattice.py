@@ -15,7 +15,7 @@ sorts first).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .caps import CapExceeded, enum_cap
 from .core import (
@@ -29,11 +29,20 @@ from .core import (
 _BITREV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-def _lex_key(mask: int, full_mask: int, nbytes: int) -> bytes:
-    # complement + per-byte bit reversal turns "present sorts first at the
-    # first differing index" into plain bytes comparison
-    comp = (~mask) & full_mask
-    return comp.to_bytes(nbytes, "little").translate(_BITREV)
+def enumeration_key(shape: GroupShape) -> Callable[[int], tuple[int, bytes]]:
+    """Sort key on subgroup masks of `shape` giving the (order, lexicographic)
+    order of `enumerate_subgroups`."""
+    car = carrier(shape)
+    full_mask = car.full_mask
+    nbytes = (car.n + 7) // 8
+
+    def key(mask: int) -> tuple[int, bytes]:
+        # complement + per-byte bit reversal turns "present sorts first at the
+        # first differing index" into plain bytes comparison
+        comp = (~mask) & full_mask
+        return mask.bit_count(), comp.to_bytes(nbytes, "little").translate(_BITREV)
+
+    return key
 
 
 class Subgroup:
@@ -104,19 +113,6 @@ class Subgroup:
             self._iso = _iso_type_of_mask(self.shape, self.mask)
         return self._iso
 
-    def validate(self) -> None:
-        """Full closure check; test helper, not a hot path."""
-        car = carrier(self.shape)
-        idxs = self.members()
-        neg = car.neg_row()
-        for i in idxs:
-            if not self.mask >> neg[i] & 1:
-                raise AssertionError("not closed under negation")
-            row = car.add_row(i)
-            for j in idxs:
-                if not self.mask >> row[j] & 1:
-                    raise AssertionError("not closed under addition")
-
 
 def _span_mask(car: Carrier, gen_indices: Iterable[int], base: int = 1) -> int:
     """Close base (already a subgroup mask) over the given indices."""
@@ -129,6 +125,8 @@ def _span_mask(car: Carrier, gen_indices: Iterable[int], base: int = 1) -> int:
         while not mask >> cur & 1:
             row = car.add_row(cur)
             shifted = 0
+            # walks the bits in place: a mask_to_indices list per coset costs
+            # more than the shift itself on these small spans
             m = mask
             while m:
                 low = m & -m
@@ -258,7 +256,6 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
     car = carrier(shape)
     p = shape.prime
     n = car.n
-    nbytes = (n + 7) // 8
 
     # premask[t] holds the indices that land on t under multiplication by p
     mulp = car.mul_row(p)
@@ -266,6 +263,7 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
     for x, t in enumerate(mulp):
         premask[t] |= 1 << x
 
+    key = enumeration_key(shape)
     all_masks = [1]
     frontier = [1]
     while frontier:
@@ -285,17 +283,12 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
                 cur = x
                 for _ in range(p - 1):
                     row = car.add_row(cur)
-                    shifted = 0
-                    m = hmask
-                    while m:
-                        mlow = m & -m
-                        shifted |= 1 << row[mlow.bit_length() - 1]
-                        m ^= mlow
-                    k |= shifted
+                    for m in members:
+                        k |= 1 << row[m]
                     cur = row[x]
                 found.add(k)
                 # anything inside K with p*x' in H spans K again; skip it
                 cand &= ~k
-        frontier = sorted(found, key=lambda m: _lex_key(m, car.full_mask, nbytes))
+        frontier = sorted(found, key=key)
         all_masks.extend(frontier)
     return [Subgroup(shape, m) for m in all_masks]

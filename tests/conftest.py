@@ -115,8 +115,10 @@ def dumb_endo_table(shape: GroupShape, entries) -> list[int]:
     return table
 
 
-def all_dumb_endo_tables(shape: GroupShape) -> list[list[int]]:
-    """Tables of every endomorphism, from the raw entry ranges."""
+def dumb_endo_entries(shape: GroupShape):
+    """Every endomorphism's entry matrix, straight from the raw entry ranges:
+    row-major cells, ascending residues, last cell fastest (itertools.product
+    order)."""
     from itertools import product
 
     p = shape.prime
@@ -127,13 +129,16 @@ def all_dumb_endo_tables(shape: GroupShape) -> list[list[int]]:
         for i in range(rank)
         for j in range(rank)
     ]
-    tables = []
     for values in product(*(range(m) for _, _, m in cells)):
         entries = [[0] * rank for _ in range(rank)]
         for (i, j, _), v in zip(cells, values):
             entries[i][j] = v
-        tables.append(dumb_endo_table(shape, entries))
-    return tables
+        yield entries
+
+
+def all_dumb_endo_tables(shape: GroupShape) -> list[list[int]]:
+    """Tables of every endomorphism, from the raw entry ranges."""
+    return [dumb_endo_table(shape, entries) for entries in dumb_endo_entries(shape)]
 
 
 def dumb_char_fi_flags(shape: GroupShape, masks) -> tuple[list[bool], list[bool]]:

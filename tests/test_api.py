@@ -1,0 +1,29 @@
+"""Package surface: no private names cross module boundaries, and the
+top-level `__all__` lists each exported name once and every one resolves."""
+
+import ast
+from pathlib import Path
+
+import pgroups
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pgroups"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        offenders.append(f"{path.name}: from .{node.module or ''} import {alias.name}")
+    assert offenders == []
+
+
+def test_all_names_resolve_and_are_listed_once():
+    names = pgroups.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(pgroups, name), name
+    # the top level stays what the CLI, the demos and the README examples use
+    assert len(names) <= 30

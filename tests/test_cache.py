@@ -1,11 +1,13 @@
 """Lattice cache: round trips, invalidation, graceful degradation."""
 
 import gzip
+import json
 
 import pytest
 
 import pgroups.cache as cache_mod
 from pgroups.cache import LatticeCache
+from pgroups.cli import run
 from pgroups.core import make_shape
 from pgroups.harness import LatticeStore, compute_shape_lattice
 
@@ -110,3 +112,45 @@ def test_cache_transparency(tmp_path, shape):
         assert [str(h.iso_type()) for h in lat.subgroups] == [
             str(h.iso_type()) for h in fresh.subgroups
         ]
+
+
+def _runtime_free(stdout: str) -> list[dict]:
+    docs = [json.loads(line) for line in stdout.splitlines()]
+    for doc in docs:
+        doc.pop("runtime_ms")
+    return docs
+
+
+def test_entries_that_do_not_rebuild_are_recomputed(tmp_path, capsys):
+    # a mask without the zero element, read through `verify`
+    verify = ["verify", "--p", "2", "--max-order", "2", "--claims", "defs-implications"]
+    assert run(verify) == 0
+    uncached = _runtime_free(capsys.readouterr().out)
+    LatticeCache(tmp_path).save(make_shape(2, [1]), [1, 2], [True, True], [True, True], ["", "2:1"])
+    assert run(verify + ["--cache", str(tmp_path)]) == 0
+    assert _runtime_free(capsys.readouterr().out) == uncached
+
+    # an iso string that does not parse, read through `enumerate`
+    shape = make_shape(2, [2])
+    masks, char, fi, isos = _payload(shape)
+    listing = ["enumerate", "--p", "2", "--partition", "2"]
+    assert run(listing) == 0
+    uncached = capsys.readouterr().out
+    LatticeCache(tmp_path).save(shape, masks, char, fi, isos[:-1] + ["2:x"])
+    assert run(listing + ["--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == uncached
+
+
+def test_store_rejects_masks_and_iso_types_that_do_not_fit(tmp_path):
+    shape = make_shape(2, [2])
+    masks, char, fi, isos = _payload(shape)
+    fresh = [h.mask for h in compute_shape_lattice(shape).subgroups]
+    for bad_masks, bad_isos in (
+        (masks[:-1] + [masks[-1] | 1 << 4], isos),  # wider than the carrier
+        (masks, isos[:-1] + ["2:1"]),  # iso type of another order
+        (masks, isos[:-1] + ["2:100"]),  # beyond the carrier cap
+    ):
+        LatticeCache(tmp_path).save(shape, bad_masks, char, fi, bad_isos)
+        lat = LatticeStore(LatticeCache(tmp_path)).get(shape)
+        assert [h.mask for h in lat.subgroups] == fresh
+        assert str(lat.subgroups[-1].iso_type()) == "2:2"

@@ -4,18 +4,14 @@ import pytest
 
 from pgroups.classify import (
     classify,
-    classify_ic,
-    classify_ifi,
-    classify_strongly,
-    classify_strongly_ic,
-    classify_strongly_ifi,
-    classify_weakly_ic,
     ifi_criterion,
+    iso_witnesses,
     subgroup_descriptor,
 )
-from pgroups.core import make_shape
+from pgroups.core import format_shape, make_shape
 from pgroups.harness import build_corpus
-from pgroups.lattice import trivial_subgroup
+from pgroups.invariance import enumerate_characteristic, enumerate_fully_invariant
+from pgroups.lattice import enumerate_subgroups, trivial_subgroup
 
 # (ifi, ic, strongly_ifi, strongly_ic, weakly, criterion, char_eq_fi)
 VERDICTS = {
@@ -49,16 +45,44 @@ def test_frozen_verdicts(key):
     assert got == VERDICTS[key]
 
 
-def test_individual_classifiers_match_full_verdict():
-    for key in VERDICTS:
-        shape = make_shape(key[0], key[1])
-        v = classify(shape)
-        assert classify_ifi(shape) == v.is_ifi
-        assert classify_ic(shape) == v.is_ic
-        assert classify_strongly_ifi(shape) == v.is_strongly_ifi
-        assert classify_strongly_ic(shape) == v.is_strongly_ic
-        assert classify_weakly_ic(shape) == v.is_weakly_ic
-        assert classify_strongly(shape) == (v.is_strongly_ifi, v.is_strongly_ic)
+def test_verdict_fields_match_iso_witnesses_on_enumerated_lattices():
+    # classify reads the orbit and profile routes; here every field is
+    # recomputed from the enumerated, flag-filtered lattices instead
+    for corpus in (build_corpus(2, 64), build_corpus(3, 81)):
+        for shape in corpus.shapes:
+            subs = enumerate_subgroups(shape)
+            chars = enumerate_characteristic(shape, subs)
+            fis = enumerate_fully_invariant(shape, subs)
+            ifi_w, s_ifi_w = iso_witnesses(fis)
+            ic_w, s_ic_w = iso_witnesses(chars)
+            weakly = [h for h in chars if not h.is_full() and h.iso_type() == shape]
+            witnesses = {
+                name: {
+                    "first": subgroup_descriptor(pair[0]),
+                    "second": subgroup_descriptor(pair[1]),
+                }
+                for name, pair in (
+                    ("ifi", ifi_w),
+                    ("ic", ic_w),
+                    ("strongly_ifi", s_ifi_w),
+                    ("strongly_ic", s_ic_w),
+                )
+                if pair
+            }
+            if weakly:
+                witnesses["weakly_ic"] = subgroup_descriptor(weakly[0])
+            expected = {
+                "shape": format_shape(shape),
+                "is_ifi": ifi_w is None,
+                "is_ic": ic_w is None,
+                "is_strongly_ifi": s_ifi_w is None,
+                "is_strongly_ic": s_ic_w is None,
+                "is_weakly_ic": bool(weakly),
+                "criterion_ifi": ifi_criterion(shape),
+                "char_eq_fi": [h.mask for h in chars] == [h.mask for h in fis],
+                "witnesses": witnesses,
+            }
+            assert classify(shape).to_dict() == expected, shape
 
 
 @pytest.mark.parametrize(
@@ -114,7 +138,7 @@ def test_verdict_serialization_round_trip():
 def test_weakly_ic_false_across_small_corpora():
     for corpus in (build_corpus(2, 32), build_corpus(3, 27)):
         for shape in corpus.shapes:
-            assert not classify_weakly_ic(shape), shape
+            assert not classify(shape).is_weakly_ic, shape
 
 
 def test_subgroup_descriptor_of_trivial():

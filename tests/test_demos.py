@@ -1,0 +1,23 @@
+"""Each demo runs standalone against the source tree; the demos are the main
+users of the top-level `pgroups` names."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

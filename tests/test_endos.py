@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     all_dumb_endo_tables,
     closed_subset_masks,
+    dumb_endo_entries,
     dumb_endo_table,
     mask_members,
 )
@@ -27,7 +28,6 @@ from pgroups.endos import (
     endo,
     endo_count,
     endo_entry_batches,
-    enumerate_all_endos,
     from_generator_images,
     generator_images,
     identity_endo,
@@ -68,10 +68,16 @@ def test_entry_shape_validation():
         endo(s, [[1, 0]])
 
 
+def _all_endos(s):
+    for ents in endo_entry_batches(s):
+        for mat in ents.tolist():
+            yield endo(s, mat)
+
+
 def test_apply_matches_dumb_formula():
     s = make_shape(2, [1, 3])
     car = carrier(s)
-    for m in enumerate_all_endos(s):
+    for m in _all_endos(s):
         table = dumb_endo_table(s, m.entries)
         for idx in range(car.n):
             x = car.element_at(idx)
@@ -125,7 +131,7 @@ def test_identity_and_single_entry():
 def test_fast_automorphism_test_vs_bijectivity(endo_oracle_shapes):
     for s in endo_oracle_shapes:
         car = carrier(s)
-        for m in enumerate_all_endos(s):
+        for m in _all_endos(s):
             table = induced_table(m, car)
             bij = len(set(table.tolist())) == car.n
             assert is_automorphism(m) == bij
@@ -177,15 +183,9 @@ def test_stability_test_set_is_complete():
 
 def test_endo_count_matches_enumeration(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        endos = list(enumerate_all_endos(s))
+        endos = list(_all_endos(s))
         assert len(endos) == endo_count(s)
         assert len(set(endos)) == len(endos)
-
-
-def test_endo_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("PGROUPS_ENDO_ORACLE_CAP", "8")
-    with pytest.raises(CapExceeded, match="endo-oracle"):
-        list(enumerate_all_endos(make_shape(2, [1, 2])))
 
 
 def test_aut_closure_cap(monkeypatch):
@@ -210,11 +210,11 @@ def test_random_endo_is_seeded_and_valid():
 
 def test_entry_batches_match_scalar_enumeration(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        scalar = [m.entries for m in enumerate_all_endos(s)]
+        reference = list(dumb_endo_entries(s))
         batched = []
         for ents in endo_entry_batches(s, batch_size=7):  # force ragged batches
-            batched.extend(tuple(tuple(row) for row in mat) for mat in ents.tolist())
-        assert batched == scalar
+            batched.extend(ents.tolist())
+        assert batched == reference
 
 
 def test_entry_batches_cap(monkeypatch):

@@ -1,4 +1,4 @@
-"""Characteristic/fully invariant testing, profiles, transitivity.
+"""Characteristic/fully invariant testing, Aut-orbits, profiles.
 
 The flag decisions (generator stability, single-entry test set) are checked
 against `dumb_char_fi_flags`, which scans every endomorphism table built in
@@ -8,12 +8,10 @@ pure Python.
 import pytest
 
 from conftest import dumb_char_fi_flags
-from pgroups.caps import CapExceeded
 from pgroups.core import GroupShape, carrier, element, make_shape
 from pgroups.invariance import (
     ProfileViolation,
     ProjectionProfile,
-    char_equals_fi,
     characteristic_from_orbits,
     enumerate_characteristic,
     enumerate_fully_invariant,
@@ -21,8 +19,6 @@ from pgroups.invariance import (
     fi_profile_iso_types,
     is_characteristic,
     is_fully_invariant,
-    is_fully_transitive,
-    is_transitive,
     kaplansky_2group_predicate,
     layer_subgroup,
     project_onto_positions,
@@ -145,10 +141,11 @@ def test_kaplansky_predicate_frozen_values(exps, expected):
 
 def test_char_equals_fi_matches_predicate_small_sweep():
     # every 2-group shape of order <= 32
+    from pgroups.classify import classify
     from pgroups.harness import build_corpus
 
     for s in build_corpus(2, 32).shapes:
-        assert char_equals_fi(s) == kaplansky_2group_predicate(s), s
+        assert classify(s).char_eq_fi == kaplansky_2group_predicate(s), s
 
 
 def test_fi_from_profiles_equals_brute_filter():
@@ -235,16 +232,3 @@ def test_project_and_restrict_roundtrip():
     assert standalone.order == 4
     with pytest.raises(ValueError):
         restrict_to_positions(h, (1,))  # h is not supported on the second summand
-
-
-def test_transitivity_small_shapes():
-    for s in [make_shape(2, [1, 3]), make_shape(2, [2, 2]), make_shape(2, [1, 1, 2]),
-              make_shape(3, [1, 2]), make_shape(2, [4])]:
-        assert is_transitive(s)
-        assert is_fully_transitive(s)
-
-
-def test_sweep_cap_guards_transitivity(monkeypatch):
-    monkeypatch.setenv("PGROUPS_SWEEP_CAP", "8")
-    with pytest.raises(CapExceeded):
-        is_transitive(make_shape(2, [1, 3]))
