@@ -13,6 +13,14 @@ p), so the fast test is that every equal-exponent diagonal block has nonzero
 determinant mod p.  The brute-force alternative (`is_bijective_by_table`)
 checks that the induced map on the carrier is a permutation; the two must
 agree, and the verification harness cross-checks that they do.
+
+The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
+can be carried as (K, n) rows of carrier indices (`entries_from_images`
+converts them back).  The automorphism closure works in that form: composing
+with a generator costs n table look-ups per element, not a whole carrier
+table, and its result is checked against the exhaustive enumeration.
+Generator and single-entry tables (`aut_generator_tables`,
+`stability_test_tables`) are built here once per shape for every caller.
 """
 
 from __future__ import annotations
@@ -43,6 +51,14 @@ def _scale(shape: GroupShape, i: int, j: int) -> int:
 
 def _cell_modulus(shape: GroupShape, i: int, j: int) -> int:
     return shape.prime ** min(shape.exponents[i], shape.exponents[j])
+
+
+def _scales(shape: GroupShape) -> np.ndarray:
+    """The (n, n) matrix of `_scale` factors."""
+    n = shape.rank
+    return np.array(
+        [[_scale(shape, i, j) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
 
 
 def endo(shape: GroupShape, entries: Sequence[Sequence[int]]) -> EndoMatrix:
@@ -123,6 +139,23 @@ def from_generator_images(shape: GroupShape, images: Sequence[GroupElement]) -> 
     return EndoMatrix(shape, tuple(tuple(r) for r in rows))
 
 
+def entries_from_images(shape: GroupShape, rows: np.ndarray) -> np.ndarray:
+    """Batch form of `from_generator_images`: (K, n) carrier indices of the
+    images of a_1..a_n in, (K, n, n) entry matrices out."""
+    n = shape.rank
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected a (K, {n}) image array for {shape}")
+    scales = _scales(shape)
+    moduli, _ = _cell_places(shape)
+    coords = carrier(shape).coords_mat[:, rows].transpose(1, 0, 2)  # (K, i, j)
+    if (coords % scales).any():
+        raise ValueError(
+            "no endomorphism: some generator is sent to an element of larger order"
+        )
+    return coords // scales % moduli
+
+
 def compose(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
     """m1 after m2."""
     if m1.shape != m2.shape:
@@ -198,9 +231,7 @@ def _induced_tables(car: Carrier, entries: np.ndarray) -> np.ndarray:
     n = shape.rank
     if n == 0:
         return np.zeros((entries.shape[0], car.n), dtype=np.int64)
-    weights = np.array(
-        [[_scale(shape, i, j) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
+    weights = _scales(shape)
     radices = np.array(car.radices, dtype=np.int64)
     strides = np.array(car.strides, dtype=np.int64)
     # image coordinate i of point x is sum_j e_ij * w_ij * coords[j, x] mod p^ki;
@@ -238,6 +269,21 @@ def endo_count(shape: GroupShape) -> int:
     return total
 
 
+def _cell_places(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
+    """(moduli, place): the (n, n) cell moduli and the row-major mixed-radix
+    place values of the cells, so that an endomorphism's index in
+    `endo_entry_batches` is sum(entries * place)."""
+    n = shape.rank
+    moduli = np.array(
+        [[_cell_modulus(shape, i, j) for j in range(n)] for i in range(n)],
+        dtype=np.int64,
+    )
+    # the last cell varies fastest
+    place = np.ones(n * n, dtype=np.int64)
+    place[:-1] = np.cumprod(moduli.ravel()[::-1])[::-1][1:]
+    return moduli, place.reshape(n, n)
+
+
 def endo_entry_batches(
     shape: GroupShape, batch_size: int | None = None
 ) -> Iterator[np.ndarray]:
@@ -261,13 +307,8 @@ def endo_entry_batches(
         # cells (1 MB): larger batches scan no faster and only raise peak memory
         denom = max(1, n * carrier(shape).n)
         batch_size = max(64, (1 << 17) // denom)
-    moduli = np.array(
-        [_cell_modulus(shape, i, j) for i in range(n) for j in range(n)],
-        dtype=np.int64,
-    )
-    # row-major place values so the last cell varies fastest
-    place = np.ones(n * n, dtype=np.int64)
-    place[:-1] = np.cumprod(moduli[::-1])[::-1][1:]
+    moduli, place = _cell_places(shape)
+    moduli, place = moduli.ravel(), place.ravel()
     for start in range(0, total, batch_size):
         idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
         flat = (idx[:, None] // place[None, :]) % moduli[None, :]
@@ -413,42 +454,95 @@ def aut_generators(shape: GroupShape) -> tuple[EndoMatrix, ...]:
     return tuple(gens)
 
 
-def aut_closure_tables(shape: GroupShape) -> list[np.ndarray]:
-    """Close `aut_generators` under composition, as induced carrier tables.
-
-    Memoized on the images of the canonical generating tuple (an endomorphism
-    is determined by those images).  Capped by the aut closure cap.  This is
-    oracle machinery: characteristic testing never needs the closure, only
-    the generators.
-    """
-    cap = aut_closure_cap()
+def _generator_tables(shape: GroupShape, maps) -> np.ndarray:
+    """Induced carrier tables, one row per map.  Rows are filled in place so
+    that a shape's tables are never held twice while they are built, and
+    int32 is enough for a carrier index while halving what the caches keep."""
     car = carrier(shape)
-    gen_positions = list(car.strides)  # index of a_j is its stride
-    gen_tables = [induced_table(g, car) for g in aut_generators(shape)]
-
-    def key_of(table: np.ndarray) -> tuple:
-        return tuple(int(table[s]) for s in gen_positions)
-
-    ident = np.arange(car.n, dtype=np.int64)
-    seen = {key_of(ident)}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for t in frontier:
-            for g in gen_tables:
-                composed = g[t]
-                k = key_of(composed)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(composed)
-                    new_frontier.append(composed)
-                    if len(out) > cap:
-                        raise CapExceeded(
-                            "aut-closure", cap, len(out), f"closure for {shape}"
-                        )
-        frontier = new_frontier
+    out = np.empty((len(maps), car.n), dtype=np.int32)
+    for row, m in zip(out, maps):
+        row[:] = induced_table(m, car)
     return out
+
+
+# the tables serve the shape at hand; a sweep does not keep them for every
+# shape it has passed through
+@lru_cache(maxsize=8)
+def aut_generator_tables(shape: GroupShape) -> np.ndarray:
+    """Carrier tables of `aut_generators(shape)`, one int32 row per generator."""
+    return _generator_tables(shape, aut_generators(shape))
+
+
+@lru_cache(maxsize=8)
+def stability_test_tables(shape: GroupShape) -> np.ndarray:
+    """Carrier tables of `stability_test_set(shape)`, one int32 row per map."""
+    return _generator_tables(shape, stability_test_set(shape))
+
+
+def _rank_lookup(shape: GroupShape) -> np.ndarray:
+    """(n, |G|) table: the rank of an endomorphism in `endo_entry_batches`
+    is the sum over j of lookup[j, image of a_j].
+
+    Only images that some endomorphism can give a_j (order at most p^kj)
+    have a meaningful entry; the others read 0.
+    """
+    car = carrier(shape)
+    fits = car.order_exponents()[:, None] <= np.array(shape.exponents)[None, :]
+    images = np.where(fits, np.arange(car.n)[:, None], 0)  # (|G|, n)
+    _, place = _cell_places(shape)
+    return np.einsum("xij,ij->jx", entries_from_images(shape, images), place)
+
+
+def aut_closure_tables(shape: GroupShape) -> np.ndarray:
+    """Close `aut_generators` under composition, in generator-image space.
+
+    An automorphism is fixed by where it sends the canonical generators, so
+    the result is a (K, n) integer array with K = |Aut(G)|: row k, column j is
+    the carrier index of the image of a_j under the k-th automorphism
+    (`entries_from_images` turns rows back into matrices).  The breadth-first
+    search composes a whole level with one generator table at a time, n
+    look-ups per element, and dedupes rows by their rank in
+    `endo_entry_batches`, kept in a bitmap over End(G).  So it is gated by the
+    endo oracle cap before anything is allocated, and K by the aut closure
+    cap.  This is oracle machinery: characteristic testing never needs the
+    closure, only the generators.
+    """
+    total = endo_count(shape)
+    cap = endo_oracle_cap()
+    if total > cap:
+        raise CapExceeded("endo-oracle", cap, total, f"|End| for {shape}")
+    cap = aut_closure_cap()
+    n = shape.rank
+    lookup = _rank_lookup(shape)
+    cols = np.arange(n)
+
+    def codes_of(rows: np.ndarray) -> np.ndarray:
+        return lookup[cols, rows].sum(axis=1)
+
+    ident = np.array([carrier(shape).strides], dtype=np.int32)  # a_j sits at its stride
+    seen = np.zeros(total, dtype=bool)
+    seen[codes_of(ident)] = True
+    found = [ident]
+    size = 1
+    frontier = ident
+    while len(frontier):
+        level = []
+        # one generator at a time: composing with all of them at once holds
+        # a level times the generator count and measured a higher peak RSS.
+        # A generator is a bijection and the frontier rows are distinct, so
+        # one composed batch holds no duplicates; only `seen` filters.
+        for table in aut_generator_tables(shape):
+            rows = table[frontier]
+            codes = codes_of(rows)
+            fresh = ~seen[codes]
+            seen[codes[fresh]] = True
+            level.append(rows[fresh])
+            size += int(fresh.sum())
+            if size > cap:
+                raise CapExceeded("aut-closure", cap, size, f"closure for {shape}")
+        frontier = np.concatenate(level) if level else ident[:0]
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def random_endo(shape: GroupShape, rng: np.random.Generator) -> EndoMatrix:

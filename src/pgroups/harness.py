@@ -34,7 +34,6 @@ from .core import (
     is_prime,
     make_shape,
     mask_to_bool,
-    parse_shape,
 )
 from .endos import (
     aut_closure_tables,
@@ -42,6 +41,7 @@ from .endos import (
     bijective_flags_by_table,
     endo_count,
     endo_entry_batches,
+    entries_from_images,
     induced_table,
     induced_tables_batch,
     random_endo,
@@ -163,32 +163,26 @@ class LatticeStore:
 
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
         """The cached lattice, or None (so it is recomputed) when the entry is
-        absent or does not rebuild into subgroups of `shape`: a mask without
-        the zero element or wider than the carrier, or an iso string that
-        does not parse or names a group of another order."""
+        absent, does not rebuild into subgroups of `shape` (a mask without the
+        zero element or wider than the carrier), or flags other subgroups
+        characteristic or fully invariant than the orbit and profile routes
+        give.  Stored iso strings are not read: each subgroup computes its
+        type from its mask."""
         got = self._cache.load(shape)
         if got is None:
             return None
-        masks, char_flags, fi_flags, iso_types = got
+        masks, char_flags, fi_flags, _ = got
         full_mask = carrier(shape).full_mask
-        type_memo: dict[str, GroupShape] = {}
-        subs = []
-        try:
-            for mask, iso in zip(masks, iso_types):
-                if mask & ~full_mask:
-                    return None
-                h = Subgroup(shape, mask)
-                if iso not in type_memo:
-                    type_memo[iso] = (
-                        GroupShape(shape.prime, ()) if iso == "" else parse_shape(iso)
-                    )
-                if type_memo[iso].order != h.order:
-                    return None
-                h._iso = type_memo[iso]
-                subs.append(h)
-        except (ValueError, TypeError, AttributeError, CapExceeded):
+        if any(mask & ~full_mask or not mask & 1 for mask in masks):
             return None
-        return ShapeLattice(shape, tuple(subs), tuple(char_flags), tuple(fi_flags))
+        for flags, route in (
+            (char_flags, characteristic_from_orbits),
+            (fi_flags, fi_from_profiles),
+        ):
+            if [m for m, f in zip(masks, flags) if f] != [h.mask for h in route(shape)]:
+                return None
+        subs = tuple(Subgroup(shape, mask) for mask in masks)
+        return ShapeLattice(shape, subs, tuple(char_flags), tuple(fi_flags))
 
 
 # ---- claim plumbing ------------------------------------------------------------------
@@ -666,9 +660,10 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
         except CapExceeded:
             out.skips.append("closure-vs-filtered-endos")
         if closure is not None:
+            # compared as image rows, sorted here rather than through the
+            # closure's own dedupe code, so the oracle stays independent of it
             strides = list(car.strides)
-            closure_keys = {tuple(int(t[s]) for s in strides) for t in closure}
-            filtered_keys = set()
+            filtered = []
             for ents in endo_entry_batches(shape):
                 tables = induced_tables_batch(shape, ents)
                 bij = bijective_flags_by_table(tables)
@@ -683,15 +678,18 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
                             bijective=bool(bij[b]),
                         )
                     )
-                keys = tables[bij][:, strides]
-                filtered_keys.update(map(tuple, keys.tolist()))
-            if closure_keys != filtered_keys:
+                filtered.append(tables[:, strides][bij])
+            closure_rows = np.unique(closure, axis=0)
+            filtered_rows = np.unique(np.concatenate(filtered), axis=0)
+            if len(closure) != len(closure_rows) or not np.array_equal(
+                closure_rows, filtered_rows
+            ):
                 out.violations.append(
                     _violation(
                         shape,
                         check="closure-vs-filtered-endos",
-                        closure_size=len(closure_keys),
-                        filtered_size=len(filtered_keys),
+                        closure_size=len(closure),
+                        filtered_size=len(filtered_rows),
                         detail="generator closure and filtered enumeration differ",
                     )
                 )
@@ -724,7 +722,7 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
         and len(closure) <= _CLOSURE_SCAN_LIMIT
         and len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT
     ):
-        crows = np.stack(closure)
+        crows = induced_tables_batch(shape, entries_from_images(shape, closure))
         for h, c in zip(lat.subgroups, lat.char_flags):
             if _mask_stable_under(h.mask, crows, car.n) != c:
                 out.violations.append(

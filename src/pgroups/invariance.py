@@ -32,42 +32,21 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GroupShape, carrier, mask_from_bool, mask_to_bool, ulm_invariants
-from .endos import aut_generators, induced_table, stability_test_set
+from .endos import aut_generator_tables, stability_test_tables
 from .lattice import Subgroup, enumerate_subgroups, enumeration_key
 
 
-def _tables_of(shape: GroupShape, maps) -> np.ndarray:
-    """Induced carrier tables, one row per map.  Rows are filled in place so
-    that a shape's tables are never held twice while they are built, and
-    int32 is enough for a carrier index while halving what the caches keep."""
-    car = carrier(shape)
-    out = np.empty((len(maps), car.n), dtype=np.int32)
-    for row, m in zip(out, maps):
-        row[:] = induced_table(m, car)
-    return out
-
-
-# the numpy tables serve the shape at hand; unlike the row lists below they
-# are not kept for every shape a sweep has passed through
-@lru_cache(maxsize=8)
-def _aut_tables(shape: GroupShape) -> np.ndarray:
-    return _tables_of(shape, aut_generators(shape))
-
-
-@lru_cache(maxsize=8)
-def _stability_tables(shape: GroupShape) -> np.ndarray:
-    return _tables_of(shape, stability_test_set(shape))
-
-
+# unlike the numpy tables, which endos keeps for 8 shapes, the row lists stay
+# for every shape a sweep passes through
 @lru_cache(maxsize=256)
 def _aut_rows(shape: GroupShape) -> tuple[list[int], ...]:
-    return tuple(t.tolist() for t in _aut_tables(shape))
+    return tuple(t.tolist() for t in aut_generator_tables(shape))
 
 
 @lru_cache(maxsize=256)
 def stability_rows(shape: GroupShape) -> tuple[list[int], ...]:
     """Carrier tables of `stability_test_set(shape)`, as row lists."""
-    return tuple(t.tolist() for t in _stability_tables(shape))
+    return tuple(t.tolist() for t in stability_test_tables(shape))
 
 
 def stable_under(mask: int, rows) -> bool:
@@ -102,12 +81,12 @@ def _stable(h: Subgroup, tables_of, rows_of) -> bool:
 
 def is_characteristic(h: Subgroup) -> bool:
     """True iff every automorphism maps H into (hence onto) H."""
-    return _stable(h, _aut_tables, _aut_rows)
+    return _stable(h, aut_generator_tables, _aut_rows)
 
 
 def is_fully_invariant(h: Subgroup) -> bool:
     """True iff every endomorphism maps H into H."""
-    return _stable(h, _stability_tables, stability_rows)
+    return _stable(h, stability_test_tables, stability_rows)
 
 
 def enumerate_characteristic(shape: GroupShape, subgroups=None) -> list[Subgroup]:
@@ -134,7 +113,7 @@ def _aut_orbits(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
     (a finite group's orbit is strongly connected under its generators).
     Orbits are numbered by least member, so orbit 0 is {0}.
     """
-    tables = _aut_tables(shape)
+    tables = aut_generator_tables(shape)
     least = np.arange(carrier(shape).n, dtype=np.int64)
     while True:
         prev = least
@@ -211,7 +190,7 @@ def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
     # characteristic check on every result at once: a union of orbits is
     # stable under a generator iff no member orbit is sent outside it
     moves = np.zeros((k, k), dtype=bool)
-    for t in _aut_tables(shape):
+    for t in aut_generator_tables(shape):
         moves[labels, labels[t]] = True
     src, dst = np.nonzero(moves)
     unstable = (chosen[:, src] & ~chosen[:, dst]).any(axis=1)

@@ -8,9 +8,11 @@ to disagree with.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from pgroups.core import GroupShape
+from pgroups.core import GroupShape, carrier
+from pgroups.endos import aut_generators, induced_table
 
 
 def dumb_radices(shape: GroupShape) -> list[int]:
@@ -206,3 +208,31 @@ def endo_oracle_shapes():
         make_shape(3, [1, 2]),
         make_shape(5, [1, 1]),
     ]
+
+
+def dumb_aut_closure(shape: GroupShape) -> list:
+    """Close the automorphism generators under composition as whole carrier
+    tables, keyed by the images of the canonical generators: the plain
+    table BFS that `aut_closure_tables` replaced."""
+    car = carrier(shape)
+    gen_tables = [induced_table(g, car) for g in aut_generators(shape)]
+
+    def key_of(table) -> tuple:
+        return tuple(int(table[s]) for s in car.strides)
+
+    ident = np.arange(car.n, dtype=np.int64)
+    seen = {key_of(ident)}
+    out = [ident]
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for t in frontier:
+            for g in gen_tables:
+                composed = g[t]
+                k = key_of(composed)
+                if k not in seen:
+                    seen.add(k)
+                    out.append(composed)
+                    new_frontier.append(composed)
+        frontier = new_frontier
+    return out

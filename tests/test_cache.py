@@ -154,3 +154,25 @@ def test_store_rejects_masks_and_iso_types_that_do_not_fit(tmp_path):
         lat = LatticeStore(LatticeCache(tmp_path)).get(shape)
         assert [h.mask for h in lat.subgroups] == fresh
         assert str(lat.subgroups[-1].iso_type()) == "2:2"
+
+
+def test_entries_with_altered_flags_or_iso_strings_change_nothing(tmp_path, capsys):
+    # each tampered entry, read through `enumerate`, must give the uncached
+    # listing: flags that disagree with the orbit and profile routes make it
+    # a miss, and iso strings are never read
+    shape = make_shape(2, [2])
+    masks, char, fi, isos = _payload(shape)
+    assert masks[1] == 0b101  # the order-2 subgroup
+    cleared = [True, False, True]
+    for kind, bad_char, bad_fi, bad_isos in (
+        ("characteristic", cleared, fi, isos),
+        ("fully-invariant", char, cleared, isos),
+        ("all", char, fi, isos[:-1] + ["2:1,1"]),
+        ("characteristic", cleared, fi, isos[:-1] + ["2:1,1"]),
+    ):
+        listing = ["enumerate", "--p", "2", "--partition", "2", "--kind", kind]
+        assert run(listing) == 0
+        uncached = capsys.readouterr().out
+        LatticeCache(tmp_path).save(shape, masks, bad_char, bad_fi, bad_isos)
+        assert run(listing + ["--cache", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == uncached

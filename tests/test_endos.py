@@ -2,8 +2,9 @@
 
 Oracles: `dumb_endo_table` maps every element coordinate-wise in pure Python;
 bijectivity by table is the ground truth for the fast invertibility test; the
-closure of the generator set is compared against filtering the exhaustive
-endomorphism enumeration.
+closure of the generator set, as generator-image rows, is compared against
+filtering the exhaustive endomorphism enumeration and against the whole-table
+closure `dumb_aut_closure`.
 """
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from conftest import (
     all_dumb_endo_tables,
     closed_subset_masks,
+    dumb_aut_closure,
     dumb_endo_entries,
     dumb_endo_table,
     mask_members,
 )
-from pgroups.caps import CapExceeded
+from pgroups.caps import CapExceeded, endo_oracle_cap
 from pgroups.core import carrier, element, make_shape
 from pgroups.endos import (
     apply,
@@ -28,6 +30,7 @@ from pgroups.endos import (
     endo,
     endo_count,
     endo_entry_batches,
+    entries_from_images,
     from_generator_images,
     generator_images,
     identity_endo,
@@ -40,6 +43,7 @@ from pgroups.endos import (
     single_entry,
     stability_test_set,
 )
+from pgroups.harness import build_corpus
 
 # |Aut| for pinned shapes, confirmed below by two independent routes
 KNOWN_AUT_ORDERS = {
@@ -147,21 +151,77 @@ def test_generators_are_automorphisms(endo_oracle_shapes):
 
 def test_closure_equals_filtered_enumeration(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        closure = {tuple(t.tolist()) for t in aut_closure_tables(s)}
+        rows = aut_closure_tables(s)
+        strides = carrier(s).strides
+        closure = {tuple(r) for r in rows.tolist()}
         filtered = {
-            tuple(t) for t in all_dumb_endo_tables(s) if len(set(t)) == s.order
+            tuple(t[j] for j in strides)
+            for t in all_dumb_endo_tables(s)
+            if len(set(t)) == s.order
         }
         assert closure == filtered
+        assert len(rows) == len(closure)
         key = (s.prime, s.exponents)
         if key in KNOWN_AUT_ORDERS:
             assert len(closure) == KNOWN_AUT_ORDERS[key]
 
 
 def test_aut_order_of_cyclic_groups_is_totient():
+    # Aut(Z(p^k)) sends the generator (index 1) to each unit u, which sits at index u
     for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (13, 1)]:
-        s = make_shape(p, [k])
-        totient = p ** (k - 1) * (p - 1)
-        assert len(aut_closure_tables(s)) == totient
+        rows = aut_closure_tables(make_shape(p, [k]))
+        assert rows.shape == (p ** (k - 1) * (p - 1), 1)
+        assert sorted(rows[:, 0].tolist()) == [u for u in range(p ** k) if u % p]
+
+
+def test_closure_rows_match_table_closure():
+    # the image rows are the generator columns of the table BFS they replaced,
+    # on every shape of three small corpora; shapes whose End(G) is over the
+    # endo oracle cap must refuse instead
+    shapes = [
+        s
+        for p, max_order in ((2, 32), (3, 81), (5, 25))
+        for s in build_corpus(p, max_order).shapes
+    ]
+    for s in shapes:
+        if endo_count(s) > endo_oracle_cap():
+            with pytest.raises(CapExceeded, match="endo-oracle"):
+                aut_closure_tables(s)
+            continue
+        rows = aut_closure_tables(s).tolist()
+        strides = list(carrier(s).strides)
+        reference = [t[strides].tolist() for t in dumb_aut_closure(s)]
+        assert len(rows) == len(reference), s
+        assert set(map(tuple, rows)) == set(map(tuple, reference)), s
+
+
+def test_entries_from_images_matches_scalar_inverse(endo_oracle_shapes):
+    for s in endo_oracle_shapes:
+        car = carrier(s)
+        for ents in endo_entry_batches(s, batch_size=64):
+            rows = np.array(
+                [
+                    [car.index_of_element(y) for y in generator_images(endo(s, e))]
+                    for e in ents.tolist()
+                ]
+            )
+            batch = entries_from_images(s, rows)
+            assert batch.shape == ents.shape
+            for got, images in zip(batch.tolist(), rows.tolist()):
+                expected = from_generator_images(s, [car.element_at(i) for i in images])
+                assert tuple(map(tuple, got)) == expected.entries
+            assert np.array_equal(batch, ents)
+    s = make_shape(2, [1, 2])
+    with pytest.raises(ValueError, match="no endomorphism"):
+        entries_from_images(s, np.array([[carrier(s).strides[1], 0]]))  # a_1 -> a_2
+    with pytest.raises(ValueError):
+        entries_from_images(s, np.zeros((3, 3), dtype=np.int64))
+
+
+def test_closure_is_gated_by_the_endo_oracle_cap(monkeypatch):
+    monkeypatch.setenv("PGROUPS_ENDO_ORACLE_CAP", "8")
+    with pytest.raises(CapExceeded, match="endo-oracle"):
+        aut_closure_tables(make_shape(2, [1, 1]))
 
 
 def test_stability_test_set_is_complete():

@@ -149,6 +149,22 @@ def test_oracle_skip_notes_name_shapes():
     assert "2:1,1,1,1,1" in skip_notes[0]
 
 
+def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
+    closure = harness_mod.aut_closure_tables
+    monkeypatch.setattr(harness_mod, "aut_closure_tables", lambda s: closure(s)[1:])
+    corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
+    r = verify_claim("oracle-crosscheck", corpus)
+    assert r.status == "fail"
+    assert [v["witness"] for v in r.violations] == [
+        {
+            "check": "closure-vs-filtered-endos",
+            "closure_size": 7,
+            "filtered_size": 8,
+            "detail": "generator closure and filtered enumeration differ",
+        }
+    ]
+
+
 def test_custom_claim_runs_through_registry(monkeypatch):
     seen = []
 
