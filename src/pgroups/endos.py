@@ -14,6 +14,13 @@ determinant mod p.  The brute-force alternative (`is_bijective_by_table`)
 checks that the induced map on the carrier is a permutation; the two must
 agree, and the verification harness cross-checks that they do.
 
+The harness does so exhaustively: `endo_entry_batches` yields every entry
+matrix, `induced_tables_batch` gives each its whole carrier table and
+`bijective_flags_by_table` tests each table for being a permutation.  Image
+coordinate i depends on row i of the matrix alone, so a table is the sum of
+n per-row terms, each read from a per-row table built once per shape: n
+gathers per batch, not a product over all n^2 entries.
+
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
 converts them back).  The automorphism closure works in that form: composing
@@ -284,6 +291,14 @@ def _cell_places(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
     return moduli, place.reshape(n, n)
 
 
+def _batch_size(shape: GroupShape) -> int:
+    """Matrices per batch: B * n * |G| stays around 2^17 cells, which bounds
+    both the (B, |G|) tables and the gathers of `induced_tables_batch` and
+    the (B, n, |G|) einsum intermediate of `_induced_tables`; larger batches
+    scan no faster and only raise peak memory."""
+    return max(64, (1 << 17) // max(1, shape.rank * carrier(shape).n))
+
+
 def endo_entry_batches(
     shape: GroupShape, batch_size: int | None = None
 ) -> Iterator[np.ndarray]:
@@ -303,10 +318,7 @@ def endo_entry_batches(
         yield np.zeros((1, 0, 0), dtype=np.int64)
         return
     if batch_size is None:
-        # keep the (B, n, N) intermediate of induced_tables_batch around 2^17
-        # cells (1 MB): larger batches scan no faster and only raise peak memory
-        denom = max(1, n * carrier(shape).n)
-        batch_size = max(64, (1 << 17) // denom)
+        batch_size = _batch_size(shape)
     moduli, place = _cell_places(shape)
     moduli, place = moduli.ravel(), place.ravel()
     for start in range(0, total, batch_size):
@@ -315,25 +327,77 @@ def endo_entry_batches(
         yield flat.reshape(-1, n, n)
 
 
-def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
-    """Induced carrier tables, one row per matrix in a (B, n, n) entry batch.
+# the row tables of one shape hold at most this many int32 cells (4 MB); a
+# shape above it (a cyclic 2:12, say) builds its tables with the einsum kernel
+_ROW_TABLE_CELLS = 1 << 20
 
-    Row b equals `induced_table(endo(shape, entries[b]))`.
+
+@lru_cache(maxsize=2)
+def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | None:
+    """(moduli, places, tables) for the row route of `induced_tables_batch`,
+    or None for a shape of rank 0 or above `_ROW_TABLE_CELLS`.
+
+    Image coordinate i depends on row i of the entry matrix alone.  A row
+    reduced mod `moduli[i]` is coded as sum(row * places[i]) (mixed radix, the
+    last cell varying fastest), and `tables[i]` is the (codes, |G|) int32
+    table of stride_i * coordinate i of the image, so that a carrier table is
+    the sum over i of tables[i][code_i].  The tables come from the one-row
+    matrices of each row, through `_induced_tables`.
+    """
+    n = shape.rank
+    if n == 0:
+        return None
+    car = carrier(shape)
+    moduli, _ = _cell_places(shape)
+    counts = moduli.prod(axis=1)
+    if int(counts.sum()) * car.n > _ROW_TABLE_CELLS:
+        return None
+    places = np.ones((n, n), dtype=np.int64)
+    places[:, :-1] = np.cumprod(moduli[:, :0:-1], axis=1)[:, ::-1]
+    step = _batch_size(shape)
+    tables = []
+    for i in range(n):
+        codes = np.arange(counts[i], dtype=np.int64)
+        ents = np.zeros((len(codes), n, n), dtype=np.int64)
+        ents[:, i, :] = codes[:, None] // places[i] % moduli[i]
+        table = np.empty((len(codes), car.n), dtype=np.int32)
+        for start in range(0, len(codes), step):
+            table[start : start + step] = _induced_tables(car, ents[start : start + step])
+        tables.append(table)
+    for a in (moduli, places, *tables):
+        a.flags.writeable = False  # cached: shared by every later caller
+    return moduli, places, tuple(tables)
+
+
+def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
+    """Induced carrier tables, one int32 row per matrix in a (B, n, n) entry
+    batch.
+
+    Row b equals `induced_table(endo(shape, entries[b]))`.  Rows are summed
+    from the shape's cached per-row tables (`_row_tables`), n gathers per
+    batch; a shape above the row-table budget goes through `_induced_tables`.
     """
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
         raise ValueError(f"expected a (B, {n}, {n}) entry array for {shape}")
-    return _induced_tables(carrier(shape), entries)
+    rows = _row_tables(shape)
+    if rows is None:
+        return _induced_tables(carrier(shape), entries).astype(np.int32)
+    moduli, places, tables = rows
+    codes = (entries % moduli * places).sum(axis=2)  # (B, n)
+    out = tables[0][codes[:, 0]]
+    for i in range(1, n):
+        out += tables[i][codes[:, i]]
+    return out
 
 
 def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:
-    """Row-wise permutation test for a (B, N) batch of carrier tables."""
+    """Row-wise permutation test for a (B, N) batch of carrier tables: N
+    values in N slots form a permutation iff they hit every slot."""
     b, n = tables.shape
-    if b == 0:
-        return np.zeros(0, dtype=bool)
-    flat = (tables + np.arange(b, dtype=np.int64)[:, None] * n).ravel()
-    counts = np.bincount(flat, minlength=b * n)
-    return (counts.reshape(b, n) == 1).all(axis=1)
+    seen = np.zeros(b * n, dtype=bool)
+    seen[(tables + (np.arange(b) * n)[:, None]).ravel()] = True
+    return seen.reshape(b, n).all(axis=1)
 
 
 def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:

@@ -606,6 +606,11 @@ def _mask_stable_under(mask: int, tables: np.ndarray, size: int) -> bool:
     return bool(keep[tables[:, keep]].all())
 
 
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     car = carrier(shape)
@@ -661,7 +666,7 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
             out.skips.append("closure-vs-filtered-endos")
         if closure is not None:
             # compared as image rows, sorted here rather than through the
-            # closure's own dedupe code, so the oracle stays independent of it
+            # closure's own rank codes, so the oracle stays independent of it
             strides = list(car.strides)
             filtered = []
             for ents in endo_entry_batches(shape):
@@ -679,16 +684,17 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
                         )
                     )
                 filtered.append(tables[:, strides][bij])
-            closure_rows = np.unique(closure, axis=0)
-            filtered_rows = np.unique(np.concatenate(filtered), axis=0)
-            if len(closure) != len(closure_rows) or not np.array_equal(
-                closure_rows, filtered_rows
-            ):
+            closure_rows = _sorted_rows(closure)
+            repeated = (closure_rows[1:] == closure_rows[:-1]).all(axis=1)
+            closure_rows = closure_rows[np.concatenate(([True], ~repeated))]
+            filtered_rows = _sorted_rows(np.concatenate(filtered))
+            if repeated.any() or not np.array_equal(closure_rows, filtered_rows):
                 out.violations.append(
                     _violation(
                         shape,
                         check="closure-vs-filtered-endos",
                         closure_size=len(closure),
+                        repeated_rows=int(repeated.sum()),
                         filtered_size=len(filtered_rows),
                         detail="generator closure and filtered enumeration differ",
                     )

@@ -144,7 +144,10 @@ def _orbit_sums(shape: GroupShape, labels: np.ndarray, reps: np.ndarray) -> np.n
     return out
 
 
-def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
+# each of the two lattice routes below runs once per shape: a sweep reads it
+# in the cache's load check, in several claims and in the oracle cross-check
+@lru_cache(maxsize=4)
+def characteristic_from_orbits(shape: GroupShape) -> tuple[Subgroup, ...]:
     """The characteristic lattice, built from Aut-orbits.
 
     A characteristic subgroup is an addition-closed union of orbits, so it
@@ -202,7 +205,7 @@ def characteristic_from_orbits(shape: GroupShape) -> list[Subgroup]:
     masks = sorted(
         (mask_from_bool(row[labels]) for row in chosen), key=enumeration_key(shape)
     )
-    return [Subgroup(shape, m) for m in masks]
+    return tuple(Subgroup(shape, m) for m in masks)
 
 
 def kaplansky_2group_predicate(shape: GroupShape) -> bool:
@@ -374,7 +377,8 @@ def _profile_vectors(levels: tuple[int, ...]):
         yield from extend(vec)
 
 
-def fi_from_profiles(shape: GroupShape) -> list[Subgroup]:
+@lru_cache(maxsize=4)
+def fi_from_profiles(shape: GroupShape) -> tuple[Subgroup, ...]:
     """The fully invariant lattice, built from layer profiles.
 
     Complete because projections onto layers are endomorphisms (so any fully
@@ -400,8 +404,7 @@ def fi_from_profiles(shape: GroupShape) -> list[Subgroup]:
             )
         out.append(h)
     key = enumeration_key(shape)
-    out.sort(key=lambda h: key(h.mask))
-    return out
+    return tuple(sorted(out, key=lambda h: key(h.mask)))
 
 
 def fi_profile_iso_types(shape: GroupShape) -> list[tuple[tuple[int, ...], GroupShape]]:

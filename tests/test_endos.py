@@ -10,6 +10,7 @@ closure `dumb_aut_closure`.
 import numpy as np
 import pytest
 
+import pgroups.endos as endos_mod
 from conftest import (
     all_dumb_endo_tables,
     closed_subset_masks,
@@ -298,6 +299,46 @@ def test_induced_tables_batch_rejects_bad_shape():
     s = make_shape(2, [1, 2])
     with pytest.raises(ValueError, match="entry array"):
         induced_tables_batch(s, np.zeros((4, 3, 3), dtype=np.int64))
+
+
+def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
+    rng = np.random.default_rng(2024)
+    for s in endo_oracle_shapes:
+        assert endos_mod._row_tables(s) is not None
+        car = carrier(s)
+        for ents in endo_entry_batches(s):
+            want = endos_mod._induced_tables(car, ents)
+            assert np.array_equal(induced_tables_batch(s, ents), want)
+        # unreduced and negative entries reduce like `endo` does
+        wild = rng.integers(-500, 500, size=(200, s.rank, s.rank))
+        want = endos_mod._induced_tables(car, wild)
+        assert np.array_equal(induced_tables_batch(s, wild), want)
+
+
+def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
+    s = make_shape(2, [2, 10])  # 4112 row vectors times 4096 elements
+    assert endos_mod._row_tables(s) is None
+    rng = np.random.default_rng(7)
+    ents = rng.integers(-50, 50, size=(3, 2, 2))
+    tables = induced_tables_batch(s, ents)
+    assert [t.tolist() for t in tables] == [dumb_endo_table(s, e.tolist()) for e in ents]
+
+
+def test_bijective_flags_match_unique_count():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64, 243):
+        perms = np.stack([rng.permutation(n) for _ in range(20)])
+        near = perms.copy()
+        near[:, 0] = near[:, -1]  # one value twice, one slot missed
+        hits = rng.integers(0, n, size=(20, n))
+        tables = np.concatenate([perms, near, hits])
+        rng.shuffle(tables)
+        want = [len(np.unique(row)) == n for row in tables]
+        if n > 1:
+            assert any(want) and not all(want)
+        for dtype in (np.int32, np.int64):
+            assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
+    assert bijective_flags_by_table(np.zeros((0, 5), dtype=np.int32)).shape == (0,)
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import pgroups.harness as harness_mod
@@ -159,6 +160,34 @@ def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
         {
             "check": "closure-vs-filtered-endos",
             "closure_size": 7,
+            "repeated_rows": 0,
+            "filtered_size": 8,
+            "detail": "generator closure and filtered enumeration differ",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "mangle, closure_size",
+    [
+        # one automorphism replaced by a copy of another: one is missing
+        (lambda rows: np.concatenate([rows[:-1], rows[:1]]), 8),
+        # every automorphism present, one of them twice
+        (lambda rows: np.concatenate([rows, rows[-1:]]), 9),
+    ],
+    ids=["replaced", "appended"],
+)
+def test_closure_oracle_catches_a_repeated_automorphism(monkeypatch, mangle, closure_size):
+    closure = harness_mod.aut_closure_tables
+    monkeypatch.setattr(harness_mod, "aut_closure_tables", lambda s: mangle(closure(s)))
+    corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
+    r = verify_claim("oracle-crosscheck", corpus)
+    assert r.status == "fail"
+    assert [v["witness"] for v in r.violations] == [
+        {
+            "check": "closure-vs-filtered-endos",
+            "closure_size": closure_size,
+            "repeated_rows": 1,
             "filtered_size": 8,
             "detail": "generator closure and filtered enumeration differ",
         }
