@@ -10,9 +10,13 @@ An endomorphism is an automorphism iff its reduction mod p is invertible on
 G/pG; with exponents ascending that reduction is block upper-triangular
 (maps from a strictly lower to a strictly higher exponent pick up a factor of
 p), so the fast test is that every equal-exponent diagonal block has nonzero
-determinant mod p.  The brute-force alternative (`is_bijective_by_table`)
-checks that the induced map on the carrier is a permutation; the two must
-agree, and the verification harness cross-checks that they do.
+determinant mod p.  Its batch form (`automorphism_flags`) codes each r x r
+block in base p and reads a per-(p, r) table of nonsingular blocks, built once
+by elimination over every block; runs with too many blocks for a table are
+eliminated batch by batch.  The brute-force alternative
+(`is_bijective_by_table`) checks that the induced map on the carrier is a
+permutation; the two must agree, and the verification harness cross-checks
+that they do.
 
 The harness does so exhaustively: `endo_entry_batches` yields every entry
 matrix, `induced_tables_batch` gives each its whole carrier table and
@@ -27,7 +31,10 @@ converts them back).  The automorphism closure works in that form: composing
 with a generator costs n table look-ups per element, not a whole carrier
 table, and its result is checked against the exhaustive enumeration.
 Generator and single-entry tables (`aut_generator_tables`,
-`stability_test_tables`) are built here once per shape for every caller.
+`stability_test_tables`) are built here once per shape for every caller,
+each summed from its map's nonzero entries (rows that match the identity's
+are read off the identity table), so a sparse map costs a few |G|-long
+terms, not n^2.
 """
 
 from __future__ import annotations
@@ -428,12 +435,49 @@ def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
+# a run with more r x r blocks mod p than this is tested by elimination: under
+# the default endo-oracle cap only single-run shapes (2:1^4, 3:1^3) have one,
+# and for them a table of every block would cost as much as their whole scan
+_BLOCK_TABLE_LIMIT = 1 << 12
+
+
+def _block_places(p: int, r: int) -> np.ndarray:
+    """Base-p place values of the r*r cells of a row-major flattened block,
+    the last cell varying fastest."""
+    return p ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _nonsingular_blocks(p: int, r: int) -> np.ndarray:
+    """Read-only bool table over every r x r block mod p, indexed by the
+    block's code sum(block.ravel() * _block_places(p, r)): True iff the
+    block's determinant mod p is nonzero.  Built by `_det_mod_p_batch` on
+    all p^(r*r) blocks at once, so callers keep p^(r*r) within
+    `_BLOCK_TABLE_LIMIT`."""
+    codes = np.arange(p ** (r * r), dtype=np.int64)
+    blocks = (codes[:, None] // _block_places(p, r) % p).reshape(-1, r, r)
+    table = _det_mod_p_batch(blocks, p) != 0
+    table.flags.writeable = False  # cached: shared by every later caller
+    return table
+
+
 def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
-    """`is_automorphism` over a (B, n, n) entry batch, same block criterion."""
+    """`is_automorphism` over a (B, n, n) entry batch, same block criterion.
+
+    Each equal-exponent run's blocks are coded in base p and looked up in
+    `_nonsingular_blocks`; a run above `_BLOCK_TABLE_LIMIT` goes through
+    `_det_mod_p_batch` directly.
+    """
+    p = shape.prime
     flags = np.ones(entries.shape[0], dtype=bool)
     for run in _equal_exponent_runs(shape):
+        r = len(run)
         block = entries[:, run.start : run.stop, run.start : run.stop]
-        flags &= _det_mod_p_batch(block, shape.prime) != 0
+        if p ** (r * r) > _BLOCK_TABLE_LIMIT:
+            flags &= _det_mod_p_batch(block, p) != 0
+        else:
+            codes = (block % p).reshape(-1, r * r) @ _block_places(p, r)
+            flags &= _nonsingular_blocks(p, r)[codes]
     return flags
 
 
@@ -518,14 +562,36 @@ def aut_generators(shape: GroupShape) -> tuple[EndoMatrix, ...]:
     return tuple(gens)
 
 
-def _generator_tables(shape: GroupShape, maps) -> np.ndarray:
-    """Induced carrier tables, one row per map.  Rows are filled in place so
-    that a shape's tables are never held twice while they are built, and
-    int32 is enough for a carrier index while halving what the caches keep."""
+def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
+    """Induced carrier tables of a (B, n, n) entry batch of sparse maps, one
+    int32 row per map.
+
+    Image coordinate i is sum_j e_ij * w_ij * coords[j] mod p^ki, so only the
+    nonzero entries are summed: a single-entry map costs one term of |G|
+    values, not n^2.  A map whose rows are mostly the identity's (a
+    transvection, a unit multiple, a transposition) starts from the identity
+    table and corrects only the rows that differ.  Tables are filled in place,
+    so a shape's tables are never held twice while they are built, and int32
+    is enough for a carrier index while halving what the caches keep.
+    """
     car = carrier(shape)
-    out = np.empty((len(maps), car.n), dtype=np.int32)
-    for row, m in zip(out, maps):
-        row[:] = induced_table(m, car)
+    n = shape.rank
+    coords = car.coords_mat
+    moduli, _ = _cell_places(shape)
+    coeffs = entries % moduli * _scales(shape)  # e_ij * w_ij, each < p^ki
+    eye = np.eye(n, dtype=np.int64)
+    identity = np.arange(car.n, dtype=np.int32)
+    out = np.empty((len(entries), car.n), dtype=np.int32)
+    for table, coeff in zip(out, coeffs):
+        changed = (coeff != eye).any(axis=1)
+        from_identity = 2 * int(changed.sum()) < n
+        table[:] = identity if from_identity else 0
+        for i in np.nonzero(changed if from_identity else coeff.any(axis=1))[0]:
+            acc = sum(c * coords[j] for j, c in enumerate(coeff[i].tolist()) if c)
+            acc = acc % car.radices[i]
+            if from_identity:
+                acc = acc - coords[i]
+            table += acc * car.strides[i]
     return out
 
 
@@ -534,13 +600,19 @@ def _generator_tables(shape: GroupShape, maps) -> np.ndarray:
 @lru_cache(maxsize=8)
 def aut_generator_tables(shape: GroupShape) -> np.ndarray:
     """Carrier tables of `aut_generators(shape)`, one int32 row per generator."""
-    return _generator_tables(shape, aut_generators(shape))
+    n = shape.rank
+    ents = np.array([g.entries for g in aut_generators(shape)], dtype=np.int64)
+    return _generator_tables(shape, ents.reshape(-1, n, n))
 
 
 @lru_cache(maxsize=8)
 def stability_test_tables(shape: GroupShape) -> np.ndarray:
-    """Carrier tables of `stability_test_set(shape)`, one int32 row per map."""
-    return _generator_tables(shape, stability_test_set(shape))
+    """Carrier tables of `stability_test_set(shape)`, one int32 row per map,
+    built from the single-entry matrices directly."""
+    n = shape.rank
+    ents = np.zeros((n * n, n, n), dtype=np.int64)
+    ents.reshape(n * n, n * n)[np.arange(n * n), np.arange(n * n)] = 1
+    return _generator_tables(shape, ents)
 
 
 def _rank_lookup(shape: GroupShape) -> np.ndarray:

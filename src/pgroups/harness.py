@@ -42,7 +42,6 @@ from .endos import (
     endo_count,
     endo_entry_batches,
     entries_from_images,
-    induced_table,
     induced_tables_batch,
     random_endo,
 )
@@ -703,12 +702,11 @@ def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     # fully-invariant flags against sampled random endomorphisms
     if len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT:
         rng = np.random.default_rng(_shape_seed(shape))
-        rows = np.stack(
-            [
-                induced_table(random_endo(shape, rng), car)
-                for _ in range(_SAMPLED_ENDOS)
-            ]
-        )
+        ents = np.array(
+            [random_endo(shape, rng).entries for _ in range(_SAMPLED_ENDOS)],
+            dtype=np.int64,
+        ).reshape(-1, shape.rank, shape.rank)
+        rows = induced_tables_batch(shape, ents)
         for h, f in zip(lat.subgroups, lat.fi_flags):
             if f and not _mask_stable_under(h.mask, rows, car.n):
                 out.violations.append(

@@ -7,6 +7,8 @@ filtering the exhaustive endomorphism enumeration and against the whole-table
 closure `dumb_aut_closure`.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from pgroups.core import carrier, element, make_shape
 from pgroups.endos import (
     apply,
     aut_closure_tables,
+    aut_generator_tables,
     aut_generators,
     automorphism_flags,
     bijective_flags_by_table,
@@ -43,6 +46,7 @@ from pgroups.endos import (
     random_endo,
     single_entry,
     stability_test_set,
+    stability_test_tables,
 )
 from pgroups.harness import build_corpus
 
@@ -357,3 +361,68 @@ def test_automorphism_flags_match_scalar(endo_oracle_shapes):
             flags = automorphism_flags(s, ents)
             scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
             assert flags.tolist() == scalar
+
+
+def test_block_tables_match_scalar_determinants():
+    checked = []
+    for p in (2, 3, 5, 7):
+        r = 1
+        while p ** (r * r) <= endos_mod._BLOCK_TABLE_LIMIT:
+            table = endos_mod._nonsingular_blocks(p, r)
+            places = endos_mod._block_places(p, r)
+            blocks = list(itertools.product(range(p), repeat=r * r))
+            assert len(table) == len(blocks) and not table.flags.writeable
+            for flat in blocks:
+                rows = [list(flat[k * r : (k + 1) * r]) for k in range(r)]
+                code = int(np.dot(flat, places))
+                assert table[code] == (endos_mod._det_mod_p(rows, p) != 0)
+            checked.append((p, r))
+            r += 1
+    assert checked == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+def test_automorphism_flags_above_the_block_table_budget():
+    # one 4x4 run mod 2: 2^16 blocks, so the flags come from elimination
+    s = make_shape(2, [1, 1, 1, 1])
+    assert 2 ** 16 > endos_mod._BLOCK_TABLE_LIMIT
+    rng = np.random.default_rng(31)
+    batches = list(endo_entry_batches(s))
+    for k in sorted(rng.choice(len(batches), size=3, replace=False)):
+        ents = batches[k]
+        scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
+        assert automorphism_flags(s, ents).tolist() == scalar
+
+
+def test_automorphism_flags_on_unreduced_and_negative_entries():
+    # runs under and over the block-table budget alike reduce like `endo`
+    rng = np.random.default_rng(5)
+    shapes = [
+        make_shape(2, [1, 1, 1, 1]),
+        make_shape(2, [1, 1, 1, 2, 2]),
+        make_shape(3, [1, 1, 2]),
+        make_shape(3, [1, 1, 1]),
+        make_shape(7, [1, 1]),
+    ]
+    for s in shapes:
+        ents = rng.integers(-500, 500, size=(300, s.rank, s.rank))
+        scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
+        assert any(scalar) and not all(scalar)
+        assert automorphism_flags(s, ents).tolist() == scalar
+
+
+def test_generator_tables_match_induced_tables():
+    shapes = [
+        *build_corpus(2, 256).shapes,
+        *build_corpus(3, 729).shapes,
+        *build_corpus(5, 625).shapes,
+        make_shape(2, [1] * 10),
+    ]
+    for s in shapes:
+        car = carrier(s)
+        for tables, maps in [
+            (aut_generator_tables(s), aut_generators(s)),
+            (stability_test_tables(s), stability_test_set(s)),
+        ]:
+            want = np.stack([induced_table(m, car) for m in maps])
+            assert tables.dtype == np.int32
+            assert np.array_equal(tables, want), s

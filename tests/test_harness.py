@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import pgroups.endos as endos_mod
 import pgroups.harness as harness_mod
-from pgroups.core import format_shape, make_shape
+from pgroups.core import format_shape, make_shape, parse_shape
 from pgroups.harness import (
     CheckContext,
     CheckOutcome,
@@ -191,6 +192,39 @@ def test_closure_oracle_catches_a_repeated_automorphism(monkeypatch, mangle, clo
             "filtered_size": 8,
             "detail": "generator closure and filtered enumeration differ",
         }
+    ]
+
+
+def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
+    real = endos_mod._nonsingular_blocks
+    singular = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    code = int(np.dot(np.ravel(singular), endos_mod._block_places(2, 3)))
+    assert not real(2, 3)[code]
+
+    def flipped(p, r):
+        table = real(p, r)
+        if (p, r) == (2, 3):
+            table = table.copy()
+            table[code] = True
+        return table
+
+    monkeypatch.setattr(endos_mod, "_nonsingular_blocks", flipped)
+    # only 2:1,1,1 has a 3x3 run mod 2; its one map with that block is the
+    # block itself, so exactly one violation, and none on the other shapes
+    shapes = ("2:1,1", "2:1,2", "2:2,2", "2:1,1,1", "2:1,1,2")
+    corpus = harness_mod.Corpus(2, 16, tuple(parse_shape(s) for s in shapes))
+    r = verify_claim("oracle-crosscheck", corpus)
+    assert r.status == "fail"
+    assert [(v["shape"], v["witness"]) for v in r.violations] == [
+        (
+            "2:1,1,1",
+            {
+                "check": "fast-aut-vs-bijective-table",
+                "entries": singular,
+                "fast": True,
+                "bijective": False,
+            },
+        )
     ]
 
 
