@@ -8,6 +8,14 @@ processes; reports are merged in corpus order and are byte-identical for a
 given corpus and claim set regardless of the job count (runtime fields
 excepted).
 
+Every per-shape claim except `oracle-crosscheck` reads the characteristic
+subgroups from Aut-orbits (`characteristic_from_orbits`) and the fully
+invariant ones from projection profiles (`fi_from_profiles`); neither route
+enumerates the lattice.  Only `oracle-crosscheck` asks a `LatticeStore` for
+the enumerated lattice and its brute-force flags, to check those routes, so
+a report's `runtime_ms` charges enumeration (or the disk-cache read) to that
+claim alone.
+
 The registry also carries out-of-scope entries (no checker, a reason
 instead) so the gap between what the source material states and what a
 finite sweep can instantiate stays visible in one place.
@@ -107,16 +115,14 @@ def build_corpus(prime: int, max_order: int) -> Corpus:
 
 @dataclass
 class ShapeLattice:
+    """Every subgroup of one shape with its brute-force characteristic and
+    fully invariant flags; read by `oracle-crosscheck`, `enumerate` and the
+    disk cache."""
+
     shape: GroupShape
     subgroups: tuple[Subgroup, ...]
     char_flags: tuple[bool, ...]
     fi_flags: tuple[bool, ...]
-
-    def characteristic(self) -> list[Subgroup]:
-        return [h for h, f in zip(self.subgroups, self.char_flags) if f]
-
-    def fully_invariant(self) -> list[Subgroup]:
-        return [h for h, f in zip(self.subgroups, self.fi_flags) if f]
 
 
 def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
@@ -131,18 +137,14 @@ def _iso_string(shape_or_marker: GroupShape) -> str:
 
 
 class LatticeStore:
-    """ShapeLattice provider: small in-memory window plus optional disk cache."""
+    """ShapeLattice provider: read from the optional disk cache, or enumerate
+    (and save).  Nothing is kept in memory, as a sweep asks for each shape's
+    lattice once."""
 
-    def __init__(self, cache: Optional[LatticeCache] = None, memo_limit: int = 3):
+    def __init__(self, cache: Optional[LatticeCache] = None):
         self._cache = cache
-        self._memo: dict[str, ShapeLattice] = {}
-        self._memo_order: list[str] = []
-        self._limit = memo_limit
 
     def get(self, shape: GroupShape) -> ShapeLattice:
-        key = format_shape(shape)
-        if key in self._memo:
-            return self._memo[key]
         lat = self._load(shape) if self._cache is not None else None
         if lat is None:
             lat = compute_shape_lattice(shape)
@@ -154,10 +156,6 @@ class LatticeStore:
                     lat.fi_flags,
                     [_iso_string(h.iso_type()) for h in lat.subgroups],
                 )
-        self._memo[key] = lat
-        self._memo_order.append(key)
-        while len(self._memo_order) > self._limit:
-            del self._memo[self._memo_order.pop(0)]
         return lat
 
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
@@ -202,8 +200,8 @@ class ClaimSpec:
     summary: str
     kind: str  # "per-shape" | "family" | "out-of-scope"
     applies: Optional[Callable[[GroupShape], bool]] = None
-    check: Optional[Callable[["CheckContext", GroupShape], CheckOutcome]] = None
-    family: Optional[Callable[["CheckContext", Corpus], tuple[int, CheckOutcome]]] = None
+    check: Optional[Callable[[LatticeStore, GroupShape], CheckOutcome]] = None
+    family: Optional[Callable[[LatticeStore, Corpus], tuple[int, CheckOutcome]]] = None
     notes: tuple = ()
     reason: str = ""
 
@@ -237,16 +235,6 @@ class ClaimReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class CheckContext:
-    """What checkers see: lazy per-shape lattice access."""
-
-    def __init__(self, store: LatticeStore):
-        self.store = store
-
-    def lattice(self, shape: GroupShape) -> ShapeLattice:
-        return self.store.get(shape)
-
-
 class UnknownClaimError(ValueError):
     pass
 
@@ -258,7 +246,7 @@ def _violation(shape: GroupShape, **witness) -> dict:
 # ---- checkers ------------------------------------------------------------------------
 
 
-def _check_ifi_criterion(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_ifi_criterion(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     got = iso_witnesses(fi_from_profiles(shape))[0] is None
     want = ifi_criterion(shape)
@@ -269,7 +257,7 @@ def _check_ifi_criterion(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     return out
 
 
-def _check_strongly_elementary(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_strongly_elementary(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     got = iso_witnesses(fi_from_profiles(shape))[1] is None
     want = all(k == 1 for k in shape.exponents)
@@ -280,7 +268,7 @@ def _check_strongly_elementary(ctx: CheckContext, shape: GroupShape) -> CheckOut
     return out
 
 
-def _check_doubling(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_doubling(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     if shape.order ** 2 > carrier_cap():
         out.checked = False
@@ -289,8 +277,7 @@ def _check_doubling(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
         )
         return out
     doubled = make_shape(shape.prime, shape.exponents * 2)
-    lat = ctx.lattice(shape)
-    ic = iso_witnesses(lat.characteristic())[0] is None
+    ic = iso_witnesses(characteristic_from_orbits(shape))[0] is None
 
     # doubled side by exponent arithmetic; the mask route confirms it while
     # the doubled carrier is still cheap
@@ -320,12 +307,12 @@ def _check_doubling(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     return out
 
 
-def _char_not_fi_violations(ctx: CheckContext, shape: GroupShape) -> list[dict]:
-    lat = ctx.lattice(shape)
-    out = []
-    for h, c, f in zip(lat.subgroups, lat.char_flags, lat.fi_flags):
-        if c and not f:
-            out.append(
+def _check_char_eq_fi_holds(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
+    out = CheckOutcome()
+    fi = {h.mask for h in fi_from_profiles(shape)}
+    for h in characteristic_from_orbits(shape):
+        if h.mask not in fi:
+            out.violations.append(
                 _violation(
                     shape,
                     subgroup=subgroup_descriptor(h),
@@ -335,16 +322,11 @@ def _char_not_fi_violations(ctx: CheckContext, shape: GroupShape) -> list[dict]:
     return out
 
 
-def _check_char_eq_fi_holds(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_kaplansky(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    out.violations = _char_not_fi_violations(ctx, shape)
-    return out
-
-
-def _check_kaplansky(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
-    out = CheckOutcome()
-    lat = ctx.lattice(shape)
-    eq = all(c == f for c, f in zip(lat.char_flags, lat.fi_flags))
+    eq = {h.mask for h in characteristic_from_orbits(shape)} == {
+        h.mask for h in fi_from_profiles(shape)
+    }
     want = kaplansky_2group_predicate(shape)
     if eq != want:
         out.violations.append(
@@ -353,11 +335,10 @@ def _check_kaplansky(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     return out
 
 
-def _check_no_weakly_ic(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_no_weakly_ic(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    lat = ctx.lattice(shape)
-    for h, c in zip(lat.subgroups, lat.char_flags):
-        if c and not h.is_full() and h.iso_type() == shape:
+    for h in characteristic_from_orbits(shape):
+        if not h.is_full() and h.iso_type() == shape:
             out.violations.append(
                 _violation(
                     shape,
@@ -372,11 +353,10 @@ def _splits(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(tuple(range(t)), tuple(range(t, n))) for t in range(1, n)]
 
 
-def _check_split_stability(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     n = shape.rank
-    lat = ctx.lattice(shape)
-    chars = lat.characteristic()
+    chars = characteristic_from_orbits(shape)
     srows = stability_rows(shape)
     for a_pos, b_pos in _splits(n):
         for h in chars:
@@ -407,11 +387,10 @@ def _check_split_stability(ctx: CheckContext, shape: GroupShape) -> CheckOutcome
     return out
 
 
-def _check_slice_sums(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_slice_sums(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     n = shape.rank
-    lat = ctx.lattice(shape)
-    chars = lat.characteristic()
+    chars = characteristic_from_orbits(shape)
     decompositions = _splits(n)
     singletons = tuple((i,) for i in range(n))
     if singletons not in decompositions:
@@ -442,10 +421,9 @@ def _check_slice_sums(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     return out
 
 
-def _check_odd_split_support(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_odd_split_support(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    lat = ctx.lattice(shape)
-    chars = lat.characteristic()
+    chars = characteristic_from_orbits(shape)
     for a_pos, b_pos in _splits(shape.rank):
         amask = layer_mask(shape, a_pos)
         bmask = layer_mask(shape, b_pos)
@@ -462,7 +440,7 @@ def _check_odd_split_support(ctx: CheckContext, shape: GroupShape) -> CheckOutco
     return out
 
 
-def _check_char_profiles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_char_profiles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     levels = distinct_exponents(shape)
     if set(levels) != set(range(1, levels[-1] + 1)):
@@ -472,8 +450,7 @@ def _check_char_profiles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
             "across the gaps (adapted statement)"
         )
     car = carrier(shape)
-    lat = ctx.lattice(shape)
-    for h in lat.characteristic():
+    for h in characteristic_from_orbits(shape):
         try:
             prof = projection_profile(h)
         except ProfileViolation as exc:
@@ -531,7 +508,7 @@ def _check_char_profiles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
     return out
 
 
-def _family_pinned_witnesses(ctx: CheckContext, corpus: Corpus) -> tuple[int, CheckOutcome]:
+def _family_pinned_witnesses(store: LatticeStore, corpus: Corpus) -> tuple[int, CheckOutcome]:
     out = CheckOutcome()
     if corpus.prime != 2:
         out.notes.append("pinned family lives at p = 2; nothing to check here")
@@ -560,11 +537,13 @@ def _family_pinned_witnesses(ctx: CheckContext, corpus: Corpus) -> tuple[int, Ch
     return checked, out
 
 
-def _check_implications(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_implications(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    lat = ctx.lattice(shape)
-    for h, c, f in zip(lat.subgroups, lat.char_flags, lat.fi_flags):
-        if f and not c:
+    chars = characteristic_from_orbits(shape)
+    fis = fi_from_profiles(shape)
+    char_masks = {h.mask for h in chars}
+    for h in fis:
+        if h.mask not in char_masks:
             out.violations.append(
                 _violation(
                     shape,
@@ -572,8 +551,8 @@ def _check_implications(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
                     detail="fully invariant flag without characteristic flag",
                 )
             )
-    ic_w, s_ic_w = iso_witnesses(lat.characteristic())
-    ifi_w, s_ifi_w = iso_witnesses(lat.fully_invariant())
+    ic_w, s_ic_w = iso_witnesses(chars)
+    ifi_w, s_ifi_w = iso_witnesses(fis)
     ic, s_ic, ifi, s_ifi = (w is None for w in (ic_w, s_ic_w, ifi_w, s_ifi_w))
     rules = [
         ("ic implies ifi", ic, ifi),
@@ -610,10 +589,10 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _check_oracles(ctx: CheckContext, shape: GroupShape) -> CheckOutcome:
+def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
     car = carrier(shape)
-    lat = ctx.lattice(shape)
+    lat = store.get(shape)
 
     # profile route against the brute-force filter, and its arithmetic iso
     # types against mask-derived ones
@@ -917,14 +896,13 @@ def _unit_cost(shape: GroupShape, claim_ids: list[str]) -> int:
 
 
 def _run_unit(store: LatticeStore, shape: GroupShape, claim_ids: list[str]) -> dict:
-    ctx = CheckContext(store)
     results = {}
     for cid in claim_ids:
         spec = _REGISTRY[cid]
         if not spec.applies(shape):
             continue
         started = time.perf_counter()
-        outcome = spec.check(ctx, shape)
+        outcome = spec.check(store, shape)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         results[cid] = (outcome, elapsed_ms)
     return results
@@ -956,8 +934,6 @@ def run_claims(
         if cid not in _REGISTRY:
             raise UnknownClaimError(f"unknown claim: {cid}")
     per_shape = [c for c in claim_ids if _REGISTRY[c].kind == "per-shape"]
-    families = [c for c in claim_ids if _REGISTRY[c].kind == "family"]
-    out_of_scope = [c for c in claim_ids if _REGISTRY[c].kind == "out-of-scope"]
 
     unit_results: dict[str, dict] = {}
     if per_shape and corpus.shapes:
@@ -1001,7 +977,7 @@ def run_claims(
         ran_units = 0
         if spec.kind == "family":
             local = store or LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
-            checked, outcome = spec.family(CheckContext(local), corpus)
+            checked, outcome = spec.family(local, corpus)
             report.shapes_checked = checked
             all_violations.extend(outcome.violations)
             adapted = adapted or outcome.adapted

@@ -109,6 +109,7 @@ class Subgroup:
         return self._gens
 
     def iso_type(self) -> GroupShape:
+        """Shape of the subgroup; the empty-exponent marker for the trivial one."""
         if self._iso is None:
             self._iso = _iso_type_of_mask(self.shape, self.mask)
         return self._iso
@@ -241,11 +242,6 @@ def _iso_type_of_mask(shape: GroupShape, mask: int) -> GroupShape:
         f_n = 2 * logs[n + 1] - logs[n] - logs[n + 2]
         exponents.extend([n + 1] * f_n)
     return GroupShape(p, tuple(sorted(exponents)))
-
-
-def iso_type(h: Subgroup) -> GroupShape:
-    """Shape of the subgroup; the empty-exponent marker for the trivial one."""
-    return h.iso_type()
 
 
 def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:

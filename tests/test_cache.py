@@ -122,11 +122,14 @@ def _runtime_free(stdout: str) -> list[dict]:
 
 
 def test_entries_that_do_not_rebuild_are_recomputed(tmp_path, capsys):
-    # a mask without the zero element, read through `verify`
-    verify = ["verify", "--p", "2", "--max-order", "2", "--claims", "defs-implications"]
+    # a mask without the zero element, read through `verify`; its flags name
+    # the subgroups the orbit and profile routes give, so only the mask check
+    # turns the entry away
+    verify = ["verify", "--p", "2", "--max-order", "2", "--claims", "oracle-crosscheck"]
     assert run(verify) == 0
     uncached = _runtime_free(capsys.readouterr().out)
-    LatticeCache(tmp_path).save(make_shape(2, [1]), [1, 2], [True, True], [True, True], ["", "2:1"])
+    flags = [True, False, True]
+    LatticeCache(tmp_path).save(make_shape(2, [1]), [1, 2, 3], flags, flags, ["", "2:1", "2:1"])
     assert run(verify + ["--cache", str(tmp_path)]) == 0
     assert _runtime_free(capsys.readouterr().out) == uncached
 

@@ -125,6 +125,15 @@ def test_verify_cap_exceeded(capsys):
     assert "carrier" in capsys.readouterr().err
 
 
+def test_verify_enumerates_only_for_the_oracle_claim(capsys, monkeypatch):
+    monkeypatch.setenv("PGROUPS_ENUM_CAP", "8")
+    args = ["verify", "--p", "2", "--max-order", "16", "--claims"]
+    assert run(args + ["lemma-2.25,defs-implications"]) == 0
+    capsys.readouterr()
+    assert run(args + ["oracle-crosscheck"]) == 3
+    assert "enumeration" in capsys.readouterr().err
+
+
 def test_verify_rejects_bad_jobs(capsys):
     assert run(["verify", "--p", "2", "--max-order", "8",
                 "--claims", "thm-2.5-i", "--jobs", "0"]) == 2

@@ -7,9 +7,9 @@ import pytest
 
 import pgroups.endos as endos_mod
 import pgroups.harness as harness_mod
+import pgroups.invariance as invariance_mod
 from pgroups.core import format_shape, make_shape, parse_shape
 from pgroups.harness import (
-    CheckContext,
     CheckOutcome,
     ClaimSpec,
     LatticeStore,
@@ -132,7 +132,7 @@ def test_harness_detects_planted_violations(monkeypatch):
 
 def test_violation_reports_carry_witnesses():
     # run the char-eq-fi checker on a shape where the equality genuinely fails
-    out = _check_char_eq_fi_holds(CheckContext(LatticeStore()), make_shape(2, [1, 3]))
+    out = _check_char_eq_fi_holds(LatticeStore(), make_shape(2, [1, 3]))
     assert len(out.violations) == 1
     w = out.violations[0]["witness"]["subgroup"]
     assert w["order"] == 4 and w["iso_type"] == "2:2"  # span{(1,2)} is cyclic
@@ -249,8 +249,23 @@ def test_custom_claim_runs_through_registry(monkeypatch):
 
 def test_shape_lattice_flag_views():
     lat = compute_shape_lattice(make_shape(2, [1, 3]))
-    assert len(lat.characteristic()) == 7
-    assert len(lat.fully_invariant()) == 6
-    assert {h.mask for h in lat.fully_invariant()} <= {
-        h.mask for h in lat.characteristic()
-    }
+    assert sum(lat.char_flags) == 7
+    assert sum(lat.fi_flags) == 6
+    assert all(c for c, f in zip(lat.char_flags, lat.fi_flags) if f)
+
+
+@pytest.mark.parametrize("prime, max_order", [(2, 64), (3, 81)])
+def test_only_the_oracle_claim_enumerates(monkeypatch, prime, max_order):
+    def refuse(*args):
+        raise AssertionError("enumerated outside oracle-crosscheck")
+
+    for module in (harness_mod, invariance_mod):
+        monkeypatch.setattr(module, "enumerate_subgroups", refuse)
+    monkeypatch.setattr(LatticeStore, "get", refuse)
+    corpus = build_corpus(prime, max_order)
+    claim_ids = [c for c in runnable_claim_ids() if c != "oracle-crosscheck"]
+    for r in run_claims(claim_ids, corpus):
+        assert r.total_violations == 0, (r.claim_id, r.violations)
+        assert r.status == EXPECTED_STATUS[r.claim_id], (r.claim_id, r.status)
+    with pytest.raises(AssertionError, match="outside oracle-crosscheck"):
+        verify_claim("oracle-crosscheck", corpus)
