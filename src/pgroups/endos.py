@@ -18,12 +18,15 @@ eliminated batch by batch.  The brute-force alternative
 permutation; the two must agree, and the verification harness cross-checks
 that they do.
 
-The harness does so exhaustively: `endo_entry_batches` yields every entry
-matrix, `induced_tables_batch` gives each its whole carrier table and
-`bijective_flags_by_table` tests each table for being a permutation.  Image
-coordinate i depends on row i of the matrix alone, so a table is the sum of
-n per-row terms, each read from a per-row table built once per shape: n
-gathers per batch, not a product over all n^2 entries.
+The harness does so exhaustively: `endo_table_batches` yields every entry
+matrix of `endo_entry_batches` with its whole carrier table, and
+`bijective_flags_by_table` tests each table for being a permutation by
+sorting it.  Image coordinate i depends on row i of the matrix alone, so a
+table is the sum of n per-row terms, each read from a per-row table built
+once per shape (`induced_tables_batch`: n gathers per batch, not a product
+over all n^2 entries).  The last row varies fastest in the enumeration, so
+the scan sums rows 0..n-2 once per sweep of the last row and adds each of
+that row's tables to it: one add per table cell.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
@@ -390,21 +393,51 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     rows = _row_tables(shape)
     if rows is None:
         return _induced_tables(carrier(shape), entries).astype(np.int32)
+    return _row_sums(rows, entries, n)
+
+
+def _row_sums(rows: tuple, entries: np.ndarray, stop: int) -> np.ndarray:
+    """Sum of the per-row table terms of rows 0..stop-1 of a (B, n, n) entry
+    batch, one int32 row per matrix; `rows` is `_row_tables(shape)`."""
     moduli, places, tables = rows
-    codes = (entries % moduli * places).sum(axis=2)  # (B, n)
+    codes = (entries[:, :stop] % moduli[:stop] * places[:stop]).sum(axis=2)  # (B, stop)
     out = tables[0][codes[:, 0]]
-    for i in range(1, n):
+    for i in range(1, stop):
         out += tables[i][codes[:, i]]
     return out
 
 
+def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every endomorphism with its whole carrier table, as (entries, tables)
+    batches in `endo_entry_batches` order: tables row b is
+    `induced_tables_batch(shape, entries)[b]`.
+
+    The last matrix row varies fastest, so with c codes for that row every
+    batch is made of whole sweeps of c matrices that share rows 0..n-2.  Each
+    sweep's prefix table is summed once from its first matrix, and its c
+    tables are that prefix plus each of the c last-row tables: one add per
+    cell instead of n gathers and n-1 adds.  Rank 1 and shapes above the
+    row-table budget go through `induced_tables_batch` batch by batch.
+    """
+    n = shape.rank
+    rows = _row_tables(shape)
+    if n < 2 or rows is None:
+        for ents in endo_entry_batches(shape):
+            yield ents, induced_tables_batch(shape, ents)
+        return
+    last = rows[2][-1]
+    c = len(last)
+    # c * |G| is within the row-table budget, so a one-sweep batch stays small
+    for ents in endo_entry_batches(shape, max(1, _batch_size(shape) // c) * c):
+        prefix = _row_sums(rows, ents[::c], n - 1)
+        yield ents, (prefix[:, None, :] + last[None, :, :]).reshape(len(ents), -1)
+
+
 def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:
-    """Row-wise permutation test for a (B, N) batch of carrier tables: N
-    values in N slots form a permutation iff they hit every slot."""
-    b, n = tables.shape
-    seen = np.zeros(b * n, dtype=bool)
-    seen[(tables + (np.arange(b) * n)[:, None]).ravel()] = True
-    return seen.reshape(b, n).all(axis=1)
+    """Row-wise permutation test for a (B, N) batch of carrier tables: a row
+    is a permutation iff, sorted, it reads 0, 1, ..., N-1."""
+    n = tables.shape[1]
+    return (np.sort(tables, axis=1) == np.arange(n, dtype=tables.dtype)).all(axis=1)
 
 
 def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:
@@ -528,6 +561,24 @@ def _unit_generators(p: int, k: int) -> list[int]:
     return [g % p ** k]
 
 
+def _aut_generator_entries(shape: GroupShape) -> np.ndarray:
+    """The entries of `aut_generators(shape)`, as one (G, n, n) int64 array:
+    identity matrices with the cells of each generator changed."""
+    n = shape.rank
+    exps = shape.exponents
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    swaps = [i for i in range(n - 1) if exps[i] == exps[i + 1]]
+    units = [(i, u) for i in range(n) for u in _unit_generators(shape.prime, exps[i])]
+    ents = np.tile(np.eye(n, dtype=np.int64), (len(off) + len(swaps) + len(units), 1, 1))
+    for k, (i, j) in enumerate(off):
+        ents[k, i, j] = 1
+    for k, i in enumerate(swaps, start=len(off)):
+        ents[k, i : i + 2, i : i + 2] = [[0, 1], [1, 0]]
+    for k, (i, u) in enumerate(units, start=len(off) + len(swaps)):
+        ents[k, i, i] = u
+    return ents % _cell_places(shape)[0]
+
+
 @lru_cache(maxsize=256)
 def aut_generators(shape: GroupShape) -> tuple[EndoMatrix, ...]:
     """A generating set for Aut(G).
@@ -537,29 +588,9 @@ def aut_generators(shape: GroupShape) -> tuple[EndoMatrix, ...]:
     multiplications on single summands.  Transvections come first; they are
     the maps that kill most non-characteristic subgroups fastest.
     """
-    n = shape.rank
-    p = shape.prime
-    gens: list[EndoMatrix] = []
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rows = [row[:] for row in ident]
-            rows[i][j] = 1
-            gens.append(endo(shape, rows))
-    for i in range(n - 1):
-        if shape.exponents[i] == shape.exponents[i + 1]:
-            rows = [row[:] for row in ident]
-            rows[i][i] = rows[i + 1][i + 1] = 0
-            rows[i][i + 1] = rows[i + 1][i] = 1
-            gens.append(endo(shape, rows))
-    for i in range(n):
-        for u in _unit_generators(p, shape.exponents[i]):
-            rows = [row[:] for row in ident]
-            rows[i][i] = u
-            gens.append(endo(shape, rows))
-    return tuple(gens)
+    return tuple(
+        EndoMatrix(shape, tuple(map(tuple, m))) for m in _aut_generator_entries(shape).tolist()
+    )
 
 
 def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
@@ -600,9 +631,7 @@ def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def aut_generator_tables(shape: GroupShape) -> np.ndarray:
     """Carrier tables of `aut_generators(shape)`, one int32 row per generator."""
-    n = shape.rank
-    ents = np.array([g.entries for g in aut_generators(shape)], dtype=np.int64)
-    return _generator_tables(shape, ents.reshape(-1, n, n))
+    return _generator_tables(shape, _aut_generator_entries(shape))
 
 
 @lru_cache(maxsize=8)
@@ -682,9 +711,18 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
 
 
 def random_endo(shape: GroupShape, rng: np.random.Generator) -> EndoMatrix:
+    """One uniformly random endomorphism; the scalar form of `random_endo_entries`."""
     n = shape.rank
     entries = tuple(
         tuple(int(rng.integers(0, _cell_modulus(shape, i, j))) for j in range(n))
         for i in range(n)
     )
     return EndoMatrix(shape, entries)
+
+
+def random_endo_entries(shape: GroupShape, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniformly random entry matrices as one (count, n, n) int64
+    array, drawn in one call: the same matrices, from the same stream, as
+    `count` successive `random_endo(shape, rng)` calls."""
+    n = shape.rank
+    return rng.integers(0, _cell_places(shape)[0], size=(count, n, n))

@@ -48,10 +48,10 @@ from .endos import (
     automorphism_flags,
     bijective_flags_by_table,
     endo_count,
-    endo_entry_batches,
+    endo_table_batches,
     entries_from_images,
     induced_tables_batch,
-    random_endo,
+    random_endo_entries,
 )
 from .invariance import (
     ProfileViolation,
@@ -647,8 +647,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
             # closure's own rank codes, so the oracle stays independent of it
             strides = list(car.strides)
             filtered = []
-            for ents in endo_entry_batches(shape):
-                tables = induced_tables_batch(shape, ents)
+            for ents, tables in endo_table_batches(shape):
                 bij = bijective_flags_by_table(tables)
                 fast = automorphism_flags(shape, ents)
                 for b in np.nonzero(bij != fast)[0]:
@@ -681,10 +680,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     # fully-invariant flags against sampled random endomorphisms
     if len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT:
         rng = np.random.default_rng(_shape_seed(shape))
-        ents = np.array(
-            [random_endo(shape, rng).entries for _ in range(_SAMPLED_ENDOS)],
-            dtype=np.int64,
-        ).reshape(-1, shape.rank, shape.rank)
+        ents = random_endo_entries(shape, rng, _SAMPLED_ENDOS)
         rows = induced_tables_batch(shape, ents)
         for h, f in zip(lat.subgroups, lat.fi_flags):
             if f and not _mask_stable_under(h.mask, rows, car.n):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pgroups.core import GroupShape, carrier
-from pgroups.endos import aut_generators, induced_table
+from pgroups.endos import _unit_generators, aut_generators, endo, induced_table
 
 
 def dumb_radices(shape: GroupShape) -> list[int]:
@@ -208,6 +208,34 @@ def endo_oracle_shapes():
         make_shape(3, [1, 2]),
         make_shape(5, [1, 1]),
     ]
+
+
+def dumb_aut_generators(shape: GroupShape) -> list:
+    """The generating set of `aut_generators`, built matrix by matrix through
+    `endo`: transvections, adjacent equal-exponent transpositions, then unit
+    multiples, each an edited copy of the identity."""
+    n = shape.rank
+    gens = []
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            rows = [row[:] for row in ident]
+            rows[i][j] = 1
+            gens.append(endo(shape, rows))
+    for i in range(n - 1):
+        if shape.exponents[i] == shape.exponents[i + 1]:
+            rows = [row[:] for row in ident]
+            rows[i][i] = rows[i + 1][i + 1] = 0
+            rows[i][i + 1] = rows[i + 1][i] = 1
+            gens.append(endo(shape, rows))
+    for i in range(n):
+        for u in _unit_generators(shape.prime, shape.exponents[i]):
+            rows = [row[:] for row in ident]
+            rows[i][i] = u
+            gens.append(endo(shape, rows))
+    return gens
 
 
 def dumb_aut_closure(shape: GroupShape) -> list:

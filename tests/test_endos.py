@@ -17,6 +17,7 @@ from conftest import (
     all_dumb_endo_tables,
     closed_subset_masks,
     dumb_aut_closure,
+    dumb_aut_generators,
     dumb_endo_entries,
     dumb_endo_table,
     mask_members,
@@ -34,6 +35,7 @@ from pgroups.endos import (
     endo,
     endo_count,
     endo_entry_batches,
+    endo_table_batches,
     entries_from_images,
     from_generator_images,
     generator_images,
@@ -345,6 +347,71 @@ def test_bijective_flags_match_unique_count():
     assert bijective_flags_by_table(np.zeros((0, 5), dtype=np.int32)).shape == (0,)
 
 
+def test_bijective_flags_on_out_of_range_values():
+    # a value outside 0..N-1 must not stand in for a slot of another row
+    for tables in ([[0, 0], [-1, 1]], [[0, 2], [1, 1]]):
+        for dtype in (np.int32, np.int64):
+            assert bijective_flags_by_table(np.array(tables, dtype=dtype)).tolist() == [
+                False,
+                False,
+            ]
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 16, 81):
+        perms = np.stack([rng.permutation(n) for _ in range(30)])
+        shifted = perms.copy()
+        shifted[:10, 0] = -1 - shifted[:10, 0]  # negative
+        shifted[10:20, 0] += n  # too large
+        shifted[20:, 0] = rng.integers(-3 * n, 3 * n, size=10)
+        tables = np.concatenate([perms, shifted])
+        want = [sorted(row) == list(range(n)) for row in tables.tolist()]
+        assert sum(want) >= 30
+        for dtype in (np.int32, np.int64):
+            assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
+
+
+def _endo_oracle_corpus():
+    return [
+        s
+        for p, max_order in ((2, 32), (3, 243), (5, 25))
+        for s in build_corpus(p, max_order).shapes
+        if endo_count(s) <= endo_oracle_cap()
+    ]
+
+
+def _assert_table_batches_match(s, batches):
+    entries = []
+    for ents, tables in batches:
+        assert tables.shape == (len(ents), carrier(s).n)
+        assert np.array_equal(tables, induced_tables_batch(s, ents)), s
+        entries.append(ents)
+    return np.concatenate(entries)
+
+
+def test_table_batches_match_entry_batches():
+    shapes = _endo_oracle_corpus()
+    assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
+    for s in shapes:
+        assert s.rank < 2 or endos_mod._row_tables(s) is not None
+        got = _assert_table_batches_match(s, endo_table_batches(s))
+        assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
+
+
+def test_table_batches_fall_back_on_rank_1_and_over_the_row_table_budget():
+    s = make_shape(3, [4])
+    got = _assert_table_batches_match(s, endo_table_batches(s))
+    assert got.ravel().tolist() == list(range(81))
+    # 2:2,10 has no row tables; its first batches come from the einsum kernel
+    s = make_shape(2, [2, 10])
+    assert endos_mod._row_tables(s) is None
+    batches = itertools.islice(endo_table_batches(s), 3)
+    got = _assert_table_batches_match(s, batches)
+    want = np.concatenate(list(itertools.islice(endo_entry_batches(s), 3)))
+    assert np.array_equal(got, want)
+    assert [dumb_endo_table(s, e.tolist()) for e in got[-2:]] == induced_tables_batch(
+        s, got[-2:]
+    ).tolist()
+
+
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
     for s in endo_oracle_shapes[:4]:
         for ents in endo_entry_batches(s):
@@ -426,3 +493,15 @@ def test_generator_tables_match_induced_tables():
             want = np.stack([induced_table(m, car) for m in maps])
             assert tables.dtype == np.int32
             assert np.array_equal(tables, want), s
+
+
+def test_generator_entries_match_scalar_construction():
+    shapes = [
+        *build_corpus(2, 256).shapes,
+        *build_corpus(3, 729).shapes,
+        *build_corpus(5, 625).shapes,
+    ]
+    for s in shapes:
+        assert [g.entries for g in aut_generators(s)] == [
+            g.entries for g in dumb_aut_generators(s)
+        ], s

@@ -15,6 +15,7 @@ from pgroups.harness import (
     LatticeStore,
     UnknownClaimError,
     _check_char_eq_fi_holds,
+    _shape_seed,
     all_claim_ids,
     build_corpus,
     compute_shape_lattice,
@@ -226,6 +227,58 @@ def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
             },
         )
     ]
+
+
+def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
+    real = harness_mod.endo_table_batches
+    tampered = []
+
+    def batches(shape):
+        for ents, tables in real(shape):
+            auts = np.nonzero(endos_mod.automorphism_flags(shape, ents))[0]
+            if not tampered and len(auts):
+                tables = tables.copy()
+                tables[auts[0], 1] = tables[auts[0], 0]  # one value twice
+                tampered.append(ents[auts[0]].tolist())
+            yield ents, tables
+
+    monkeypatch.setattr(harness_mod, "endo_table_batches", batches)
+    corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
+    r = verify_claim("oracle-crosscheck", corpus)
+    assert r.status == "fail"
+    assert [v["witness"] for v in r.violations] == [
+        {
+            "check": "fast-aut-vs-bijective-table",
+            "entries": tampered[0],
+            "fast": True,
+            "bijective": False,
+        },
+        {
+            "check": "closure-vs-filtered-endos",
+            "closure_size": 8,
+            "repeated_rows": 0,
+            "filtered_size": 7,
+            "detail": "generator closure and filtered enumeration differ",
+        },
+    ]
+
+
+def test_sampled_endos_are_the_scalar_draws():
+    shapes = [
+        *build_corpus(2, 256).shapes,
+        *build_corpus(3, 729).shapes,
+        *build_corpus(5, 625).shapes,
+    ]
+    n_sampled = harness_mod._SAMPLED_ENDOS
+    for s in shapes:
+        batch_rng = np.random.default_rng(_shape_seed(s))
+        scalar_rng = np.random.default_rng(_shape_seed(s))
+        got = endos_mod.random_endo_entries(s, batch_rng, n_sampled)
+        want = [endos_mod.random_endo(s, scalar_rng).entries for _ in range(n_sampled)]
+        assert got.shape == (n_sampled, s.rank, s.rank)
+        assert got.tolist() == [list(map(list, m)) for m in want], s
+        # the same stream: both generators stand at the same place afterwards
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state, s
 
 
 def test_custom_claim_runs_through_registry(monkeypatch):
