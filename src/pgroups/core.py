@@ -250,10 +250,11 @@ def mask_from_bool(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def mask_to_bool(mask: int, n: int) -> np.ndarray:
-    """Inverse of `mask_from_bool`: a length-n membership array."""
-    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+def masks_to_bool(masks: list[int], n: int) -> np.ndarray:
+    """Inverse of `mask_from_bool` on each mask: a (len(masks), n) membership array."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(-1, nbytes), axis=1, count=n, bitorder="little") > 0
 
 
 def mask_to_indices(mask: int) -> list[int]:

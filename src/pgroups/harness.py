@@ -41,10 +41,10 @@ from .core import (
     format_shape,
     is_prime,
     make_shape,
-    mask_to_bool,
 )
 from .endos import (
     aut_closure_tables,
+    aut_generator_tables,
     automorphism_flags,
     bijective_flags_by_table,
     endo_count,
@@ -52,6 +52,7 @@ from .endos import (
     entries_from_images,
     induced_tables_batch,
     random_endo_entries,
+    stability_test_tables,
 )
 from .invariance import (
     ProfileViolation,
@@ -67,10 +68,16 @@ from .invariance import (
     project_onto_positions,
     projection_profile,
     restrict_to_positions,
-    stability_rows,
-    stable_under,
+    stable_flags,
 )
-from .lattice import Subgroup, enumerate_subgroups, span, subgroup_contains, subgroup_sum
+from .lattice import (
+    Subgroup,
+    enumerate_subgroups,
+    enumeration_key,
+    span,
+    subgroup_contains,
+    subgroup_sum,
+)
 
 MAX_STORED_VIOLATIONS = 16
 
@@ -127,8 +134,9 @@ class ShapeLattice:
 
 def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
     subs = enumerate_subgroups(shape)
-    char = tuple(is_characteristic(h) for h in subs)
-    fi = tuple(is_fully_invariant(h) for h in subs)
+    masks = [h.mask for h in subs]
+    char = tuple(map(bool, stable_flags(shape, masks, aut_generator_tables(shape))))
+    fi = tuple(map(bool, stable_flags(shape, masks, stability_test_tables(shape))))
     return ShapeLattice(shape, tuple(subs), char, fi)
 
 
@@ -161,16 +169,20 @@ class LatticeStore:
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
         """The cached lattice, or None (so it is recomputed) when the entry is
         absent, does not rebuild into subgroups of `shape` (a mask without the
-        zero element or wider than the carrier), or flags other subgroups
-        characteristic or fully invariant than the orbit and profile routes
-        give.  Stored iso strings are not read: each subgroup computes its
-        type from its mask."""
+        zero element or wider than the carrier), does not list each mask once
+        in `enumeration_key` order, or flags other subgroups characteristic or
+        fully invariant than the orbit and profile routes give.  Stored iso
+        strings are not read: each subgroup computes its type from its mask.
+        Closure under addition is not checked."""
         got = self._cache.load(shape)
         if got is None:
             return None
         masks, char_flags, fi_flags, _ = got
         full_mask = carrier(shape).full_mask
         if any(mask & ~full_mask or not mask & 1 for mask in masks):
+            return None
+        keys = list(map(enumeration_key(shape), masks))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             return None
         for flags, route in (
             (char_flags, characteristic_from_orbits),
@@ -357,12 +369,19 @@ def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutco
     out = CheckOutcome()
     n = shape.rank
     chars = characteristic_from_orbits(shape)
-    srows = stability_rows(shape)
+    masks = [h.mask for h in chars]
+    tables = stability_test_tables(shape)
+    # kept[s, u][i]: the map a_s -> a_u keeps chars[i]; every split reads it
+    kept = {
+        (s, u): stable_flags(shape, masks, tables[u * n + s, None])
+        for s in range(n)
+        for u in range(s + 1, n)
+    }
     for a_pos, b_pos in _splits(n):
-        for h in chars:
+        for i, h in enumerate(chars):
             for s in a_pos:
                 for u in b_pos:
-                    if not stable_under(h.mask, (srows[u * n + s],)):
+                    if not kept[s, u][i]:
                         out.violations.append(
                             _violation(
                                 shape,
@@ -578,12 +597,6 @@ def _shape_seed(shape: GroupShape) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mask_stable_under(mask: int, tables: np.ndarray, size: int) -> bool:
-    """True iff every table row maps the mask's members into the mask."""
-    keep = mask_to_bool(mask, size)
-    return bool(keep[tables[:, keep]].all())
-
-
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     """The rows of a 2-d array in lexicographic order."""
     return rows[np.lexsort(rows.T[::-1])]
@@ -682,8 +695,9 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         rng = np.random.default_rng(_shape_seed(shape))
         ents = random_endo_entries(shape, rng, _SAMPLED_ENDOS)
         rows = induced_tables_batch(shape, ents)
-        for h, f in zip(lat.subgroups, lat.fi_flags):
-            if f and not _mask_stable_under(h.mask, rows, car.n):
+        kept = stable_flags(shape, [h.mask for h in lat.subgroups], rows)
+        for h, f, k in zip(lat.subgroups, lat.fi_flags, kept):
+            if f and not k:
                 out.violations.append(
                     _violation(
                         shape,
@@ -702,8 +716,9 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         and len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT
     ):
         crows = induced_tables_batch(shape, entries_from_images(shape, closure))
-        for h, c in zip(lat.subgroups, lat.char_flags):
-            if _mask_stable_under(h.mask, crows, car.n) != c:
+        kept = stable_flags(shape, [h.mask for h in lat.subgroups], crows)
+        for h, c, k in zip(lat.subgroups, lat.char_flags, kept):
+            if k != c:
                 out.violations.append(
                     _violation(
                         shape,

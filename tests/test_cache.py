@@ -179,3 +179,18 @@ def test_entries_with_altered_flags_or_iso_strings_change_nothing(tmp_path, caps
         LatticeCache(tmp_path).save(shape, masks, bad_char, bad_fi, bad_isos)
         assert run(listing + ["--cache", str(tmp_path)]) == 0
         assert capsys.readouterr().out == uncached
+
+
+def test_entries_out_of_order_or_repeated_are_recomputed(tmp_path, capsys):
+    # flags and iso strings travel with their masks, so the orbit and profile
+    # checks pass; only the order check turns these entries away
+    shape = make_shape(2, [1, 1])
+    payload = _payload(shape)
+    assert payload[0] == [1, 0b11, 0b101, 0b1001, 0b1111]
+    listing = ["enumerate", "--p", "2", "--partition", "1,1", "--kind", "all"]
+    assert run(listing) == 0
+    uncached = capsys.readouterr().out
+    for picks in ([0, 1, 1, 2, 3, 4], [0, 2, 1, 3, 4]):  # a repeat, a swap
+        LatticeCache(tmp_path).save(shape, *([seq[i] for i in picks] for seq in payload))
+        assert run(listing + ["--cache", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == uncached

@@ -196,6 +196,24 @@ def test_closure_oracle_catches_a_repeated_automorphism(monkeypatch, mangle, clo
     ]
 
 
+def test_oracle_catches_a_stability_test_that_keeps_everything(monkeypatch):
+    # the enumerated lattice's flags come from the same `stable_flags` as the
+    # orbit and profile routes; broken in the harness alone, it flags every
+    # subgroup characteristic and fully invariant, which both route checks see
+    monkeypatch.setattr(
+        harness_mod,
+        "stable_flags",
+        lambda shape, masks, tables: np.ones(len(masks), dtype=bool),
+    )
+    r = verify_claim("oracle-crosscheck", build_corpus(2, 16))
+    assert r.status == "fail"
+    assert r.total_violations == 14  # both checks, on each of the 7 non-cyclic shapes
+    assert {v["witness"]["check"] for v in r.violations} == {
+        "char-orbits-vs-flags",
+        "profile-route-vs-brute",
+    }
+
+
 def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
     real = endos_mod._nonsingular_blocks
     singular = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]

@@ -7,8 +7,10 @@ pure Python.
 
 import pytest
 
+import pgroups.invariance as invariance_mod
 from conftest import dumb_char_fi_flags
 from pgroups.core import GroupShape, carrier, element, make_shape
+from pgroups.endos import aut_generator_tables, stability_test_tables
 from pgroups.invariance import (
     ProfileViolation,
     ProjectionProfile,
@@ -24,6 +26,7 @@ from pgroups.invariance import (
     project_onto_positions,
     projection_profile,
     restrict_to_positions,
+    stable_flags,
 )
 from pgroups.lattice import enumerate_subgroups, span, subgroup_sum
 
@@ -52,15 +55,24 @@ def test_flags_match_exhaustive_endo_oracle(endo_oracle_shapes):
         assert (sum(got_char), sum(got_fi), len(subs)) == counts
 
 
-def test_numpy_stability_route_matches_oracles():
-    # subgroups of 32 or more members, and every subgroup of a group above
-    # order 2^12, are tested in numpy rather than by the bit loop
-    s = make_shape(2, [2, 4])
-    subs = enumerate_subgroups(s)
-    assert any(h.order >= 32 for h in subs)
-    oracle_char, oracle_fi = dumb_char_fi_flags(s, [h.mask for h in subs])
-    assert [is_characteristic(h) for h in subs] == oracle_char
-    assert [is_fully_invariant(h) for h in subs] == oracle_fi
+def test_stable_flags_batches_match_oracles(endo_oracle_shapes, monkeypatch):
+    cases = []
+    for s in endo_oracle_shapes + [make_shape(2, [2, 4])]:
+        subs = enumerate_subgroups(s)
+        cases.append((s, subs, dumb_char_fi_flags(s, [h.mask for h in subs])))
+    # a whole lattice in one call must flag each subgroup as a call of its
+    # own does; the small budget makes a lattice span several chunks and
+    # meet its tables one block at a time, one table per block at first
+    for cells in (invariance_mod._FLAG_CELLS, 64):
+        monkeypatch.setattr(invariance_mod, "_FLAG_CELLS", cells)
+        for s, subs, (oracle_char, oracle_fi) in cases:
+            masks = [h.mask for h in subs]
+            for tables, one_mask, oracle in (
+                (aut_generator_tables(s), is_characteristic, oracle_char),
+                (stability_test_tables(s), is_fully_invariant, oracle_fi),
+            ):
+                assert stable_flags(s, masks, tables).tolist() == oracle
+                assert [one_mask(h) for h in subs] == oracle
 
     big = make_shape(2, [1, 12])
     assert all(is_characteristic(h) for h in characteristic_from_orbits(big))
