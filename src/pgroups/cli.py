@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .cache import LatticeCache
 from .caps import CapExceeded, default_jobs
-from .classify import classify
+from .classify import classify, subgroup_descriptor
 from .core import format_shape, make_shape
 from .harness import (
     LatticeStore,
@@ -101,16 +101,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             continue
         if args.kind == "fully-invariant" and not f:
             continue
-        iso = h.iso_type()
-        entries.append(
-            {
-                "order": h.order,
-                "generators": [list(g.coords) for g in h.generators],
-                "iso_type": None if iso.is_trivial_marker() else format_shape(iso),
-                "characteristic": c,
-                "fully_invariant": f,
-            }
-        )
+        entries.append(subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f})
     payload = {
         "shape": format_shape(shape),
         "kind": args.kind,

@@ -23,12 +23,18 @@ Its characteristic-side twin is `characteristic_from_orbits`: a
 characteristic subgroup is an addition-closed union of Aut-orbits, so the
 lattice is closed up from orbit labels without enumerating subgroups, and it
 too is cross-checked against the generator flags of the enumerated lattice.
+
+A coordinate projection is an endomorphism, so it is one more carrier table
+(`projection_table`): images of many subgroups are one scatter
+(`project_masks`), membership in a sum of pieces supported on disjoint
+coordinates is a gather per piece, and the layer masks are its fixed points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -216,26 +222,18 @@ def layer_positions(shape: GroupShape, k: int) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(shape.exponents) if e == k)
 
 
-@lru_cache(maxsize=512)
-def _positions_row(shape: GroupShape, positions: tuple[int, ...]) -> list[int]:
-    """row[x] = index of x with all coordinates outside `positions` zeroed."""
+def projection_table(shape: GroupShape, positions: tuple[int, ...]) -> np.ndarray:
+    """table[x] = index of x with all coordinates outside `positions` zeroed."""
     car = carrier(shape)
-    total = np.zeros(car.n, dtype=np.int64)
-    for i in positions:
-        total += car.coords_mat[i] * car.strides[i]
-    return total.tolist()
+    pos = list(positions)
+    return np.array(car.strides, dtype=np.int64)[pos] @ car.coords_mat[pos]
 
 
 @lru_cache(maxsize=512)
 def layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
-    """Mask of elements supported only on `positions`."""
-    car = carrier(shape)
-    keep = np.ones(car.n, dtype=bool)
-    pos = set(positions)
-    for i in range(shape.rank):
-        if i not in pos:
-            keep &= car.coords_mat[i] == 0
-    return mask_from_bool(keep)
+    """Mask of elements supported only on `positions`: the projection's fixed points."""
+    table = projection_table(shape, positions)
+    return mask_from_bool(table == np.arange(len(table)))
 
 
 def layer_subgroup(shape: GroupShape, k: int, n: int = 0) -> Subgroup:
@@ -249,30 +247,19 @@ def layer_subgroup(shape: GroupShape, k: int, n: int = 0) -> Subgroup:
     return Subgroup(shape, mask)
 
 
+def project_masks(shape: GroupShape, masks: list[int], positions: tuple[int, ...]) -> list[int]:
+    """Image of each mask under the projection onto `positions`, as masks of G."""
+    table = projection_table(shape, positions)
+    member = masks_to_bool(masks, len(table))
+    rows, cols = np.nonzero(member)
+    image = np.zeros_like(member)
+    image[rows, table[cols]] = True
+    return [mask_from_bool(row) for row in image]
+
+
 def project_onto_positions(h: Subgroup, positions: tuple[int, ...]) -> Subgroup:
     """Image of H under the coordinate projection, as a subgroup of G."""
-    row = _positions_row(h.shape, tuple(positions))
-    mask = 0
-    for m in h.members():
-        mask |= 1 << row[m]
-    return Subgroup(h.shape, mask)
-
-
-def restrict_to_positions(h: Subgroup, positions: tuple[int, ...]):
-    """View a subgroup supported on `positions` inside the standalone group
-    on those summands.  Returns (sub_shape, subgroup_of_sub_shape)."""
-    shape = h.shape
-    positions = tuple(positions)
-    if h.mask & ~layer_mask(shape, positions):
-        raise ValueError("subgroup is not supported on the given positions")
-    sub_shape = GroupShape(shape.prime, tuple(shape.exponents[i] for i in positions))
-    car = carrier(shape)
-    sub_car = carrier(sub_shape)
-    mask = 0
-    for m in h.members():
-        coords = car.coords_of(m)
-        mask |= 1 << sub_car.index_of(tuple(coords[i] for i in positions))
-    return sub_shape, Subgroup(sub_shape, mask)
+    return Subgroup(h.shape, project_masks(h.shape, [h.mask], positions)[0])
 
 
 # ---- projection profiles -----------------------------------------------------------
@@ -335,27 +322,12 @@ def projection_profile(h: Subgroup) -> ProjectionProfile:
 
 
 def _profile_vectors(levels: tuple[int, ...]):
-    """All (n_k) with 0 <= n_k <= k, monotone, gaps bounded by exponent gaps."""
-    if not levels:
-        return
-    first = levels[0]
-    for start in range(first + 1):
-        vec = [start]
-
-        def extend(vec):
-            depth = len(vec)
-            if depth == len(levels):
-                yield tuple(vec)
-                return
-            k_prev, k_here = levels[depth - 1], levels[depth]
-            lo = vec[-1]
-            hi = min(k_here, vec[-1] + (k_here - k_prev))
-            for n in range(lo, hi + 1):
-                vec.append(n)
-                yield from extend(vec)
-                vec.pop()
-
-        yield from extend(vec)
+    """All (n_k) with 0 <= n_k <= k, monotone, gaps bounded by exponent gaps,
+    in lexicographic order."""
+    steps = list(zip(levels, levels[1:]))
+    for vec in product(*(range(k + 1) for k in levels)):
+        if all(a <= b <= a + (l - k) for (k, l), a, b in zip(steps, vec, vec[1:])):
+            yield vec
 
 
 @lru_cache(maxsize=4)

@@ -1,5 +1,6 @@
 """Corpus construction, claim execution, parallel determinism, negative controls."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import pgroups.endos as endos_mod
 import pgroups.harness as harness_mod
 import pgroups.invariance as invariance_mod
-from pgroups.core import format_shape, make_shape, parse_shape
+from pgroups.core import GroupShape, carrier, format_shape, make_shape, parse_shape
+from pgroups.endos import stability_test_tables
 from pgroups.harness import (
     CheckOutcome,
     ClaimSpec,
@@ -24,6 +26,8 @@ from pgroups.harness import (
     runnable_claim_ids,
     verify_claim,
 )
+from pgroups.invariance import is_characteristic, stable_flags
+from pgroups.lattice import Subgroup, enumerate_subgroups, subgroup_sum
 
 
 def test_corpus_contents_and_order():
@@ -340,3 +344,111 @@ def test_only_the_oracle_claim_enumerates(monkeypatch, prime, max_order):
         assert r.status == EXPECTED_STATUS[r.claim_id], (r.claim_id, r.status)
     with pytest.raises(AssertionError, match="outside oracle-crosscheck"):
         verify_claim("oracle-crosscheck", corpus)
+
+
+def _member_coords(shape, mask):
+    car = carrier(shape)
+    return [car.coords_of(m) for m in Subgroup(shape, mask).members()]
+
+
+def _reference_split_stability(store, shape):
+    """lemma-2.14 one subgroup at a time: each projection rebuilt member by
+    member in the left summand's carrier and tested on its own."""
+    out = harness_mod.CheckOutcome()
+    n = shape.rank
+    tables = stability_test_tables(shape)
+    for a_pos, b_pos in harness_mod._splits(n):
+        left = GroupShape(shape.prime, tuple(shape.exponents[i] for i in a_pos))
+        split = [list(a_pos), list(b_pos)]
+        for h in harness_mod.characteristic_from_orbits(shape):
+            desc = harness_mod.subgroup_descriptor(h)
+            for s in a_pos:
+                for u in b_pos:
+                    if not stable_flags(shape, [h.mask], tables[u * n + s, None])[0]:
+                        out.violations.append(harness_mod._violation(
+                            shape, split=split, map_source=s, map_target=u, subgroup=desc,
+                            detail="left-to-right single-entry map leaves the subgroup",
+                        ))
+            coords = _member_coords(shape, h.mask)
+            view = {carrier(left).index_of([c[i] for i in a_pos]) for c in coords}
+            standalone = Subgroup(left, sum(1 << x for x in view))
+            if not is_characteristic(standalone):
+                out.violations.append(harness_mod._violation(
+                    shape, split=split, subgroup=desc,
+                    detail="left projection is not characteristic in the left summand",
+                ))
+    return out
+
+
+def _reference_slice_sums(store, shape):
+    """lemma-2.17 one subgroup at a time: each sum spanned piece by piece and
+    tested on its own."""
+    out = harness_mod.CheckOutcome()
+    n = shape.rank
+    car = carrier(shape)
+    decompositions = harness_mod._splits(n)
+    singletons = tuple((i,) for i in range(n))
+    if singletons not in decompositions:
+        decompositions = decompositions + [singletons]
+    for parts in decompositions:
+        supports = [
+            sum(1 << x for x in range(car.n)
+                if all(c == 0 for i, c in enumerate(car.coords_of(x)) if i not in pos))
+            for pos in parts
+        ]
+        for h in harness_mod.characteristic_from_orbits(shape):
+            coords = _member_coords(shape, h.mask)
+            images = [
+                {car.index_of([c[i] if i in pos else 0 for i in range(n)]) for c in coords}
+                for pos in parts
+            ]
+            pieces = {
+                "sum of intersections": [h.mask & sup for sup in supports],
+                "sum of projections": [sum(1 << x for x in image) for image in images],
+            }
+            for label, masks in pieces.items():
+                total = Subgroup(shape, masks[0])
+                for mask in masks[1:]:
+                    total = subgroup_sum(total, Subgroup(shape, mask))
+                if not is_characteristic(total):
+                    out.violations.append(harness_mod._violation(
+                        shape, parts=[list(p) for p in parts],
+                        subgroup=harness_mod.subgroup_descriptor(h), combination=label,
+                        detail=f"{label} over the split is not characteristic",
+                    ))
+    return out
+
+
+@pytest.mark.parametrize(
+    "prime, max_order, totals", [(2, 32, [7381, 4764]), (3, 81, [2117, 1444]), (5, 25, [5, 4])]
+)
+def test_split_claims_match_a_per_subgroup_reference(monkeypatch, prime, max_order, totals):
+    # fed every subgroup, not only the characteristic ones, both claims find
+    # thousands of violations, which must come out as the reference lists them
+    monkeypatch.setattr(
+        harness_mod, "characteristic_from_orbits", lambda s: tuple(enumerate_subgroups(s))
+    )
+    monkeypatch.setattr(harness_mod, "MAX_STORED_VIOLATIONS", 10 ** 6)
+    corpus = build_corpus(prime, max_order)
+    ids = ["lemma-2.14", "lemma-2.17"]
+    got = _stripped(run_claims(ids, corpus))
+    for cid, check in zip(ids, (_reference_split_stability, _reference_slice_sums)):
+        spec = dataclasses.replace(harness_mod._REGISTRY[cid], check=check)
+        monkeypatch.setitem(harness_mod._REGISTRY, cid, spec)
+    assert got == _stripped(run_claims(ids, corpus))
+    assert [r["total_violations"] for r in got] == totals
+
+
+def test_split_claims_build_no_addition_rows():
+    s = make_shape(2, [1, 2, 3])
+    carrier.cache_clear()
+    for r in run_claims(["lemma-2.14", "lemma-2.17"], harness_mod.Corpus(2, 64, (s,))):
+        assert r.status == "pass" and r.shapes_checked == 1
+    assert carrier(s)._add_rows == {}
+
+
+def test_doubling_runs_on_every_shape():
+    # 5:1,1,1,1 doubles past the carrier cap; the exponent arithmetic needs no carrier
+    r = verify_claim("thm-2.1", build_corpus(5, 625))
+    assert r.status == "pass" and r.shapes_checked == 11
+    assert r.notes == []

@@ -5,10 +5,18 @@ against `dumb_char_fi_flags`, which scans every endomorphism table built in
 pure Python.
 """
 
+from itertools import combinations
+
 import pytest
 
 import pgroups.invariance as invariance_mod
-from conftest import dumb_char_fi_flags
+from conftest import (
+    closed_subset_masks,
+    dumb_char_fi_flags,
+    dumb_coords,
+    dumb_index,
+    mask_members,
+)
 from pgroups.core import GroupShape, carrier, element, make_shape
 from pgroups.endos import aut_generator_tables, stability_test_tables
 from pgroups.invariance import (
@@ -22,13 +30,15 @@ from pgroups.invariance import (
     is_characteristic,
     is_fully_invariant,
     kaplansky_2group_predicate,
+    layer_mask,
     layer_subgroup,
+    project_masks,
     project_onto_positions,
     projection_profile,
-    restrict_to_positions,
+    projection_table,
     stable_flags,
 )
-from pgroups.lattice import enumerate_subgroups, span, subgroup_sum
+from pgroups.lattice import Subgroup, enumerate_subgroups, span, subgroup_sum
 
 # (char count, fi count, total) confirmed by the exhaustive oracle below
 KNOWN_FLAG_COUNTS = {
@@ -234,13 +244,76 @@ def test_layer_subgroups():
         layer_subgroup(s, 3)
 
 
-def test_project_and_restrict_roundtrip():
+def _dumb_projection(shape, idx, positions):
+    coords = dumb_coords(shape, idx)
+    return dumb_index(shape, [c if i in positions else 0 for i, c in enumerate(coords)])
+
+
+def test_projection_tables_match_coordinates(tiny_shapes):
+    for s in tiny_shapes:
+        masks = sorted(closed_subset_masks(s))
+        for size in range(s.rank + 1):
+            for pos in combinations(range(s.rank), size):
+                want = [_dumb_projection(s, x, pos) for x in range(s.order)]
+                assert projection_table(s, pos).tolist() == want
+                fixed = sum(1 << x for x in range(s.order) if want[x] == x)
+                assert layer_mask(s, pos) == fixed
+                images = [
+                    sum({1 << want[m] for m in mask_members(mask)}) for mask in masks
+                ]
+                assert project_masks(s, masks, pos) == images
+                one_by_one = [project_onto_positions(Subgroup(s, m), pos) for m in masks]
+                assert [h.mask for h in one_by_one] == images
+
+
+def test_prefix_projection_reads_as_a_mask_of_the_left_summand():
     s = make_shape(2, [1, 3])
     h = span(s, [element(s, (1, 2))])
-    proj = project_onto_positions(h, (1,))
-    assert proj.order == 4
-    sub_shape, standalone = restrict_to_positions(proj, (1,))
-    assert sub_shape == GroupShape(2, (3,))
-    assert standalone.order == 4
-    with pytest.raises(ValueError):
-        restrict_to_positions(h, (1,))  # h is not supported on the second summand
+    assert project_onto_positions(h, (1,)) == span(s, [element(s, (0, 2))])
+    # the split claims read a projection onto range(t) in the left summand's
+    # own carrier; build that view coordinate by coordinate
+    s = make_shape(2, [1, 2, 3])
+    for t in (1, 2):
+        left = GroupShape(2, s.exponents[:t])
+        masks = [h.mask for h in enumerate_subgroups(s)]
+        for mask, image in zip(masks, project_masks(s, masks, tuple(range(t)))):
+            view = {dumb_index(left, dumb_coords(s, m)[:t]) for m in mask_members(mask)}
+            assert image == sum(1 << x for x in view)
+
+
+def _recursive_profile_vectors(levels):
+    """The depth-first construction `_profile_vectors` replaced."""
+    if not levels:
+        return
+    first = levels[0]
+    for start in range(first + 1):
+        vec = [start]
+
+        def extend(vec):
+            depth = len(vec)
+            if depth == len(levels):
+                yield tuple(vec)
+                return
+            k_prev, k_here = levels[depth - 1], levels[depth]
+            lo = vec[-1]
+            hi = min(k_here, vec[-1] + (k_here - k_prev))
+            for n in range(lo, hi + 1):
+                vec.append(n)
+                yield from extend(vec)
+                vec.pop()
+
+        yield from extend(vec)
+
+
+def test_profile_vectors_match_the_recursion():
+    level_sets = [
+        levels
+        for size in range(1, 6)  # six distinct levels sum to at least 21
+        for levels in combinations(range(1, 17), size)
+        if sum(levels) <= 16
+    ]
+    assert len(level_sets) > 100
+    for levels in level_sets:
+        assert list(invariance_mod._profile_vectors(levels)) == list(
+            _recursive_profile_vectors(levels)
+        )
