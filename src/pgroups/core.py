@@ -301,7 +301,6 @@ class Carrier:
         self._mul_rows: dict[int, list[int]] = {}
         self._order_exp: np.ndarray | None = None
         self._socle_masks: dict[int, int] = {}
-        self._power_masks: dict[int, int] = {}
 
     # ---- index <-> coordinates -------------------------------------------------
 
@@ -378,22 +377,6 @@ class Carrier:
         if mask is None:
             mask = mask_from_bool(self.order_exponents() <= m)
             self._socle_masks[m] = mask
-        return mask
-
-    def power_mask(self, n: int) -> int:
-        """Bitmask of p^nG."""
-        if n < 0:
-            raise ValueError("power must be >= 0")
-        mask = self._power_masks.get(n)
-        if mask is None:
-            if n == 0:
-                mask = self.full_mask
-            else:
-                row = np.asarray(self.mul_row(self.shape.prime ** n), dtype=np.int64)
-                hit = np.zeros(self.n, dtype=bool)
-                hit[row] = True
-                mask = mask_from_bool(hit)
-            self._power_masks[n] = mask
         return mask
 
     def elements_of(self, mask: int) -> list[GroupElement]:

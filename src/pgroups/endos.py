@@ -1,22 +1,23 @@
-"""Endomorphisms and automorphisms of a shape, as integer matrices.
+"""Endomorphisms and automorphisms of a shape, as batches of integer matrices.
 
 With G = Z(p^k1) + ... + Z(p^kn) and generators a_1..a_n, an endomorphism is
 determined by a matrix c where entry (i, j) encodes the map from summand j to
-summand i sending a_j to c_ij * p^max(0, ki-kj) * a_i.  Entry (i, j) is kept
+summand i sending a_j to c_ij * p^max(0, ki-kj) * a_i.  Entry (i, j) is
 reduced mod p^min(ki, kj), so there are exactly p^min(ki,kj) distinct choices
-per cell and prod p^min(ki,kj) endomorphisms in total.
+per cell and prod p^min(ki,kj) endomorphisms in total.  Maps travel as
+(B, n, n) int64 entry batches, and act through their carrier tables
+(table[x] = index of the image of x).
 
 An endomorphism is an automorphism iff its reduction mod p is invertible on
 G/pG; with exponents ascending that reduction is block upper-triangular
 (maps from a strictly lower to a strictly higher exponent pick up a factor of
 p), so the fast test is that every equal-exponent diagonal block has nonzero
-determinant mod p.  Its batch form (`automorphism_flags`) codes each r x r
-block in base p and reads a per-(p, r) table of nonsingular blocks, built once
-by elimination over every block; runs with too many blocks for a table are
-eliminated batch by batch.  The brute-force alternative
-(`is_bijective_by_table`) checks that the induced map on the carrier is a
-permutation; the two must agree, and the verification harness cross-checks
-that they do.
+determinant mod p.  `automorphism_flags` codes each r x r block in base p
+and reads a per-(p, r) table of nonsingular blocks, built once by
+elimination over every block; runs with too many blocks for a table are
+eliminated batch by batch.  The brute-force alternative is the definition:
+an endomorphism is bijective iff its carrier table is a permutation.  The
+two must agree, and the verification harness cross-checks that they do.
 
 The harness does so exhaustively: `endo_table_batches` yields every entry
 matrix of `endo_entry_batches` with its whole carrier table, and
@@ -42,123 +43,30 @@ terms, not n^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .caps import CapExceeded, aut_closure_cap, endo_oracle_cap
-from .core import Carrier, GroupElement, GroupShape, carrier
-
-
-@dataclass(frozen=True, slots=True)
-class EndoMatrix:
-    shape: GroupShape
-    entries: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(c) for c in row) for row in self.entries) + "]"
-
-
-def _scale(shape: GroupShape, i: int, j: int) -> int:
-    ki, kj = shape.exponents[i], shape.exponents[j]
-    return shape.prime ** max(0, ki - kj)
-
-
-def _cell_modulus(shape: GroupShape, i: int, j: int) -> int:
-    return shape.prime ** min(shape.exponents[i], shape.exponents[j])
+from .core import Carrier, GroupShape, carrier
 
 
 def _scales(shape: GroupShape) -> np.ndarray:
-    """The (n, n) matrix of `_scale` factors."""
-    n = shape.rank
-    return np.array(
-        [[_scale(shape, i, j) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
-
-
-def endo(shape: GroupShape, entries: Sequence[Sequence[int]]) -> EndoMatrix:
-    n = shape.rank
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError(f"entries must be {n}x{n} for {shape}")
-    reduced = tuple(
-        tuple(int(entries[i][j]) % _cell_modulus(shape, i, j) for j in range(n))
-        for i in range(n)
-    )
-    return EndoMatrix(shape, reduced)
-
-
-def identity_endo(shape: GroupShape) -> EndoMatrix:
-    n = shape.rank
-    return endo(shape, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def single_entry(shape: GroupShape, i: int, j: int, c: int = 1) -> EndoMatrix:
-    n = shape.rank
-    rows = [[0] * n for _ in range(n)]
-    rows[i][j] = c
-    return endo(shape, rows)
-
-
-def apply(m: EndoMatrix, x: GroupElement) -> GroupElement:
-    shape = m.shape
-    if x.shape != shape:
-        raise ValueError("element does not belong to the matrix's group")
-    p = shape.prime
-    coords = []
-    for i, ki in enumerate(shape.exponents):
-        acc = 0
-        for j, cj in enumerate(x.coords):
-            if cj:
-                acc += m.entries[i][j] * _scale(shape, i, j) * cj
-        coords.append(acc % p ** ki)
-    return GroupElement(shape, tuple(coords))
-
-
-def generator_images(m: EndoMatrix) -> tuple[GroupElement, ...]:
-    """Images of the canonical generators a_1..a_n."""
-    shape = m.shape
-    p = shape.prime
-    images = []
-    for j in range(shape.rank):
-        coords = tuple(
-            m.entries[i][j] * _scale(shape, i, j) % p ** ki
-            for i, ki in enumerate(shape.exponents)
-        )
-        images.append(GroupElement(shape, coords))
-    return tuple(images)
-
-
-def from_generator_images(shape: GroupShape, images: Sequence[GroupElement]) -> EndoMatrix:
-    """Inverse of `generator_images`.
-
-    Requires p^kj * images[j] = 0 (otherwise no endomorphism sends a_j there).
-    """
-    p = shape.prime
-    n = shape.rank
-    if len(images) != n:
-        raise ValueError(f"expected {n} generator images")
-    rows = [[0] * n for _ in range(n)]
-    for j, y in enumerate(images):
-        if y.shape != shape:
-            raise ValueError("image lives in the wrong group")
-        kj = shape.exponents[j]
-        for i, ki in enumerate(shape.exponents):
-            s = _scale(shape, i, j)
-            yi = y.coords[i]
-            if yi % s:
-                raise ValueError(
-                    f"no endomorphism: generator {j} has order p^{kj} but its "
-                    f"assigned image does not"
-                )
-            rows[i][j] = (yi // s) % _cell_modulus(shape, i, j)
-    return EndoMatrix(shape, tuple(tuple(r) for r in rows))
+    """The (n, n) matrix of factors p^max(0, ki - kj): entry c_ij sends a_j to
+    c_ij * p^max(0, ki - kj) * a_i."""
+    exps = np.array(shape.exponents, dtype=np.int64)
+    return shape.prime ** np.maximum(0, exps[:, None] - exps[None, :])
 
 
 def entries_from_images(shape: GroupShape, rows: np.ndarray) -> np.ndarray:
-    """Batch form of `from_generator_images`: (K, n) carrier indices of the
-    images of a_1..a_n in, (K, n, n) entry matrices out."""
+    """(K, n) carrier indices of the images of a_1..a_n in, (K, n, n) entry
+    matrices out.
+
+    Coordinate i of the image of a_j is c_ij * p^max(0, ki - kj), so it must
+    be divisible by that factor (a_j has order p^kj, and its image can have
+    no larger order); the quotient reduced mod p^min(ki, kj) is the entry.
+    """
     n = shape.rank
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -173,50 +81,6 @@ def entries_from_images(shape: GroupShape, rows: np.ndarray) -> np.ndarray:
     return coords // scales % moduli
 
 
-def compose(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
-    """m1 after m2."""
-    if m1.shape != m2.shape:
-        raise ValueError("matrices act on different groups")
-    return from_generator_images(
-        m1.shape, tuple(apply(m1, y) for y in generator_images(m2))
-    )
-
-
-def matrix_add(m1: EndoMatrix, m2: EndoMatrix) -> EndoMatrix:
-    if m1.shape != m2.shape:
-        raise ValueError("matrices act on different groups")
-    n = m1.shape.rank
-    return endo(
-        m1.shape,
-        [[m1.entries[i][j] + m2.entries[i][j] for j in range(n)] for i in range(n)],
-    )
-
-
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    rows = [[a % p for a in row] for row in rows]
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivval = rows[col][col]
-        det = det * pivval % p
-        inv = pow(pivval, -1, p)
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
-
-
 def _equal_exponent_runs(shape: GroupShape) -> list[range]:
     runs = []
     start = 0
@@ -228,22 +92,12 @@ def _equal_exponent_runs(shape: GroupShape) -> list[range]:
     return runs
 
 
-def is_automorphism(m: EndoMatrix) -> bool:
-    """Fast invertibility test via equal-exponent diagonal blocks mod p."""
-    p = m.shape.prime
-    for run in _equal_exponent_runs(m.shape):
-        block = [[m.entries[i][j] for j in run] for i in run]
-        if _det_mod_p(block, p) == 0:
-            return False
-    return True
-
-
 # ---- carrier-level induced maps ---------------------------------------------------
 
 
 def _induced_tables(car: Carrier, entries: np.ndarray) -> np.ndarray:
-    """Table kernel behind `induced_table` and `induced_tables_batch`: one
-    carrier table per matrix in a (B, n, n) entry batch."""
+    """Table kernel behind `induced_tables_batch`: one carrier table per
+    matrix in a (B, n, n) entry batch."""
     shape = car.shape
     n = shape.rank
     if n == 0:
@@ -259,21 +113,6 @@ def _induced_tables(car: Carrier, entries: np.ndarray) -> np.ndarray:
     return np.einsum("bix,i->bx", imgs, strides)
 
 
-def induced_table(m: EndoMatrix, car: Carrier | None = None) -> np.ndarray:
-    """Dense table of the induced map on the carrier: out[i] = index of m(x_i)."""
-    if car is None:
-        car = carrier(m.shape)
-    return _induced_tables(car, np.array([m.entries], dtype=np.int64))[0]
-
-
-def is_bijective_by_table(m: EndoMatrix) -> bool:
-    """Brute-force bijectivity: the induced carrier map is a permutation."""
-    table = induced_table(m)
-    seen = np.zeros(table.shape[0], dtype=bool)
-    seen[table] = True
-    return bool(seen.all())
-
-
 # ---- exhaustive enumeration and generators ----------------------------------------
 
 
@@ -287,14 +126,12 @@ def endo_count(shape: GroupShape) -> int:
 
 
 def _cell_places(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
-    """(moduli, place): the (n, n) cell moduli and the row-major mixed-radix
-    place values of the cells, so that an endomorphism's index in
-    `endo_entry_batches` is sum(entries * place)."""
+    """(moduli, place): the (n, n) cell moduli p^min(ki, kj) and the
+    row-major mixed-radix place values of the cells, so that an
+    endomorphism's index in `endo_entry_batches` is sum(entries * place)."""
     n = shape.rank
-    moduli = np.array(
-        [[_cell_modulus(shape, i, j) for j in range(n)] for i in range(n)],
-        dtype=np.int64,
-    )
+    exps = np.array(shape.exponents, dtype=np.int64)
+    moduli = shape.prime ** np.minimum(exps[:, None], exps[None, :])
     # the last cell varies fastest
     place = np.ones(n * n, dtype=np.int64)
     place[:-1] = np.cumprod(moduli.ravel()[::-1])[::-1][1:]
@@ -383,9 +220,11 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     """Induced carrier tables, one int32 row per matrix in a (B, n, n) entry
     batch.
 
-    Row b equals `induced_table(endo(shape, entries[b]))`.  Rows are summed
-    from the shape's cached per-row tables (`_row_tables`), n gathers per
-    batch; a shape above the row-table budget goes through `_induced_tables`.
+    Row b is the table of entries[b], entries taken mod their cell moduli:
+    row[x] is the index of sum_ij entries[b, i, j] * p^max(0, ki - kj) *
+    x_j * a_i.  Rows are summed from the shape's cached per-row tables
+    (`_row_tables`), n gathers per batch; a shape above the row-table budget
+    goes through `_induced_tables`.
     """
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
@@ -495,7 +334,8 @@ def _nonsingular_blocks(p: int, r: int) -> np.ndarray:
 
 
 def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
-    """`is_automorphism` over a (B, n, n) entry batch, same block criterion.
+    """Automorphism flags of a (B, n, n) entry batch: every equal-exponent
+    diagonal block must be nonsingular mod p.
 
     Each equal-exponent run's blocks are coded in base p and looked up in
     `_nonsingular_blocks`; a run above `_BLOCK_TABLE_LIMIT` goes through
@@ -512,17 +352,6 @@ def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
             codes = (block % p).reshape(-1, r * r) @ _block_places(p, r)
             flags &= _nonsingular_blocks(p, r)[codes]
     return flags
-
-
-def stability_test_set(shape: GroupShape) -> list[EndoMatrix]:
-    """The n^2 single-entry maps E_ij (including the projections E_ii).
-
-    A subset closed under addition is stable under every endomorphism iff it
-    is stable under these: any matrix is an entrywise sum of multiples of the
-    E_ij, and stability under a map passes to its integer multiples and sums.
-    """
-    n = shape.rank
-    return [single_entry(shape, i, j) for i in range(n) for j in range(n)]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -562,8 +391,14 @@ def _unit_generators(p: int, k: int) -> list[int]:
 
 
 def _aut_generator_entries(shape: GroupShape) -> np.ndarray:
-    """The entries of `aut_generators(shape)`, as one (G, n, n) int64 array:
-    identity matrices with the cells of each generator changed."""
+    """A generating set for Aut(G), as one (G, n, n) int64 entry array of
+    identity matrices with the cells of each generator changed.
+
+    Three families: unipotent transvections I + E_ij for i != j, adjacent
+    transpositions of equal-exponent summands, and diagonal unit
+    multiplications on single summands.  Transvections come first; they are
+    the maps that kill most non-characteristic subgroups fastest.
+    """
     n = shape.rank
     exps = shape.exponents
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -577,20 +412,6 @@ def _aut_generator_entries(shape: GroupShape) -> np.ndarray:
     for k, (i, u) in enumerate(units, start=len(off) + len(swaps)):
         ents[k, i, i] = u
     return ents % _cell_places(shape)[0]
-
-
-@lru_cache(maxsize=256)
-def aut_generators(shape: GroupShape) -> tuple[EndoMatrix, ...]:
-    """A generating set for Aut(G).
-
-    Three families: unipotent transvections I + E_ij for i != j, adjacent
-    transpositions of equal-exponent summands, and diagonal unit
-    multiplications on single summands.  Transvections come first; they are
-    the maps that kill most non-characteristic subgroups fastest.
-    """
-    return tuple(
-        EndoMatrix(shape, tuple(map(tuple, m))) for m in _aut_generator_entries(shape).tolist()
-    )
 
 
 def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
@@ -630,14 +451,21 @@ def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
 # shape it has passed through
 @lru_cache(maxsize=8)
 def aut_generator_tables(shape: GroupShape) -> np.ndarray:
-    """Carrier tables of `aut_generators(shape)`, one int32 row per generator."""
+    """Carrier tables of the Aut(G) generators of `_aut_generator_entries`
+    (transvections, then equal-exponent transpositions, then unit
+    multiples), one int32 row per generator."""
     return _generator_tables(shape, _aut_generator_entries(shape))
 
 
 @lru_cache(maxsize=8)
 def stability_test_tables(shape: GroupShape) -> np.ndarray:
-    """Carrier tables of `stability_test_set(shape)`, one int32 row per map,
-    built from the single-entry matrices directly."""
+    """Carrier tables of the n^2 single-entry maps E_ij (the projections E_ii
+    included), one int32 row per map, in row-major (i, j) order.
+
+    A subset closed under addition is stable under every endomorphism iff it
+    is stable under these: any matrix is an entrywise sum of multiples of the
+    E_ij, and stability under a map passes to its integer multiples and sums.
+    """
     n = shape.rank
     ents = np.zeros((n * n, n, n), dtype=np.int64)
     ents.reshape(n * n, n * n)[np.arange(n * n), np.arange(n * n)] = 1
@@ -659,7 +487,7 @@ def _rank_lookup(shape: GroupShape) -> np.ndarray:
 
 
 def aut_closure_tables(shape: GroupShape) -> np.ndarray:
-    """Close `aut_generators` under composition, in generator-image space.
+    """Close the Aut(G) generators under composition, in generator-image space.
 
     An automorphism is fixed by where it sends the canonical generators, so
     the result is a (K, n) integer array with K = |Aut(G)|: row k, column j is
@@ -710,19 +538,10 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
     return np.concatenate(found)
 
 
-def random_endo(shape: GroupShape, rng: np.random.Generator) -> EndoMatrix:
-    """One uniformly random endomorphism; the scalar form of `random_endo_entries`."""
-    n = shape.rank
-    entries = tuple(
-        tuple(int(rng.integers(0, _cell_modulus(shape, i, j))) for j in range(n))
-        for i in range(n)
-    )
-    return EndoMatrix(shape, entries)
-
-
 def random_endo_entries(shape: GroupShape, rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` uniformly random entry matrices as one (count, n, n) int64
-    array, drawn in one call: the same matrices, from the same stream, as
-    `count` successive `random_endo(shape, rng)` calls."""
+    array, drawn in one call: cell (i, j) of each matrix is uniform in
+    0..p^min(ki, kj) - 1, and the cells are drawn in row-major order, matrix
+    after matrix, as `count * n * n` successive per-cell draws would be."""
     n = shape.rank
     return rng.integers(0, _cell_places(shape)[0], size=(count, n, n))

@@ -410,16 +410,24 @@ def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutco
 
 
 def _check_slice_sums(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
+    chars = characteristic_from_orbits(shape)
+    return _slice_sum_outcome(shape, chars, {h.mask for h in chars})
+
+
+def _slice_sum_outcome(shape: GroupShape, subgroups, char_masks: set[int]) -> CheckOutcome:
+    """lemma-2.17 for each of `subgroups`: over every split, the sum of its
+    slice intersections and the sum of its slice projections are
+    characteristic.  Both sums are subgroups, and `char_masks` is the whole
+    characteristic lattice, so each verdict is one set look-up."""
     out = CheckOutcome()
     n = shape.rank
-    chars = characteristic_from_orbits(shape)
-    masks = [h.mask for h in chars]
+    masks = [h.mask for h in subgroups]
     member = masks_to_bool(masks, carrier(shape).n)
-    gens = aut_generator_tables(shape)
     decompositions = _splits(n)
     singletons = tuple((i,) for i in range(n))
     if singletons not in decompositions:
         decompositions = decompositions + [singletons]
+    labels = ("sum of intersections", "sum of projections")
     for parts in decompositions:
         # G is the direct sum of the parts, so x lies in a sum of K_j (K_j
         # supported on part j) iff pi_j(x) lies in K_j for every j; and
@@ -431,13 +439,10 @@ def _check_slice_sums(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
             projected = masks_to_bool(project_masks(shape, masks, pos), len(table))
             inter &= member[:, table]
             proj &= projected[:, table]
-        flags = [
-            stable_flags(shape, [mask_from_bool(row) for row in rows], gens)
-            for rows in (inter, proj)
-        ]
-        for i, h in enumerate(chars):
-            for label, char in zip(("sum of intersections", "sum of projections"), flags):
-                if not char[i]:
+        sums = [[mask_from_bool(row) for row in rows] for rows in (inter, proj)]
+        for i, h in enumerate(subgroups):
+            for label, found in zip(labels, sums):
+                if found[i] not in char_masks:
                     out.violations.append(
                         _violation(
                             shape,

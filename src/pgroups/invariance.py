@@ -236,17 +236,6 @@ def layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
     return mask_from_bool(table == np.arange(len(table)))
 
 
-def layer_subgroup(shape: GroupShape, k: int, n: int = 0) -> Subgroup:
-    """p^n B_k where B_k is the homocyclic layer of exponent k."""
-    positions = layer_positions(shape, k)
-    if not positions:
-        raise ValueError(f"{shape} has no summand of exponent {k}")
-    mask = layer_mask(shape, positions)
-    if n:
-        mask &= carrier(shape).socle_mask(max(k - n, 0))
-    return Subgroup(shape, mask)
-
-
 def project_masks(shape: GroupShape, masks: list[int], positions: tuple[int, ...]) -> list[int]:
     """Image of each mask under the projection onto `positions`, as masks of G."""
     table = projection_table(shape, positions)

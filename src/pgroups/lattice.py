@@ -150,45 +150,10 @@ def span(shape: GroupShape, elements: Iterable[GroupElement]) -> Subgroup:
     return Subgroup(shape, _span_mask(car, idxs))
 
 
-def trivial_subgroup(shape: GroupShape) -> Subgroup:
-    return Subgroup(shape, 1)
-
-
-def full_subgroup(shape: GroupShape) -> Subgroup:
-    return Subgroup(shape, carrier(shape).full_mask)
-
-
-def power_subgroup(shape: GroupShape, n: int) -> Subgroup:
-    """p^nG."""
-    return Subgroup(shape, carrier(shape).power_mask(n))
-
-
-def socle(shape: GroupShape, m: int = 1) -> Subgroup:
-    """G[p^m], the kernel of multiplication by p^m."""
-    return Subgroup(shape, carrier(shape).socle_mask(m))
-
-
-def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    if h1.shape != h2.shape:
-        raise ValueError("subgroups of different groups")
-    return Subgroup(h1.shape, h1.mask & h2.mask)
-
-
-def subgroup_sum(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    if h1.shape != h2.shape:
-        raise ValueError("subgroups of different groups")
-    car = carrier(h1.shape)
-    return Subgroup(h1.shape, _span_mask(car, mask_to_indices(h2.mask), base=h1.mask))
-
-
 def subgroup_contains(outer: Subgroup, inner: Subgroup) -> bool:
     if outer.shape != inner.shape:
         raise ValueError("subgroups of different groups")
     return inner.mask & ~outer.mask == 0
-
-
-def subgroup_equal(h1: Subgroup, h2: Subgroup) -> bool:
-    return h1.shape == h2.shape and h1.mask == h2.mask
 
 
 def _canonical_generators(h: Subgroup) -> tuple[GroupElement, ...]:

@@ -7,12 +7,14 @@ to disagree with.
 """
 
 from collections import Counter
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
 
 from pgroups.core import GroupShape, carrier
-from pgroups.endos import _unit_generators, aut_generators, endo, induced_table
+from pgroups.endos import _unit_generators
 
 
 def dumb_radices(shape: GroupShape) -> list[int]:
@@ -99,22 +101,31 @@ def closed_subset_masks(shape: GroupShape) -> set[int]:
 
 
 def dumb_endo_table(shape: GroupShape, entries) -> list[int]:
-    """Image index for every element under the matrix, coordinate by coordinate."""
+    """Image index for every element under the matrix, coordinate by coordinate:
+    image coordinate i is sum_j e_ij * p^max(0, ki - kj) * x_j mod p^ki."""
     p = shape.prime
     exps = shape.exponents
-    n = shape.order
-    rank = shape.rank
-    table = []
-    for idx in range(n):
-        coords = dumb_coords(shape, idx)
-        image = []
-        for i in range(rank):
-            total = 0
-            for j in range(rank):
-                total += entries[i][j] * p ** max(0, exps[i] - exps[j]) * coords[j]
-            image.append(total % p ** exps[i])
-        table.append(dumb_index(shape, image))
-    return table
+    radices = dumb_radices(shape)
+    strides = [1]
+    for r in radices[:-1]:
+        strides.append(strides[-1] * r)
+    weights = [
+        [e * p ** max(0, ki - kj) for e, kj in zip(row, exps)] for row, ki in zip(entries, exps)
+    ]
+    return [
+        sum(
+            sum(map(mul, row, coords)) % r * stride
+            for row, r, stride in zip(weights, radices, strides)
+        )
+        for coords in _dumb_all_coords(shape)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _dumb_all_coords(shape: GroupShape) -> tuple:
+    """`dumb_coords` of every index, once per shape: the endomorphism scans
+    ask for the same coordinates once per matrix."""
+    return tuple(tuple(dumb_coords(shape, idx)) for idx in range(shape.order))
 
 
 def dumb_endo_entries(shape: GroupShape):
@@ -211,8 +222,8 @@ def endo_oracle_shapes():
 
 
 def dumb_aut_generators(shape: GroupShape) -> list:
-    """The generating set of `aut_generators`, built matrix by matrix through
-    `endo`: transvections, adjacent equal-exponent transpositions, then unit
+    """The Aut(G) generating set, as raw entry lists built matrix by matrix:
+    transvections, adjacent equal-exponent transpositions, then unit
     multiples, each an edited copy of the identity."""
     n = shape.rank
     gens = []
@@ -223,27 +234,27 @@ def dumb_aut_generators(shape: GroupShape) -> list:
                 continue
             rows = [row[:] for row in ident]
             rows[i][j] = 1
-            gens.append(endo(shape, rows))
+            gens.append(rows)
     for i in range(n - 1):
         if shape.exponents[i] == shape.exponents[i + 1]:
             rows = [row[:] for row in ident]
             rows[i][i] = rows[i + 1][i + 1] = 0
             rows[i][i + 1] = rows[i + 1][i] = 1
-            gens.append(endo(shape, rows))
+            gens.append(rows)
     for i in range(n):
         for u in _unit_generators(shape.prime, shape.exponents[i]):
             rows = [row[:] for row in ident]
             rows[i][i] = u
-            gens.append(endo(shape, rows))
+            gens.append(rows)
     return gens
 
 
 def dumb_aut_closure(shape: GroupShape) -> list:
     """Close the automorphism generators under composition as whole carrier
-    tables, keyed by the images of the canonical generators: the plain
-    table BFS that `aut_closure_tables` replaced."""
+    tables, keyed by the images of the canonical generators: a plain table
+    BFS over the `dumb_endo_table` tables of `dumb_aut_generators`."""
     car = carrier(shape)
-    gen_tables = [induced_table(g, car) for g in aut_generators(shape)]
+    gen_tables = [np.array(dumb_endo_table(shape, g)) for g in dumb_aut_generators(shape)]
 
     def key_of(table) -> tuple:
         return tuple(int(table[s]) for s in car.strides)

@@ -27,3 +27,20 @@ def test_all_names_resolve_and_are_listed_once():
         assert hasattr(pgroups, name), name
     # the top level stays what the CLI, the demos and the README examples use
     assert len(names) <= 30
+
+
+def test_every_public_function_or_class_has_a_caller_or_is_exported():
+    # code that no path needs is deleted, not kept alive by its tests
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    reads = [(getattr(n, "id", None) or getattr(n, "attr", None), n) for n in nodes]
+    orphans = []
+    for module in ("endos", "lattice", "invariance"):
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = set(map(id, ast.walk(node)))
+                if node.name not in pgroups.__all__ and not any(
+                    name == node.name and id(n) not in own for name, n in reads
+                ):
+                    orphans.append(f"{module}.{node.name}")
+    assert orphans == []

@@ -11,7 +11,7 @@ from pgroups.classify import (
 from pgroups.core import format_shape, make_shape
 from pgroups.harness import build_corpus
 from pgroups.invariance import enumerate_characteristic, enumerate_fully_invariant
-from pgroups.lattice import enumerate_subgroups, trivial_subgroup
+from pgroups.lattice import Subgroup, enumerate_subgroups
 
 # (ifi, ic, strongly_ifi, strongly_ic, weakly, criterion, char_eq_fi)
 VERDICTS = {
@@ -142,5 +142,5 @@ def test_weakly_ic_false_across_small_corpora():
 
 
 def test_subgroup_descriptor_of_trivial():
-    d = subgroup_descriptor(trivial_subgroup(make_shape(2, [1, 2])))
+    d = subgroup_descriptor(Subgroup(make_shape(2, [1, 2]), 1))
     assert d == {"order": 1, "generators": [], "iso_type": None}

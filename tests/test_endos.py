@@ -1,10 +1,10 @@
-"""Endomorphism matrices, induced tables, automorphism machinery.
+"""Entry batches, induced tables, automorphism machinery.
 
 Oracles: `dumb_endo_table` maps every element coordinate-wise in pure Python;
-bijectivity by table is the ground truth for the fast invertibility test; the
-closure of the generator set, as generator-image rows, is compared against
-filtering the exhaustive endomorphism enumeration and against the whole-table
-closure `dumb_aut_closure`.
+a `dumb_endo_table` row being a permutation is the ground truth for the fast
+invertibility test; the closure of the generator set, as generator-image
+rows, is compared against filtering the exhaustive endomorphism enumeration
+and against the whole-table closure `dumb_aut_closure`.
 """
 
 import itertools
@@ -20,34 +20,22 @@ from conftest import (
     dumb_aut_generators,
     dumb_endo_entries,
     dumb_endo_table,
+    dumb_index,
     mask_members,
 )
 from pgroups.caps import CapExceeded, endo_oracle_cap
-from pgroups.core import carrier, element, make_shape
+from pgroups.core import carrier, make_shape
 from pgroups.endos import (
-    apply,
     aut_closure_tables,
     aut_generator_tables,
-    aut_generators,
     automorphism_flags,
     bijective_flags_by_table,
-    compose,
-    endo,
     endo_count,
     endo_entry_batches,
     endo_table_batches,
     entries_from_images,
-    from_generator_images,
-    generator_images,
-    identity_endo,
-    induced_table,
     induced_tables_batch,
-    is_automorphism,
-    is_bijective_by_table,
-    matrix_add,
-    random_endo,
-    single_entry,
-    stability_test_set,
+    random_endo_entries,
     stability_test_tables,
 )
 from pgroups.harness import build_corpus
@@ -66,94 +54,64 @@ KNOWN_AUT_ORDERS = {
 }
 
 
-def test_entries_reduced_mod_cell_modulus():
-    s = make_shape(2, [1, 3])
-    m = endo(s, [[5, 9], [7, 11]])
-    # cell modulus is p^min(ki,kj)
-    assert m.entries == ((1, 1), (1, 3))
-
-
-def test_entry_shape_validation():
-    s = make_shape(2, [1, 1])
-    with pytest.raises(ValueError):
-        endo(s, [[1, 0]])
-
-
-def _all_endos(s):
-    for ents in endo_entry_batches(s):
-        for mat in ents.tolist():
-            yield endo(s, mat)
-
-
-def test_apply_matches_dumb_formula():
-    s = make_shape(2, [1, 3])
-    car = carrier(s)
-    for m in _all_endos(s):
-        table = dumb_endo_table(s, m.entries)
-        for idx in range(car.n):
-            x = car.element_at(idx)
-            assert car.index_of_element(apply(m, x)) == table[idx]
+def _dumb_bijective(s, entries):
+    """Ground truth: the pure-Python table of each matrix is a permutation."""
+    return [len(set(dumb_endo_table(s, m))) == s.order for m in np.asarray(entries).tolist()]
 
 
 def test_induced_table_matches_dumb_table(endo_oracle_shapes):
     rng = np.random.default_rng(7)
     for s in endo_oracle_shapes:
-        car = carrier(s)
-        for _ in range(25):
-            m = random_endo(s, rng)
-            assert induced_table(m, car).tolist() == dumb_endo_table(s, m.entries)
+        ents = random_endo_entries(s, rng, 25)
+        got = induced_tables_batch(s, ents).tolist()
+        assert got == [dumb_endo_table(s, m) for m in ents.tolist()]
 
 
 def test_compose_and_add_match_tables():
     s = make_shape(2, [1, 2])
     car = carrier(s)
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        m1 = random_endo(s, rng)
-        m2 = random_endo(s, rng)
-        t1, t2 = induced_table(m1, car), induced_table(m2, car)
-        # compose(m1, m2) acts as m1 after m2
-        assert induced_table(compose(m1, m2), car).tolist() == t1[t2].tolist()
-        added = induced_table(matrix_add(m1, m2), car)
-        for idx in range(car.n):
-            want = car.add_row(int(t1[idx]))[int(t2[idx])]
-            assert int(added[idx]) == want
-
-
-def test_generator_images_roundtrip(endo_oracle_shapes):
-    rng = np.random.default_rng(11)
-    for s in endo_oracle_shapes:
-        for _ in range(10):
-            m = random_endo(s, rng)
-            assert from_generator_images(s, generator_images(m)) == m
+    e1, e2 = random_endo_entries(s, rng, 40), random_endo_entries(s, rng, 40)
+    t1, t2 = induced_tables_batch(s, e1), induced_tables_batch(s, e2)
+    # m1 after m2 is the endomorphism with the composed generator images,
+    # read at the strides (where a_1..a_n sit)
+    composed = np.take_along_axis(t1, t2, axis=1)
+    images = composed[:, list(car.strides)]
+    assert np.array_equal(induced_tables_batch(s, entries_from_images(s, images)), composed)
+    # the entrywise sum acts as the pointwise sum of the images
+    added = induced_tables_batch(s, e1 + e2)
+    for row, r1, r2 in zip(added.tolist(), t1.tolist(), t2.tolist()):
+        assert row == [car.add_row(a)[b] for a, b in zip(r1, r2)]
 
 
 def test_identity_and_single_entry():
     s = make_shape(2, [1, 2])
     car = carrier(s)
-    assert induced_table(identity_endo(s), car).tolist() == list(range(car.n))
-    m = single_entry(s, 1, 0)
+    identity = induced_tables_batch(s, np.eye(2, dtype=np.int64)[None])
+    assert identity[0].tolist() == list(range(car.n))
+    # single-entry tables run in row-major (i, j) order; E_10 is the third
+    e10 = stability_test_tables(s)[1 * s.rank + 0]
     # maps a_0 to p^(2-1) a_1 and kills a_1
-    img = apply(m, element(s, (1, 0)))
-    assert img.coords == (0, 2)
-    assert apply(m, element(s, (0, 1))).coords == (0, 0)
+    assert car.element_at(int(e10[car.index_of((1, 0))])).coords == (0, 2)
+    assert int(e10[car.index_of((0, 1))]) == 0
 
 
 def test_fast_automorphism_test_vs_bijectivity(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        car = carrier(s)
-        for m in _all_endos(s):
-            table = induced_table(m, car)
-            bij = len(set(table.tolist())) == car.n
-            assert is_automorphism(m) == bij
-            assert is_bijective_by_table(m) == bij
+        bij = [len(set(t)) == s.order for t in all_dumb_endo_tables(s)]
+        fast, by_table = [], []
+        for ents, tables in endo_table_batches(s):
+            fast.extend(automorphism_flags(s, ents).tolist())
+            by_table.extend(bijective_flags_by_table(tables).tolist())
+        assert fast == bij
+        assert by_table == bij
 
 
 def test_generators_are_automorphisms(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        for g in aut_generators(s):
-            assert is_automorphism(g)
-            assert is_bijective_by_table(g)
+        assert automorphism_flags(s, endos_mod._aut_generator_entries(s)).all()
+        assert bijective_flags_by_table(aut_generator_tables(s)).all()
+        assert all(_dumb_bijective(s, dumb_aut_generators(s)))
 
 
 def test_closure_equals_filtered_enumeration(endo_oracle_shapes):
@@ -204,24 +162,19 @@ def test_closure_rows_match_table_closure():
 
 def test_entries_from_images_matches_scalar_inverse(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        car = carrier(s)
-        for ents in endo_entry_batches(s, batch_size=64):
-            rows = np.array(
-                [
-                    [car.index_of_element(y) for y in generator_images(endo(s, e))]
-                    for e in ents.tolist()
-                ]
-            )
-            batch = entries_from_images(s, rows)
-            assert batch.shape == ents.shape
-            for got, images in zip(batch.tolist(), rows.tolist()):
-                expected = from_generator_images(s, [car.element_at(i) for i in images])
-                assert tuple(map(tuple, got)) == expected.entries
-            assert np.array_equal(batch, ents)
+        entries = list(dumb_endo_entries(s))
+        p, exps, n = s.prime, s.exponents, s.rank
+        # coordinate i of the image of a_j is e_ij * p^max(0, ki - kj)
+        rows = np.array([
+            [dumb_index(s, [e[i][j] * p ** max(0, exps[i] - exps[j]) for i in range(n)])
+             for j in range(n)]
+            for e in entries
+        ])
+        assert entries_from_images(s, rows).tolist() == entries
     s = make_shape(2, [1, 2])
     with pytest.raises(ValueError, match="no endomorphism"):
         entries_from_images(s, np.array([[carrier(s).strides[1], 0]]))  # a_1 -> a_2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="image array"):
         entries_from_images(s, np.zeros((3, 3), dtype=np.int64))
 
 
@@ -235,8 +188,7 @@ def test_stability_test_set_is_complete():
     # stable under the n^2 single-entry maps iff stable under every endo
     for s in [make_shape(2, [1, 2]), make_shape(2, [2, 2]), make_shape(3, [1, 1]),
               make_shape(2, [1, 1, 2])]:
-        car = carrier(s)
-        test_rows = [induced_table(m, car).tolist() for m in stability_test_set(s)]
+        test_rows = stability_test_tables(s).tolist()
         all_tables = all_dumb_endo_tables(s)
 
         def stable(mask, rows):
@@ -250,7 +202,7 @@ def test_stability_test_set_is_complete():
 
 def test_endo_count_matches_enumeration(endo_oracle_shapes):
     for s in endo_oracle_shapes:
-        endos = list(_all_endos(s))
+        endos = [tuple(m.ravel()) for ents in endo_entry_batches(s) for m in ents]
         assert len(endos) == endo_count(s)
         assert len(set(endos)) == len(endos)
 
@@ -263,13 +215,13 @@ def test_aut_closure_cap(monkeypatch):
 
 def test_random_endo_is_seeded_and_valid():
     s = make_shape(2, [1, 1, 2])
-    a = [random_endo(s, np.random.default_rng(5)) for _ in range(20)]
-    b = [random_endo(s, np.random.default_rng(5)) for _ in range(20)]
-    assert a == b
-    for m in a:
+    a = random_endo_entries(s, np.random.default_rng(5), 20)
+    b = random_endo_entries(s, np.random.default_rng(5), 20)
+    assert np.array_equal(a, b)
+    for m in a.tolist():
         for i in range(s.rank):
             for j in range(s.rank):
-                assert 0 <= m.entries[i][j] < 2 ** min(s.exponents[i], s.exponents[j])
+                assert 0 <= m[i][j] < 2 ** min(s.exponents[i], s.exponents[j])
 
 
 # ---- batched oracle routes ---------------------------------------------------------
@@ -292,12 +244,9 @@ def test_entry_batches_cap(monkeypatch):
 
 def test_induced_tables_batch_matches_scalar():
     for s in [make_shape(2, [1, 2]), make_shape(2, [1, 1, 2]), make_shape(3, [1, 2])]:
-        car = carrier(s)
         for ents in endo_entry_batches(s, batch_size=64):
             tables = induced_tables_batch(s, ents)
-            for mat, row in zip(ents, tables):
-                m = endo(s, mat.tolist())
-                assert row.tolist() == induced_table(m, car).tolist()
+            assert tables.tolist() == [dumb_endo_table(s, m) for m in ents.tolist()]
             break  # first batch is plenty per shape
 
 
@@ -315,7 +264,7 @@ def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
         for ents in endo_entry_batches(s):
             want = endos_mod._induced_tables(car, ents)
             assert np.array_equal(induced_tables_batch(s, ents), want)
-        # unreduced and negative entries reduce like `endo` does
+        # unreduced and negative entries reduce mod their cell moduli
         wild = rng.integers(-500, 500, size=(200, s.rank, s.rank))
         want = endos_mod._induced_tables(car, wild)
         assert np.array_equal(induced_tables_batch(s, wild), want)
@@ -415,22 +364,27 @@ def test_table_batches_fall_back_on_rank_1_and_over_the_row_table_budget():
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
     for s in endo_oracle_shapes[:4]:
         for ents in endo_entry_batches(s):
-            tables = induced_tables_batch(s, ents)
-            flags = bijective_flags_by_table(tables)
-            scalar = [is_bijective_by_table(endo(s, m.tolist())) for m in ents]
-            assert flags.tolist() == scalar
+            flags = bijective_flags_by_table(induced_tables_batch(s, ents))
+            assert flags.tolist() == _dumb_bijective(s, ents)
 
 
 def test_automorphism_flags_match_scalar(endo_oracle_shapes):
-    # ties the batched block-determinant criterion to the per-matrix one
+    # ties the batched block-determinant criterion to the definition
     for s in endo_oracle_shapes:
         for ents in endo_entry_batches(s):
-            flags = automorphism_flags(s, ents)
-            scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
-            assert flags.tolist() == scalar
+            assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
+
+
+def _row_space_size(rows, p):
+    """Number of vectors in the span of `rows` over F_p, by listing it."""
+    span = {(0,) * len(rows)}
+    for row in rows:
+        span = {tuple((a + c * b) % p for a, b in zip(v, row)) for v in span for c in range(p)}
+    return len(span)
 
 
 def test_block_tables_match_scalar_determinants():
+    # an r x r block mod p is nonsingular iff its rows span all p^r vectors
     checked = []
     for p in (2, 3, 5, 7):
         r = 1
@@ -440,9 +394,9 @@ def test_block_tables_match_scalar_determinants():
             blocks = list(itertools.product(range(p), repeat=r * r))
             assert len(table) == len(blocks) and not table.flags.writeable
             for flat in blocks:
-                rows = [list(flat[k * r : (k + 1) * r]) for k in range(r)]
+                rows = [flat[k * r : (k + 1) * r] for k in range(r)]
                 code = int(np.dot(flat, places))
-                assert table[code] == (endos_mod._det_mod_p(rows, p) != 0)
+                assert table[code] == (_row_space_size(rows, p) == p ** r)
             checked.append((p, r))
             r += 1
     assert checked == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
@@ -456,12 +410,12 @@ def test_automorphism_flags_above_the_block_table_budget():
     batches = list(endo_entry_batches(s))
     for k in sorted(rng.choice(len(batches), size=3, replace=False)):
         ents = batches[k]
-        scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
-        assert automorphism_flags(s, ents).tolist() == scalar
+        assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
 
 
 def test_automorphism_flags_on_unreduced_and_negative_entries():
-    # runs under and over the block-table budget alike reduce like `endo`
+    # runs under and over the block-table budget alike reduce entries mod
+    # their cell moduli
     rng = np.random.default_rng(5)
     shapes = [
         make_shape(2, [1, 1, 1, 1]),
@@ -472,9 +426,9 @@ def test_automorphism_flags_on_unreduced_and_negative_entries():
     ]
     for s in shapes:
         ents = rng.integers(-500, 500, size=(300, s.rank, s.rank))
-        scalar = [is_automorphism(endo(s, m.tolist())) for m in ents]
-        assert any(scalar) and not all(scalar)
-        assert automorphism_flags(s, ents).tolist() == scalar
+        bij = _dumb_bijective(s, ents)
+        assert any(bij) and not all(bij)
+        assert automorphism_flags(s, ents).tolist() == bij
 
 
 def test_generator_tables_match_induced_tables():
@@ -485,14 +439,16 @@ def test_generator_tables_match_induced_tables():
         make_shape(2, [1] * 10),
     ]
     for s in shapes:
-        car = carrier(s)
-        for tables, maps in [
-            (aut_generator_tables(s), aut_generators(s)),
-            (stability_test_tables(s), stability_test_set(s)),
+        n = s.rank
+        single = np.eye(n * n, dtype=np.int64).reshape(n * n, n, n)
+        for tables, ents in [
+            (aut_generator_tables(s), endos_mod._aut_generator_entries(s)),
+            (stability_test_tables(s), single),
         ]:
-            want = np.stack([induced_table(m, car) for m in maps])
             assert tables.dtype == np.int32
-            assert np.array_equal(tables, want), s
+            # the einsum kernel, pinned to `induced_tables_batch` and to
+            # `dumb_endo_table` above, builds no per-row tables for each shape
+            assert np.array_equal(tables, endos_mod._induced_tables(carrier(s), ents)), s
 
 
 def test_generator_entries_match_scalar_construction():
@@ -502,6 +458,4 @@ def test_generator_entries_match_scalar_construction():
         *build_corpus(5, 625).shapes,
     ]
     for s in shapes:
-        assert [g.entries for g in aut_generators(s)] == [
-            g.entries for g in dumb_aut_generators(s)
-        ], s
+        assert endos_mod._aut_generator_entries(s).tolist() == dumb_aut_generators(s), s

@@ -27,7 +27,7 @@ from pgroups.harness import (
     verify_claim,
 )
 from pgroups.invariance import is_characteristic, stable_flags
-from pgroups.lattice import Subgroup, enumerate_subgroups, subgroup_sum
+from pgroups.lattice import Subgroup, enumerate_subgroups, span
 
 
 def test_corpus_contents_and_order():
@@ -296,9 +296,14 @@ def test_sampled_endos_are_the_scalar_draws():
         batch_rng = np.random.default_rng(_shape_seed(s))
         scalar_rng = np.random.default_rng(_shape_seed(s))
         got = endos_mod.random_endo_entries(s, batch_rng, n_sampled)
-        want = [endos_mod.random_endo(s, scalar_rng).entries for _ in range(n_sampled)]
+        # one draw per cell, row-major, matrix after matrix
+        moduli = [[s.prime ** min(ki, kj) for kj in s.exponents] for ki in s.exponents]
+        want = [
+            [[int(scalar_rng.integers(0, m)) for m in row] for row in moduli]
+            for _ in range(n_sampled)
+        ]
         assert got.shape == (n_sampled, s.rank, s.rank)
-        assert got.tolist() == [list(map(list, m)) for m in want], s
+        assert got.tolist() == want, s
         # the same stream: both generators stand at the same place afterwards
         assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state, s
 
@@ -407,10 +412,8 @@ def _reference_slice_sums(store, shape):
                 "sum of projections": [sum(1 << x for x in image) for image in images],
             }
             for label, masks in pieces.items():
-                total = Subgroup(shape, masks[0])
-                for mask in masks[1:]:
-                    total = subgroup_sum(total, Subgroup(shape, mask))
-                if not is_characteristic(total):
+                members = [x for mask in masks for x in car.elements_of(mask)]
+                if not is_characteristic(span(shape, members)):
                     out.violations.append(harness_mod._violation(
                         shape, parts=[list(p) for p in parts],
                         subgroup=harness_mod.subgroup_descriptor(h), combination=label,
@@ -424,11 +427,23 @@ def _reference_slice_sums(store, shape):
 )
 def test_split_claims_match_a_per_subgroup_reference(monkeypatch, prime, max_order, totals):
     # fed every subgroup, not only the characteristic ones, both claims find
-    # thousands of violations, which must come out as the reference lists them
+    # thousands of violations, which must come out as the reference lists them;
+    # lemma-2.17 still looks its sums up in the true characteristic lattice
+    orbit_route = harness_mod.characteristic_from_orbits
+
+    def slice_sums_of_every_subgroup(store, shape):
+        char_masks = {h.mask for h in orbit_route(shape)}
+        return harness_mod._slice_sum_outcome(shape, enumerate_subgroups(shape), char_masks)
+
     monkeypatch.setattr(
         harness_mod, "characteristic_from_orbits", lambda s: tuple(enumerate_subgroups(s))
     )
     monkeypatch.setattr(harness_mod, "MAX_STORED_VIOLATIONS", 10 ** 6)
+    spec = harness_mod._REGISTRY["lemma-2.17"]
+    monkeypatch.setitem(
+        harness_mod._REGISTRY, "lemma-2.17",
+        dataclasses.replace(spec, check=slice_sums_of_every_subgroup),
+    )
     corpus = build_corpus(prime, max_order)
     ids = ["lemma-2.14", "lemma-2.17"]
     got = _stripped(run_claims(ids, corpus))

@@ -31,14 +31,14 @@ from pgroups.invariance import (
     is_fully_invariant,
     kaplansky_2group_predicate,
     layer_mask,
-    layer_subgroup,
+    layer_positions,
     project_masks,
     project_onto_positions,
     projection_profile,
     projection_table,
     stable_flags,
 )
-from pgroups.lattice import Subgroup, enumerate_subgroups, span, subgroup_sum
+from pgroups.lattice import Subgroup, enumerate_subgroups, span
 
 # (char count, fi count, total) confirmed by the exhaustive oracle below
 KNOWN_FLAG_COUNTS = {
@@ -183,9 +183,8 @@ def test_fi_from_profiles_equals_brute_filter():
 def test_fi_subgroups_split_into_layer_projections():
     s = make_shape(2, [1, 2, 3])
     for h in fi_from_profiles(s):
-        total = project_onto_positions(h, (0,))
-        for pos in ((1,), (2,)):
-            total = subgroup_sum(total, project_onto_positions(h, pos))
+        pieces = [project_onto_positions(h, pos) for pos in ((0,), (1,), (2,))]
+        total = span(s, [x for piece in pieces for x in piece.elements()])
         assert total.mask == h.mask
 
 
@@ -214,10 +213,8 @@ def test_profiles_of_characteristic_subgroups():
 
 def test_profile_endpoints():
     s = make_shape(2, [1, 1, 2])
-    from pgroups.lattice import full_subgroup, trivial_subgroup
-
-    assert projection_profile(full_subgroup(s)).n_values == (0, 0)
-    assert projection_profile(trivial_subgroup(s)).n_values == (1, 2)
+    assert projection_profile(Subgroup(s, carrier(s).full_mask)).n_values == (0, 0)
+    assert projection_profile(Subgroup(s, 1)).n_values == (1, 2)
 
 
 def test_profile_violation_for_non_power_projection():
@@ -234,14 +231,14 @@ def test_profile_growth_rejects_jumps():
 
 
 def test_layer_subgroups():
+    # B_k is supported on the exponent-k positions; p^n B_k is its part of G[p^(k-n)]
     s = make_shape(2, [1, 1, 2])
-    b1 = layer_subgroup(s, 1)
+    b1 = Subgroup(s, layer_mask(s, layer_positions(s, 1)))
     assert b1.order == 4
     assert b1.iso_type() == make_shape(2, [1, 1])
-    pb2 = layer_subgroup(s, 2, n=1)
+    pb2 = Subgroup(s, layer_mask(s, layer_positions(s, 2)) & carrier(s).socle_mask(1))
     assert pb2.order == 2
-    with pytest.raises(ValueError):
-        layer_subgroup(s, 3)
+    assert layer_positions(s, 3) == ()
 
 
 def _dumb_projection(shape, idx, positions):

@@ -1,4 +1,4 @@
-"""Subgroup enumeration, span, sums, iso types.
+"""Subgroup enumeration, span, iso types.
 
 The ground truth for enumeration is the subset oracle (every addition-closed
 subset of the carrier); iso types are confirmed through element order
@@ -7,22 +7,12 @@ statistics, which determine finite abelian groups.
 
 import pytest
 
-from conftest import closed_subset_masks, dumb_order_counter, iso_matches, mask_members
+from conftest import (
+    closed_subset_masks, dumb_coords, dumb_index, dumb_order_counter, iso_matches, mask_members,
+)
 from pgroups.caps import CapExceeded
 from pgroups.core import GroupShape, carrier, element, make_shape
-from pgroups.lattice import (
-    Subgroup,
-    enumerate_subgroups,
-    full_subgroup,
-    intersect,
-    power_subgroup,
-    socle,
-    span,
-    subgroup_contains,
-    subgroup_equal,
-    subgroup_sum,
-    trivial_subgroup,
-)
+from pgroups.lattice import Subgroup, enumerate_subgroups, span, subgroup_contains
 
 # confirmed against the subset oracle below
 KNOWN_SUBGROUP_COUNTS = {
@@ -112,13 +102,13 @@ def test_canonical_generators_regenerate():
 
 def test_sum_and_intersection_against_oracle():
     s = make_shape(2, [1, 2])
+    car = carrier(s)
     subs = enumerate_subgroups(s)
     oracle = closed_subset_masks(s)
     for h1 in subs:
         for h2 in subs:
-            inter = intersect(h1, h2)
-            assert inter.mask == h1.mask & h2.mask
-            total = subgroup_sum(h1, h2)
+            assert h1.mask & h2.mask in oracle
+            total = span(s, car.elements_of(h1.mask | h2.mask))
             assert total.mask in oracle
             assert total.mask & h1.mask == h1.mask
             assert total.mask & h2.mask == h2.mask
@@ -130,21 +120,27 @@ def test_sum_and_intersection_against_oracle():
 
 def test_containment_and_equality():
     s = make_shape(2, [1, 2])
-    triv, full = trivial_subgroup(s), full_subgroup(s)
+    triv, full = Subgroup(s, 1), Subgroup(s, carrier(s).full_mask)
     assert subgroup_contains(full, triv)
     assert not subgroup_contains(triv, full)
-    assert subgroup_equal(triv, Subgroup(s, 1))
+    assert triv == Subgroup(s, 1) and triv != full
     assert triv.order == 1 and full.order == 8
 
 
 def test_power_and_socle_subgroups():
+    # p^nG is spanned by the p^n a_j, and G[p^m] by the p^max(0, kj - m) a_j
     s = make_shape(2, [1, 3])
     car = carrier(s)
-    for n in range(4):
-        assert power_subgroup(s, n).mask == car.power_mask(n)
-    for m in range(4):
-        assert socle(s, m).mask == car.socle_mask(m)
-    assert socle(s).order == 4  # rank-2 shape, p = 2
+    for e in range(4):
+        scaled = {x: [2 ** e * c for c in dumb_coords(s, x)] for x in range(s.order)}
+        power = {dumb_index(s, coords) for coords in scaled.values()}
+        killed = {x for x, coords in scaled.items() if dumb_index(s, coords) == 0}
+        socle_factors = [2 ** max(0, k - e) for k in s.exponents]
+        for factors, want in (((2 ** e,) * 2, power), (socle_factors, killed)):
+            gens = [element(s, [f * (i == j) for i in range(2)]) for j, f in enumerate(factors)]
+            assert span(s, gens).mask == sum(1 << x for x in want)
+        assert car.socle_mask(e) == sum(1 << x for x in killed)
+    assert Subgroup(s, car.socle_mask(1)).order == 4  # rank-2 shape, p = 2
 
 
 def test_iso_types_match_order_statistics():
@@ -156,8 +152,8 @@ def test_iso_types_match_order_statistics():
 
 def test_iso_type_endpoints():
     s = make_shape(2, [1, 2])
-    assert trivial_subgroup(s).iso_type() == GroupShape(2, ())
-    assert full_subgroup(s).iso_type() == s
+    assert Subgroup(s, 1).iso_type() == GroupShape(2, ())
+    assert Subgroup(s, carrier(s).full_mask).iso_type() == s
 
 
 def test_subgroup_order_is_popcount():
