@@ -20,13 +20,7 @@ from .cache import LatticeCache
 from .caps import CapExceeded, default_jobs
 from .classify import classify, subgroup_descriptor
 from .core import format_shape, make_shape
-from .harness import (
-    LatticeStore,
-    UnknownClaimError,
-    all_claim_ids,
-    build_corpus,
-    run_claims,
-)
+from .harness import LatticeStore, all_claim_ids, build_corpus, run_claims
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

@@ -57,7 +57,6 @@ from .endos import (
     stability_test_tables,
 )
 from .invariance import (
-    ProfileViolation,
     characteristic_from_orbits,
     distinct_exponents,
     fi_from_profiles,
@@ -67,19 +66,12 @@ from .invariance import (
     kaplansky_2group_predicate,
     layer_mask,
     layer_positions,
-    project_masks,
-    project_onto_positions,
-    projection_profile,
+    project_rows,
     projection_table,
     stable_flags,
+    within_growth_bound,
 )
-from .lattice import (
-    Subgroup,
-    enumerate_subgroups,
-    enumeration_key,
-    span,
-    subgroup_contains,
-)
+from .lattice import Subgroup, enumerate_subgroups, enumeration_key, span
 
 MAX_STORED_VIOLATIONS = 16
 
@@ -203,7 +195,6 @@ class LatticeStore:
 class CheckOutcome:
     violations: list = field(default_factory=list)
     adapted: bool = False
-    checked: bool = True  # False: shape skipped entirely (not counted)
     notes: list = field(default_factory=list)
     skips: list = field(default_factory=list)  # crosscheck parts skipped under caps
 
@@ -368,6 +359,7 @@ def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutco
     n = shape.rank
     chars = characteristic_from_orbits(shape)
     masks = [h.mask for h in chars]
+    member = masks_to_bool(masks, carrier(shape).n)
     tables = stability_test_tables(shape)
     # kept[s, u][i]: the map a_s -> a_u keeps chars[i]; every split reads it
     kept = {
@@ -378,10 +370,11 @@ def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutco
     for a_pos, b_pos in _splits(n):
         # A = range(t) is a prefix of the coordinates and coordinate 0 varies
         # fastest, so an element supported on A has the same index in A's own
-        # carrier as in G's: the projected masks are already masks of `left`
+        # carrier as in G's: the projected rows pack into masks of `left`
         left = GroupShape(shape.prime, shape.exponents[: len(a_pos)])
+        image = project_rows(member, projection_table(shape, a_pos))
         left_char = stable_flags(
-            left, project_masks(shape, masks, a_pos), aut_generator_tables(left)
+            left, [mask_from_bool(row) for row in image], aut_generator_tables(left)
         )
         for i, h in enumerate(chars):
             for s in a_pos:
@@ -436,9 +429,8 @@ def _slice_sum_outcome(shape: GroupShape, subgroups, char_masks: set[int]) -> Ch
         proj = np.ones_like(member)
         for pos in parts:
             table = projection_table(shape, pos)
-            projected = masks_to_bool(project_masks(shape, masks, pos), len(table))
             inter &= member[:, table]
-            proj &= projected[:, table]
+            proj &= project_rows(member, table)[:, table]
         sums = [[mask_from_bool(row) for row in rows] for rows in (inter, proj)]
         for i, h in enumerate(subgroups):
             for label, found in zip(labels, sums):
@@ -484,61 +476,53 @@ def _check_char_profiles(store: LatticeStore, shape: GroupShape) -> CheckOutcome
             "across the gaps (adapted statement)"
         )
     car = carrier(shape)
-    for h in characteristic_from_orbits(shape):
-        try:
-            prof = projection_profile(h)
-        except ProfileViolation as exc:
-            out.violations.append(
-                _violation(shape, subgroup=subgroup_descriptor(h), detail=str(exc))
-            )
+    chars = characteristic_from_orbits(shape)
+    member = masks_to_bool([h.mask for h in chars], car.n)
+    outside = ~member
+    order_exp = car.order_exponents()
+    width = (len(chars), len(levels))
+    # per subgroup i and layer j: the order exponent e of pi_k(H) (0 for a
+    # trivial image), whether pi_k(H) is the power subgroup p^(k-e) B_k, and
+    # whether it leaves H; tails[i, low, j]: the part of layer j killed by
+    # p^e[i, low] leaves H (never for e = 0, as 0 is in H)
+    e = np.zeros(width, dtype=np.int64)
+    power = np.zeros(width, dtype=bool)
+    escapes = np.zeros(width, dtype=bool)
+    tails = np.zeros(width + (len(levels),), dtype=bool)
+    for j, k in enumerate(levels):
+        positions = layer_positions(shape, k)
+        table = projection_table(shape, positions)
+        layer = table == np.arange(car.n)
+        image = project_rows(member, table)
+        e[:, j] = np.where(image, order_exp, 0).max(axis=1)
+        power[:, j] = (image == (layer & (order_exp <= e[:, j, None]))).all(axis=1)
+        if len(positions) >= 2:
+            escapes[:, j] = (image & outside).any(axis=1)
+        for low in range(j):
+            tails[:, low, j] = (layer & (order_exp <= e[:, low, None]) & outside).any(axis=1)
+    profiles = (np.array(levels) - e).tolist()
+
+    def report(h: Subgroup, **witness) -> None:
+        out.violations.append(_violation(shape, subgroup=subgroup_descriptor(h), **witness))
+
+    for i, h in enumerate(chars):
+        if not power[i].all():
+            k = levels[int(np.argmin(power[i]))]
+            report(h, detail=f"projection onto exponent-{k} layer of {shape} is not a "
+                   "power subgroup")
             continue
-        if not prof.satisfies_bounds():
-            out.violations.append(
-                _violation(
-                    shape,
-                    subgroup=subgroup_descriptor(h),
-                    profile=list(prof.n_values),
-                    detail="projection exponent out of bounds",
+        profile = profiles[i]
+        if not all(0 <= n <= k for k, n in zip(levels, profile)):
+            report(h, profile=profile, detail="projection exponent out of bounds")
+        if not within_growth_bound(levels, profile):
+            report(h, profile=profile, detail="projection exponents break the growth bound")
+        for j, k in enumerate(levels):
+            for j2 in np.flatnonzero(tails[i, j]).tolist():
+                report(
+                    h, levels=[k, levels[j2]], detail="tail of a higher layer is not contained"
                 )
-            )
-        if not prof.satisfies_growth():
-            out.violations.append(
-                _violation(
-                    shape,
-                    subgroup=subgroup_descriptor(h),
-                    profile=list(prof.n_values),
-                    detail="projection exponents break the growth bound",
-                )
-            )
-        nv = prof.as_dict()
-        for pos_k, k in enumerate(levels):
-            nk = nv[k]
-            if nk < k:
-                for k2 in levels[pos_k + 1:]:
-                    tail = layer_mask(shape, layer_positions(shape, k2)) & car.socle_mask(
-                        k - nk
-                    )
-                    if tail & ~h.mask:
-                        out.violations.append(
-                            _violation(
-                                shape,
-                                subgroup=subgroup_descriptor(h),
-                                levels=[k, k2],
-                                detail="tail of a higher layer is not contained",
-                            )
-                        )
-            positions = layer_positions(shape, k)
-            if len(positions) >= 2:
-                proj = project_onto_positions(h, positions)
-                if not subgroup_contains(h, proj):
-                    out.violations.append(
-                        _violation(
-                            shape,
-                            subgroup=subgroup_descriptor(h),
-                            level=k,
-                            detail="projection onto a repeated-exponent layer escapes",
-                        )
-                    )
+            if escapes[i, j]:
+                report(h, level=k, detail="projection onto a repeated-exponent layer escapes")
     return out
 
 
@@ -661,49 +645,48 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         )
 
     # full closure against the filtered exhaustive enumeration, with the fast
-    # invertibility test compared to table bijectivity on every endomorphism
-    closure = None
-    if endo_count(shape) > endo_oracle_cap():
-        out.skips.append("closure-vs-filtered-endos")
-    else:
-        try:
-            closure = aut_closure_tables(shape)
-        except CapExceeded:
-            out.skips.append("closure-vs-filtered-endos")
-        if closure is not None:
-            # compared as image rows, sorted here rather than through the
-            # closure's own rank codes, so the oracle stays independent of it
-            strides = list(car.strides)
-            filtered = []
-            for ents, tables in endo_table_batches(shape):
-                bij = bijective_flags_by_table(tables)
-                fast = automorphism_flags(shape, ents)
-                for b in np.nonzero(bij != fast)[0]:
-                    out.violations.append(
-                        _violation(
-                            shape,
-                            check="fast-aut-vs-bijective-table",
-                            entries=ents[b].tolist(),
-                            fast=bool(fast[b]),
-                            bijective=bool(bij[b]),
-                        )
-                    )
-                filtered.append(tables[:, strides][bij])
-            closure_rows = _sorted_rows(closure)
-            repeated = (closure_rows[1:] == closure_rows[:-1]).all(axis=1)
-            closure_rows = closure_rows[np.concatenate(([True], ~repeated))]
-            filtered_rows = _sorted_rows(np.concatenate(filtered))
-            if repeated.any() or not np.array_equal(closure_rows, filtered_rows):
+    # invertibility test compared to table bijectivity on every endomorphism;
+    # the closure raises the endo-oracle cap itself, and no closure means no
+    # scan either
+    try:
+        closure = aut_closure_tables(shape)
+    except CapExceeded:
+        closure = None
+        out.skips += ["closure-vs-filtered-endos", "fast-aut-vs-bijective-table"]
+    if closure is not None:
+        # compared as image rows, sorted here rather than through the
+        # closure's own rank codes, so the oracle stays independent of it
+        strides = list(car.strides)
+        filtered = []
+        for ents, tables in endo_table_batches(shape):
+            bij = bijective_flags_by_table(tables)
+            fast = automorphism_flags(shape, ents)
+            for b in np.nonzero(bij != fast)[0]:
                 out.violations.append(
                     _violation(
                         shape,
-                        check="closure-vs-filtered-endos",
-                        closure_size=len(closure),
-                        repeated_rows=int(repeated.sum()),
-                        filtered_size=len(filtered_rows),
-                        detail="generator closure and filtered enumeration differ",
+                        check="fast-aut-vs-bijective-table",
+                        entries=ents[b].tolist(),
+                        fast=bool(fast[b]),
+                        bijective=bool(bij[b]),
                     )
                 )
+            filtered.append(tables[:, strides][bij])
+        closure_rows = _sorted_rows(closure)
+        repeated = (closure_rows[1:] == closure_rows[:-1]).all(axis=1)
+        closure_rows = closure_rows[np.concatenate(([True], ~repeated))]
+        filtered_rows = _sorted_rows(np.concatenate(filtered))
+        if repeated.any() or not np.array_equal(closure_rows, filtered_rows):
+            out.violations.append(
+                _violation(
+                    shape,
+                    check="closure-vs-filtered-endos",
+                    closure_size=len(closure),
+                    repeated_rows=int(repeated.sum()),
+                    filtered_size=len(filtered_rows),
+                    detail="generator closure and filtered enumeration differ",
+                )
+            )
 
     # fully-invariant flags against sampled random endomorphisms
     if len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT:
@@ -1000,7 +983,6 @@ def run_claims(
         adapted = False
         all_violations: list[dict] = []
         skip_shapes: dict[str, list[str]] = {}
-        ran_units = 0
         if spec.kind == "family":
             local = store or LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
             checked, outcome = spec.family(local, corpus)
@@ -1016,9 +998,7 @@ def run_claims(
                     continue
                 outcome, elapsed_ms = res[cid]
                 report.runtime_ms += elapsed_ms
-                if outcome.checked:
-                    report.shapes_checked += 1
-                    ran_units += 1
+                report.shapes_checked += 1
                 adapted = adapted or outcome.adapted
                 all_violations.extend(outcome.violations)
                 report.notes.extend(outcome.notes)
@@ -1028,7 +1008,7 @@ def run_claims(
             shapes = skip_shapes[name]
             listed = ", ".join(shapes[:12]) + (", ..." if len(shapes) > 12 else "")
             report.notes.append(
-                f"{name}: skipped on {len(shapes)} of {ran_units} shapes "
+                f"{name}: skipped on {len(shapes)} of {report.shapes_checked} shapes "
                 f"(oracle caps): {listed}"
             )
         if spec.kind == "per-shape" and report.shapes_checked == 0:

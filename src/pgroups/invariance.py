@@ -25,14 +25,16 @@ lattice is closed up from orbit labels without enumerating subgroups, and it
 too is cross-checked against the generator flags of the enumerated lattice.
 
 A coordinate projection is an endomorphism, so it is one more carrier table
-(`projection_table`): images of many subgroups are one scatter
-(`project_masks`), membership in a sum of pieces supported on disjoint
-coordinates is a gather per piece, and the layer masks are its fixed points.
+(`projection_table`): the images of a whole (subgroups x |G|) membership
+matrix are one scatter (`project_rows`), membership in a sum of pieces
+supported on disjoint coordinates is a gather per piece, and the layer masks
+are its fixed points.  A layer image is a power subgroup p^n B_k exactly when
+it equals the part of B_k killed by p^(k - n), so a lattice's profiles are
+read off its images with no per-subgroup projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -236,86 +238,32 @@ def layer_mask(shape: GroupShape, positions: tuple[int, ...]) -> int:
     return mask_from_bool(table == np.arange(len(table)))
 
 
-def project_masks(shape: GroupShape, masks: list[int], positions: tuple[int, ...]) -> list[int]:
-    """Image of each mask under the projection onto `positions`, as masks of G."""
-    table = projection_table(shape, positions)
-    member = masks_to_bool(masks, len(table))
+def project_rows(member: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Images of a (k, |G|) membership matrix under the map `table` (usually a
+    `projection_table`), as bool rows of G, through one scatter."""
     rows, cols = np.nonzero(member)
     image = np.zeros_like(member)
     image[rows, table[cols]] = True
-    return [mask_from_bool(row) for row in image]
-
-
-def project_onto_positions(h: Subgroup, positions: tuple[int, ...]) -> Subgroup:
-    """Image of H under the coordinate projection, as a subgroup of G."""
-    return Subgroup(h.shape, project_masks(h.shape, [h.mask], positions)[0])
+    return image
 
 
 # ---- projection profiles -----------------------------------------------------------
 
 
-class ProfileViolation(Exception):
-    """A layer projection of the subgroup is not a power subgroup p^n B_k."""
-
-
-@dataclass(frozen=True, slots=True)
-class ProjectionProfile:
-    """Exponents of the layer projections: pi_k(H) = p^(n_k) B_k."""
-
-    shape: GroupShape
-    levels: tuple[int, ...]  # present exponents, ascending
-    n_values: tuple[int, ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.levels, self.n_values))
-
-    def satisfies_bounds(self) -> bool:
-        return all(0 <= n <= k for k, n in zip(self.levels, self.n_values))
-
-    def satisfies_growth(self) -> bool:
-        pairs = zip(self.levels, self.n_values)
-        prev_k, prev_n = next(pairs)
-        for k, n in pairs:
-            if not prev_n <= n <= prev_n + (k - prev_k):
-                return False
-            prev_k, prev_n = k, n
-        return True
-
-
-def projection_profile(h: Subgroup) -> ProjectionProfile:
-    """Profile of a subgroup whose layer projections are power subgroups.
-
-    Raises ProfileViolation otherwise; for characteristic subgroups that
-    would falsify the projection structure statement the harness checks.
-    """
-    shape = h.shape
-    car = carrier(shape)
-    levels = distinct_exponents(shape)
-    n_values = []
-    for k in levels:
-        positions = layer_positions(shape, k)
-        proj = project_onto_positions(h, positions)
-        if proj.mask == 1:
-            n_values.append(k)
-            continue
-        # order of the projection pins down the only possible n
-        e = max(int(car.order_exponents()[m]) for m in proj.members())
-        n = k - e
-        expected = layer_mask(shape, positions) & car.socle_mask(e)
-        if n < 0 or proj.mask != expected:
-            raise ProfileViolation(
-                f"projection onto exponent-{k} layer of {shape} is not a power subgroup"
-            )
-        n_values.append(n)
-    return ProjectionProfile(shape, levels, tuple(n_values))
+def within_growth_bound(levels: tuple[int, ...], vec) -> bool:
+    """Profile (n_k) over the ascending `levels` is monotone and grows by at
+    most the exponent gap between consecutive layers."""
+    return all(
+        a <= b <= a + (l - k)
+        for k, l, a, b in zip(levels, levels[1:], vec, vec[1:])
+    )
 
 
 def _profile_vectors(levels: tuple[int, ...]):
     """All (n_k) with 0 <= n_k <= k, monotone, gaps bounded by exponent gaps,
     in lexicographic order."""
-    steps = list(zip(levels, levels[1:]))
     for vec in product(*(range(k + 1) for k in levels)):
-        if all(a <= b <= a + (l - k) for (k, l), a, b in zip(steps, vec, vec[1:])):
+        if within_growth_bound(levels, vec):
             yield vec
 
 

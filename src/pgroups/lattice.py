@@ -150,12 +150,6 @@ def span(shape: GroupShape, elements: Iterable[GroupElement]) -> Subgroup:
     return Subgroup(shape, _span_mask(car, idxs))
 
 
-def subgroup_contains(outer: Subgroup, inner: Subgroup) -> bool:
-    if outer.shape != inner.shape:
-        raise ValueError("subgroups of different groups")
-    return inner.mask & ~outer.mask == 0
-
-
 def _canonical_generators(h: Subgroup) -> tuple[GroupElement, ...]:
     if h.mask == 1:
         return ()

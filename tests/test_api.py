@@ -44,3 +44,23 @@ def test_every_public_function_or_class_has_a_caller_or_is_exported():
                 ):
                     orphans.append(f"{module}.{node.name}")
     assert orphans == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name left imported after its last reader goes is dead code too; the
+    # package's `__all__` re-exports are read by its users
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(pgroups.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}: {name}")
+    assert unread == []

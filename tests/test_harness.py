@@ -156,6 +156,17 @@ def test_oracle_skip_notes_name_shapes():
     assert "2:1,1,1,1,1" in skip_notes[0]
 
 
+def test_a_skipped_closure_names_the_skipped_scan_too(monkeypatch):
+    # the exhaustive endomorphism scan runs inside the closure comparison, so
+    # wherever the closure is capped the scan is skipped on the same shapes
+    monkeypatch.setenv("PGROUPS_AUT_CLOSURE_CAP", "4")
+    r = verify_claim("oracle-crosscheck", build_corpus(2, 8))
+    assert r.status == "pass"
+    skipped = "skipped on 3 of 6 shapes (oracle caps): 2:1,1, 2:1,2, 2:1,1,1"
+    for part in ("closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
+        assert f"{part}: {skipped}" in r.notes
+
+
 def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
     closure = harness_mod.aut_closure_tables
     monkeypatch.setattr(harness_mod, "aut_closure_tables", lambda s: closure(s)[1:])
@@ -422,13 +433,101 @@ def _reference_slice_sums(store, shape):
     return out
 
 
+class _NotPower(Exception):
+    pass
+
+
+def _reference_profile(shape, mask):
+    """The layer profile (n_k) of a subgroup, one layer image at a time, each
+    rebuilt member by member from coordinates; _NotPower when an image is not
+    a power subgroup p^n B_k."""
+    car = carrier(shape)
+    coords = _member_coords(shape, mask)
+    n_values = []
+    for k in harness_mod.distinct_exponents(shape):
+        positions = harness_mod.layer_positions(shape, k)
+        image = {car.index_of([c[i] if i in positions else 0 for i in range(shape.rank)])
+                 for c in coords}
+        if image == {0}:
+            n_values.append(k)
+            continue
+        e = max(int(car.order_exponents()[x]) for x in image)
+        expected = harness_mod.layer_mask(shape, positions) & car.socle_mask(e)
+        if k - e < 0 or sum(1 << x for x in image) != expected:
+            raise _NotPower(f"projection onto exponent-{k} layer of {shape} is not a power subgroup")
+        n_values.append(k - e)
+    return n_values
+
+
+def _reference_char_profiles(store, shape):
+    """lemma-2.25 one subgroup at a time, with its own bounds, growth, tail and
+    repeated-layer tests."""
+    out = harness_mod.CheckOutcome()
+    car = carrier(shape)
+    levels = harness_mod.distinct_exponents(shape)
+    if set(levels) != set(range(1, levels[-1] + 1)):
+        out.adapted = True
+        out.notes.append(
+            f"{format_shape(shape)}: sparse exponent set, growth bound composed "
+            "across the gaps (adapted statement)"
+        )
+    for h in harness_mod.characteristic_from_orbits(shape):
+        desc = harness_mod.subgroup_descriptor(h)
+        try:
+            profile = _reference_profile(shape, h.mask)
+        except _NotPower as exc:
+            out.violations.append(harness_mod._violation(shape, subgroup=desc, detail=str(exc)))
+            continue
+        if not all(0 <= n <= k for k, n in zip(levels, profile)):
+            out.violations.append(harness_mod._violation(
+                shape, subgroup=desc, profile=profile, detail="projection exponent out of bounds",
+            ))
+        steps = zip(zip(levels, profile), zip(levels[1:], profile[1:]))
+        if not all(n <= n2 <= n + (k2 - k) for (k, n), (k2, n2) in steps):
+            out.violations.append(harness_mod._violation(
+                shape, subgroup=desc, profile=profile,
+                detail="projection exponents break the growth bound",
+            ))
+        for pos_k, (k, n) in enumerate(zip(levels, profile)):
+            if n < k:
+                for k2 in levels[pos_k + 1:]:
+                    layer = harness_mod.layer_mask(shape, harness_mod.layer_positions(shape, k2))
+                    if layer & car.socle_mask(k - n) & ~h.mask:
+                        out.violations.append(harness_mod._violation(
+                            shape, subgroup=desc, levels=[k, k2],
+                            detail="tail of a higher layer is not contained",
+                        ))
+            positions = harness_mod.layer_positions(shape, k)
+            if len(positions) >= 2:
+                image = {car.index_of([c[i] if i in positions else 0 for i in range(shape.rank)])
+                         for c in _member_coords(shape, h.mask)}
+                if any(not h.mask >> x & 1 for x in image):
+                    out.violations.append(harness_mod._violation(
+                        shape, subgroup=desc, level=k,
+                        detail="projection onto a repeated-exponent layer escapes",
+                    ))
+    return out
+
+
+_PROFILE_KINDS = {
+    "is not a power subgroup": "non-power",
+    "break the growth bound": "growth",
+    "tail of a higher layer": "tail",
+    "repeated-exponent layer escapes": "repeated-layer",
+}
+# the lemma-2.25 violation kinds each corpus shows: every shape of 5-power
+# order <= 25 has a single layer, so only the non-power test can fail there
+_KINDS_SEEN = {2: set(_PROFILE_KINDS.values()), 3: set(_PROFILE_KINDS.values()), 5: {"non-power"}}
+
+
 @pytest.mark.parametrize(
-    "prime, max_order, totals", [(2, 32, [7381, 4764]), (3, 81, [2117, 1444]), (5, 25, [5, 4])]
+    "prime, max_order, totals",
+    [(2, 32, [7381, 4764, 735]), (3, 81, [2117, 1444, 325]), (5, 25, [5, 4, 6])],
 )
 def test_split_claims_match_a_per_subgroup_reference(monkeypatch, prime, max_order, totals):
-    # fed every subgroup, not only the characteristic ones, both claims find
-    # thousands of violations, which must come out as the reference lists them;
-    # lemma-2.17 still looks its sums up in the true characteristic lattice
+    # fed every subgroup, not only the characteristic ones, the three claims
+    # find thousands of violations, which must come out as the reference lists
+    # them; lemma-2.17 still looks its sums up in the true characteristic lattice
     orbit_route = harness_mod.characteristic_from_orbits
 
     def slice_sums_of_every_subgroup(store, shape):
@@ -445,13 +544,21 @@ def test_split_claims_match_a_per_subgroup_reference(monkeypatch, prime, max_ord
         dataclasses.replace(spec, check=slice_sums_of_every_subgroup),
     )
     corpus = build_corpus(prime, max_order)
-    ids = ["lemma-2.14", "lemma-2.17"]
+    ids = ["lemma-2.14", "lemma-2.17", "lemma-2.25"]
     got = _stripped(run_claims(ids, corpus))
-    for cid, check in zip(ids, (_reference_split_stability, _reference_slice_sums)):
+    references = (_reference_split_stability, _reference_slice_sums, _reference_char_profiles)
+    for cid, check in zip(ids, references):
         spec = dataclasses.replace(harness_mod._REGISTRY[cid], check=check)
         monkeypatch.setitem(harness_mod._REGISTRY, cid, spec)
     assert got == _stripped(run_claims(ids, corpus))
     assert [r["total_violations"] for r in got] == totals
+    kinds = {
+        kind
+        for v in got[2]["violations"]
+        for phrase, kind in _PROFILE_KINDS.items()
+        if phrase in v["witness"]["detail"]
+    }
+    assert kinds == _KINDS_SEEN[prime]
 
 
 def test_split_claims_build_no_addition_rows():

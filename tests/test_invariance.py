@@ -17,11 +17,10 @@ from conftest import (
     dumb_index,
     mask_members,
 )
-from pgroups.core import GroupShape, carrier, element, make_shape
+import pgroups.harness as harness_mod
+from pgroups.core import GroupShape, carrier, element, make_shape, mask_from_bool, masks_to_bool
 from pgroups.endos import aut_generator_tables, stability_test_tables
 from pgroups.invariance import (
-    ProfileViolation,
-    ProjectionProfile,
     characteristic_from_orbits,
     enumerate_characteristic,
     enumerate_fully_invariant,
@@ -32,11 +31,10 @@ from pgroups.invariance import (
     kaplansky_2group_predicate,
     layer_mask,
     layer_positions,
-    project_masks,
-    project_onto_positions,
-    projection_profile,
+    project_rows,
     projection_table,
     stable_flags,
+    within_growth_bound,
 )
 from pgroups.lattice import Subgroup, enumerate_subgroups, span
 
@@ -180,12 +178,18 @@ def test_fi_from_profiles_equals_brute_filter():
         assert orders == sorted(orders)
 
 
+def _image_masks(shape, masks, positions):
+    image = project_rows(masks_to_bool(masks, shape.order), projection_table(shape, positions))
+    return [mask_from_bool(row) for row in image]
+
+
 def test_fi_subgroups_split_into_layer_projections():
     s = make_shape(2, [1, 2, 3])
-    for h in fi_from_profiles(s):
-        pieces = [project_onto_positions(h, pos) for pos in ((0,), (1,), (2,))]
-        total = span(s, [x for piece in pieces for x in piece.elements()])
-        assert total.mask == h.mask
+    masks = [h.mask for h in fi_from_profiles(s)]
+    pieces = [_image_masks(s, masks, pos) for pos in ((0,), (1,), (2,))]
+    for i, mask in enumerate(masks):
+        total = span(s, [x for piece in pieces for x in carrier(s).elements_of(piece[i])])
+        assert total.mask == mask
 
 
 def test_profile_iso_arithmetic_matches_masks():
@@ -202,32 +206,21 @@ def test_profile_iso_arithmetic_matches_masks():
         assert arithmetic == masked
 
 
-def test_profiles_of_characteristic_subgroups():
-    for s in [make_shape(2, [1, 3]), make_shape(2, [1, 2]), make_shape(2, [2, 2]),
-              make_shape(2, [1, 1, 2])]:
-        for h in enumerate_characteristic(s):
-            prof = projection_profile(h)
-            assert prof.satisfies_bounds()
-            assert prof.satisfies_growth()
-
-
-def test_profile_endpoints():
+def test_profile_endpoints(monkeypatch):
+    # with every profile refused, the lemma-2.25 checker reports each one it reads
+    monkeypatch.setattr(harness_mod, "within_growth_bound", lambda levels, vec: False)
     s = make_shape(2, [1, 1, 2])
-    assert projection_profile(Subgroup(s, carrier(s).full_mask)).n_values == (0, 0)
-    assert projection_profile(Subgroup(s, 1)).n_values == (1, 2)
-
-
-def test_profile_violation_for_non_power_projection():
-    s = make_shape(2, [1, 1])
-    skew = span(s, [element(s, (1, 0))])
-    with pytest.raises(ProfileViolation):
-        projection_profile(skew)
+    out = harness_mod._check_char_profiles(None, s)
+    profiles = [v["witness"]["profile"] for v in out.violations]
+    assert len(profiles) == len(characteristic_from_orbits(s))
+    assert profiles[0] == [1, 2]  # {0}: every layer image is trivial
+    assert profiles[-1] == [0, 0]  # G: every layer image is the whole layer
 
 
 def test_profile_growth_rejects_jumps():
-    prof = ProjectionProfile(make_shape(2, [1, 3]), (1, 3), (0, 3))
-    assert prof.satisfies_bounds()
-    assert not prof.satisfies_growth()  # 3 > 0 + (3 - 1)
+    assert within_growth_bound((1, 3), (0, 2))
+    assert not within_growth_bound((1, 3), (0, 3))  # 3 > 0 + (3 - 1)
+    assert not within_growth_bound((1, 3), (1, 0))  # not monotone
 
 
 def test_layer_subgroups():
@@ -258,22 +251,20 @@ def test_projection_tables_match_coordinates(tiny_shapes):
                 images = [
                     sum({1 << want[m] for m in mask_members(mask)}) for mask in masks
                 ]
-                assert project_masks(s, masks, pos) == images
-                one_by_one = [project_onto_positions(Subgroup(s, m), pos) for m in masks]
-                assert [h.mask for h in one_by_one] == images
+                assert _image_masks(s, masks, pos) == images
 
 
 def test_prefix_projection_reads_as_a_mask_of_the_left_summand():
     s = make_shape(2, [1, 3])
     h = span(s, [element(s, (1, 2))])
-    assert project_onto_positions(h, (1,)) == span(s, [element(s, (0, 2))])
+    assert _image_masks(s, [h.mask], (1,)) == [span(s, [element(s, (0, 2))]).mask]
     # the split claims read a projection onto range(t) in the left summand's
     # own carrier; build that view coordinate by coordinate
     s = make_shape(2, [1, 2, 3])
     for t in (1, 2):
         left = GroupShape(2, s.exponents[:t])
         masks = [h.mask for h in enumerate_subgroups(s)]
-        for mask, image in zip(masks, project_masks(s, masks, tuple(range(t)))):
+        for mask, image in zip(masks, _image_masks(s, masks, tuple(range(t)))):
             view = {dumb_index(left, dumb_coords(s, m)[:t]) for m in mask_members(mask)}
             assert image == sum(1 << x for x in view)
 
