@@ -15,7 +15,9 @@ p), so the fast test is that every equal-exponent diagonal block has nonzero
 determinant mod p.  `automorphism_flags` codes each r x r block in base p
 and reads a per-(p, r) table of nonsingular blocks, built once by
 elimination over every block; runs with too many blocks for a table are
-eliminated batch by batch.  The brute-force alternative is the definition:
+eliminated batch by batch.  The elimination swaps no rows: a zero pivot's
+row gets a later row with a nonzero entry in its column added to it, which
+keeps the determinant.  The brute-force alternative is the definition:
 an endomorphism is bijective iff its carrier table is a permutation.  The
 two must agree, and the verification harness cross-checks that they do.
 
@@ -27,15 +29,20 @@ table is the sum of n per-row terms, each read from a per-row table built
 once per shape (`induced_tables_batch`: n gathers per batch, not a product
 over all n^2 entries).  The last row varies fastest in the enumeration, so
 the scan sums rows 0..n-2 once per sweep of the last row and adds each of
-that row's tables to it: one add per table cell.
+that row's tables to it: one add per table cell.  The per-row tables, and
+so the scan's tables, are int16: a shape has them only when |G| <= 1024.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
 converts them back).  The automorphism closure works in that form: composing
 with a generator costs n table look-ups per element, not a whole carrier
-table, and its result is checked against the exhaustive enumeration.
+table, and each element's rank in the enumeration (its key in the closure's
+`seen` bitmap) is n one-column look-ups.  The closure is checked against the
+exhaustive enumeration.
 Generator and single-entry tables (`aut_generator_tables`,
-`stability_test_tables`) are built here once per shape for every caller,
+`stability_test_tables`) are built here once per shape for every caller
+(a prefix summand's generator tables are read off its group's,
+`prefix_aut_generator_tables`),
 each summed from its map's nonzero entries (rows that match the identity's
 are read off the identity table), so a sparse map costs a few |G|-long
 terms, not n^2.
@@ -174,8 +181,11 @@ def endo_entry_batches(
         yield flat.reshape(-1, n, n)
 
 
-# the row tables of one shape hold at most this many int32 cells (4 MB); a
-# shape above it (a cyclic 2:12, say) builds its tables with the einsum kernel
+# the row tables of one shape hold at most this many int16 cells (2 MB); a
+# shape above it (a cyclic 2:12, say) builds its tables with the einsum kernel.
+# Exponents ascend, so the last row has p^min(kn, kj) = p^kj choices per cell
+# and |G| codes in all: |G|^2 <= sum(counts) * |G| <= 2^20, every carrier
+# index and every partial row sum is below 1024, and int16 holds them all
 _ROW_TABLE_CELLS = 1 << 20
 
 
@@ -186,7 +196,7 @@ def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | Non
 
     Image coordinate i depends on row i of the entry matrix alone.  A row
     reduced mod `moduli[i]` is coded as sum(row * places[i]) (mixed radix, the
-    last cell varying fastest), and `tables[i]` is the (codes, |G|) int32
+    last cell varying fastest), and `tables[i]` is the (codes, |G|) int16
     table of stride_i * coordinate i of the image, so that a carrier table is
     the sum over i of tables[i][code_i].  The tables come from the one-row
     matrices of each row, through `_induced_tables`.
@@ -207,7 +217,7 @@ def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | Non
         codes = np.arange(counts[i], dtype=np.int64)
         ents = np.zeros((len(codes), n, n), dtype=np.int64)
         ents[:, i, :] = codes[:, None] // places[i] % moduli[i]
-        table = np.empty((len(codes), car.n), dtype=np.int32)
+        table = np.empty((len(codes), car.n), dtype=np.int16)
         for start in range(0, len(codes), step):
             table[start : start + step] = _induced_tables(car, ents[start : start + step])
         tables.append(table)
@@ -232,12 +242,12 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     rows = _row_tables(shape)
     if rows is None:
         return _induced_tables(carrier(shape), entries).astype(np.int32)
-    return _row_sums(rows, entries, n)
+    return _row_sums(rows, entries, n).astype(np.int32)
 
 
 def _row_sums(rows: tuple, entries: np.ndarray, stop: int) -> np.ndarray:
     """Sum of the per-row table terms of rows 0..stop-1 of a (B, n, n) entry
-    batch, one int32 row per matrix; `rows` is `_row_tables(shape)`."""
+    batch, one int16 row per matrix; `rows` is `_row_tables(shape)`."""
     moduli, places, tables = rows
     codes = (entries[:, :stop] % moduli[:stop] * places[:stop]).sum(axis=2)  # (B, stop)
     out = tables[0][codes[:, 0]]
@@ -248,8 +258,8 @@ def _row_sums(rows: tuple, entries: np.ndarray, stop: int) -> np.ndarray:
 
 def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every endomorphism with its whole carrier table, as (entries, tables)
-    batches in `endo_entry_batches` order: tables row b is
-    `induced_tables_batch(shape, entries)[b]`.
+    batches in `endo_entry_batches` order: tables row b holds the values of
+    `induced_tables_batch(shape, entries)[b]`, as int16 on the row route.
 
     The last matrix row varies fastest, so with c codes for that row every
     batch is made of whole sweeps of c matrices that share rows 0..n-2.  Each
@@ -280,30 +290,29 @@ def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:
 
 
 def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, r, r) batch, by elimination with pivoting."""
+    """Determinants mod p of a (B, r, r) batch, by elimination without row
+    swaps: a zero pivot gets the first later row with a nonzero entry in its
+    column added to its own row, which leaves the determinant unchanged.
+    Column col is never read after step col, so each step updates only the
+    trailing submatrix."""
     b, r = blocks.shape[0], blocks.shape[1]
-    m = blocks.astype(np.int64) % p
-    det = np.ones(b, dtype=np.int64)
-    inv_table = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    # every product below is < p^2, so int32 holds it for any p < 46341
+    dtype = np.int32 if p * p < 1 << 31 else np.int64
+    m = (blocks % p).astype(dtype)
+    det = np.ones(b, dtype=dtype)
+    inv_table = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=dtype)
     for col in range(r):
-        sub = m[:, col:, col] != 0
-        has = sub.any(axis=1)
-        det[~has] = 0
-        piv = col + np.argmax(sub, axis=1)  # first nonzero row at or below col
-        swap = np.nonzero((piv != col) & has)[0]
-        if swap.size:
-            piv_rows = piv[swap]
-            tmp = m[swap, col].copy()
-            m[swap, col] = m[swap, piv_rows]
-            m[swap, piv_rows] = tmp
-            det[swap] = -det[swap] % p
+        below = m[:, col + 1 :, col] != 0
+        fix = np.nonzero((m[:, col, col] == 0) & below.any(axis=1))[0]
+        if fix.size:
+            src = col + 1 + np.argmax(below[fix], axis=1)
+            m[fix, col, col:] = (m[fix, col, col:] + m[fix, src, col:]) % p
         pv = m[:, col, col]
         det = det * pv % p
-        if col + 1 < r:
-            factors = m[:, col + 1 :, col] * inv_table[pv][:, None] % p
-            m[:, col + 1 :, col:] = (
-                m[:, col + 1 :, col:] - factors[:, :, None] * m[:, None, col, col:]
-            ) % p
+        factors = m[:, col + 1 :, col] * inv_table[pv][:, None] % p
+        m[:, col + 1 :, col + 1 :] = (
+            m[:, col + 1 :, col + 1 :] - factors[:, :, None] * m[:, None, col, col + 1 :]
+        ) % p
     return det
 
 
@@ -448,13 +457,32 @@ def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
 
 
 # the tables serve the shape at hand; a sweep does not keep them for every
-# shape it has passed through
-@lru_cache(maxsize=8)
+# shape it has passed through, and a prefix summand reads its tables off its
+# group's (`prefix_aut_generator_tables`) instead of taking a cache slot
+@lru_cache(maxsize=2)
 def aut_generator_tables(shape: GroupShape) -> np.ndarray:
     """Carrier tables of the Aut(G) generators of `_aut_generator_entries`
     (transvections, then equal-exponent transpositions, then unit
     multiples), one int32 row per generator."""
     return _generator_tables(shape, _aut_generator_entries(shape))
+
+
+def prefix_aut_generator_tables(shape: GroupShape, t: int) -> np.ndarray:
+    """`aut_generator_tables` of the prefix summand A = Z(p^k1) + ... +
+    Z(p^kt) of G, read off G's own generator tables instead of built.
+
+    Each generator of A, extended by the identity on the other summands, is
+    one of G's generators.  Coordinate 0 varies fastest, so an element of A
+    has the same index in A's carrier as in G's, and the generator's table
+    on A is the first |A| cells of G's.
+    """
+    n = shape.rank
+    left = _aut_generator_entries(GroupShape(shape.prime, shape.exponents[:t]))
+    extended = np.tile(np.eye(n, dtype=np.int64), (len(left), 1, 1))
+    extended[:, :t, :t] = left
+    row_of = {ents.tobytes(): k for k, ents in enumerate(_aut_generator_entries(shape))}
+    rows = [row_of[ents.tobytes()] for ents in extended]
+    return aut_generator_tables(shape)[rows, : shape.prime ** sum(shape.exponents[:t])]
 
 
 @lru_cache(maxsize=8)
@@ -507,10 +535,14 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
     cap = aut_closure_cap()
     n = shape.rank
     lookup = _rank_lookup(shape)
-    cols = np.arange(n)
 
     def codes_of(rows: np.ndarray) -> np.ndarray:
-        return lookup[cols, rows].sum(axis=1)
+        # one 1-d gather per column: with one broadcast 2-d fancy index over
+        # all n columns, the closure of 3:1,1,3 took 55 ms against 29 ms
+        codes = lookup[0][rows[:, 0]]
+        for j in range(1, n):
+            codes += lookup[j][rows[:, j]]
+        return codes
 
     ident = np.array([carrier(shape).strides], dtype=np.int32)  # a_j sits at its stride
     seen = np.zeros(total, dtype=bool)

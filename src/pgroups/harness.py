@@ -53,6 +53,7 @@ from .endos import (
     endo_table_batches,
     entries_from_images,
     induced_tables_batch,
+    prefix_aut_generator_tables,
     random_endo_entries,
     stability_test_tables,
 )
@@ -128,9 +129,10 @@ class ShapeLattice:
 
 def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
     subs = enumerate_subgroups(shape)
-    masks = [h.mask for h in subs]
-    char = tuple(map(bool, stable_flags(shape, masks, aut_generator_tables(shape))))
-    fi = tuple(map(bool, stable_flags(shape, masks, stability_test_tables(shape))))
+    # the masks stream from the subgroups: no second list of every mask
+    char = stable_flags(shape, (h.mask for h in subs), aut_generator_tables(shape))
+    fi = stable_flags(shape, (h.mask for h in subs), stability_test_tables(shape))
+    char, fi = tuple(map(bool, char)), tuple(map(bool, fi))
     return ShapeLattice(shape, tuple(subs), char, fi)
 
 
@@ -374,7 +376,9 @@ def _check_split_stability(store: LatticeStore, shape: GroupShape) -> CheckOutco
         left = GroupShape(shape.prime, shape.exponents[: len(a_pos)])
         image = project_rows(member, projection_table(shape, a_pos))
         left_char = stable_flags(
-            left, [mask_from_bool(row) for row in image], aut_generator_tables(left)
+            left,
+            [mask_from_bool(row) for row in image],
+            prefix_aut_generator_tables(shape, len(a_pos)),
         )
         for i, h in enumerate(chars):
             for s in a_pos:

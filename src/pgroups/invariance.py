@@ -36,7 +36,8 @@ read off its images with no per-subgroup projection.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
+from typing import Iterable
 
 import numpy as np
 
@@ -49,19 +50,21 @@ from .lattice import Subgroup, enumerate_subgroups, enumeration_key
 _FLAG_CELLS = 1 << 18
 
 
-def stable_flags(shape: GroupShape, masks: list[int], tables: np.ndarray) -> np.ndarray:
+def stable_flags(shape: GroupShape, masks: Iterable[int], tables: np.ndarray) -> np.ndarray:
     """flags[i]: every row of `tables` maps the members of masks[i] into masks[i].
 
-    Masks are unpacked `_FLAG_CELLS // |G|` at a time, and the tables tried in
-    blocks of max(1, _FLAG_CELLS // (alive * |G|)) on the `alive` masks not yet
-    refuted: one mask meets all its tables in one gather, while a lattice is
-    cut down a table at a time until its few survivors meet the rest at once.
+    Masks are taken from the iterable and unpacked `_FLAG_CELLS // |G|` at a
+    time, so a caller can stream them without listing them all, and the
+    tables tried in blocks of max(1, _FLAG_CELLS // (alive * |G|)) on the
+    `alive` masks not yet refuted: one mask meets all its tables in one
+    gather, while a lattice is cut down a table at a time until its few
+    survivors meet the rest at once.
     """
     size = carrier(shape).n
-    out = np.zeros(len(masks), dtype=bool)
-    chunk = max(1, _FLAG_CELLS // size)
-    for start in range(0, len(masks), chunk):
-        member = masks_to_bool(masks[start : start + chunk], size)
+    masks = iter(masks)
+    flags = [np.zeros(0, dtype=bool)]
+    while chunk := list(islice(masks, max(1, _FLAG_CELLS // size))):
+        member = masks_to_bool(chunk, size)
         alive = np.arange(len(member))
         done = 0
         while done < len(tables) and len(alive):
@@ -71,8 +74,10 @@ def stable_flags(shape: GroupShape, masks: list[int], tables: np.ndarray) -> np.
             kept = (rows[:, None, :] <= rows[:, block]).all(axis=(1, 2))
             alive = alive[kept]
             done += len(block)
-        out[start + alive] = True
-    return out
+        out = np.zeros(len(member), dtype=bool)
+        out[alive] = True
+        flags.append(out)
+    return np.concatenate(flags)
 
 
 def is_characteristic(h: Subgroup) -> bool:

@@ -7,7 +7,9 @@ rows, is compared against filtering the exhaustive endomorphism enumeration
 and against the whole-table closure `dumb_aut_closure`.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from conftest import (
     mask_members,
 )
 from pgroups.caps import CapExceeded, endo_oracle_cap
-from pgroups.core import carrier, make_shape
+from pgroups.core import GroupShape, carrier, make_shape
 from pgroups.endos import (
     aut_closure_tables,
     aut_generator_tables,
@@ -35,6 +37,7 @@ from pgroups.endos import (
     endo_table_batches,
     entries_from_images,
     induced_tables_batch,
+    prefix_aut_generator_tables,
     random_endo_entries,
     stability_test_tables,
 )
@@ -279,6 +282,33 @@ def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
     assert [t.tolist() for t in tables] == [dumb_endo_table(s, e.tolist()) for e in ents]
 
 
+def test_row_tables_are_int16_and_every_index_fits():
+    # the last row of ascending exponents has |G| codes, so a shape inside
+    # the row-table budget has |G|^2 within it and every index below 1024
+    shapes = [
+        *build_corpus(2, 2048).shapes,
+        *build_corpus(3, 2187).shapes,
+        *build_corpus(5, 625).shapes,
+        *build_corpus(7, 343).shapes,
+    ]
+    routed = 0
+    for s in shapes:
+        rows = endos_mod._row_tables(s)
+        if rows is None:
+            continue
+        routed += 1
+        size = carrier(s).n
+        assert size**2 <= endos_mod._ROW_TABLE_CELLS, s
+        tables = rows[2]
+        assert all(t.dtype == np.int16 for t in tables), s
+        assert len(tables[-1]) == size, s
+        # each term is stride_i * coordinate i, and the terms of one table sum
+        # to an index, so even the largest sum of the terms stays below |G|
+        assert sum(int(t.max()) for t in tables) < size, s
+    assert routed >= 40
+    assert endos_mod._row_tables(make_shape(2, [10])) is not None  # |G| = 1024
+
+
 def test_bijective_flags_match_unique_count():
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 64, 243):
@@ -291,7 +321,7 @@ def test_bijective_flags_match_unique_count():
         want = [len(np.unique(row)) == n for row in tables]
         if n > 1:
             assert any(want) and not all(want)
-        for dtype in (np.int32, np.int64):
+        for dtype in (np.int16, np.int32, np.int64):
             assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
     assert bijective_flags_by_table(np.zeros((0, 5), dtype=np.int32)).shape == (0,)
 
@@ -299,7 +329,7 @@ def test_bijective_flags_match_unique_count():
 def test_bijective_flags_on_out_of_range_values():
     # a value outside 0..N-1 must not stand in for a slot of another row
     for tables in ([[0, 0], [-1, 1]], [[0, 2], [1, 1]]):
-        for dtype in (np.int32, np.int64):
+        for dtype in (np.int16, np.int32, np.int64):
             assert bijective_flags_by_table(np.array(tables, dtype=dtype)).tolist() == [
                 False,
                 False,
@@ -314,7 +344,7 @@ def test_bijective_flags_on_out_of_range_values():
         tables = np.concatenate([perms, shifted])
         want = [sorted(row) == list(range(n)) for row in tables.tolist()]
         assert sum(want) >= 30
-        for dtype in (np.int32, np.int64):
+        for dtype in (np.int16, np.int32, np.int64):
             assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
 
 
@@ -343,6 +373,37 @@ def test_table_batches_match_entry_batches():
         assert s.rank < 2 or endos_mod._row_tables(s) is not None
         got = _assert_table_batches_match(s, endo_table_batches(s))
         assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
+
+
+def test_table_batches_are_int16_with_the_int32_values():
+    shapes = [
+        make_shape(3, [1, 1, 3]),
+        make_shape(2, [1, 8]),  # indices up to 511
+        make_shape(5, [1, 3]),  # indices up to 624
+        make_shape(3, [1, 5]),  # indices up to 728
+    ]
+    for s in shapes:
+        for ents, tables in endo_table_batches(s):
+            want = induced_tables_batch(s, ents)
+            assert tables.dtype == np.int16 and want.dtype == np.int32, s
+            assert np.array_equal(tables.astype(np.int32), want), s
+
+
+# largest ents.nbytes + tables.nbytes of one `endo_table_batches` batch with
+# int32 tables, at the batch sizes of `_batch_size`
+_INT32_BATCH_BYTES = {
+    (3, (1, 1, 3)): 253692,
+    (2, (1, 1, 1, 1)): 393216,
+    (2, (1, 1, 1, 2)): 262144,
+}
+
+
+def test_table_batches_hold_no_more_bytes_than_int32_batches():
+    # narrower tables must not turn into larger batches
+    for (p, exps), limit in _INT32_BATCH_BYTES.items():
+        s = make_shape(p, list(exps))
+        sizes = [ents.nbytes + tables.nbytes for ents, tables in endo_table_batches(s)]
+        assert max(sizes) <= limit, (s, max(sizes))
 
 
 def test_table_batches_fall_back_on_rank_1_and_over_the_row_table_budget():
@@ -402,6 +463,51 @@ def test_block_tables_match_scalar_determinants():
     assert checked == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
 
 
+def _leibniz_det(block):
+    """Determinant of a square integer matrix (list of rows), by the
+    permutation expansion."""
+    return sum(
+        sign * math.prod(row[col] for row, col in zip(block, perm))
+        for sign, perm in _signed_permutations(len(block))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(r):
+    out = []
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(perm[a] > perm[b] for a in range(r) for b in range(a + 1, r))
+        out.append((-1 if inversions % 2 else 1, perm))
+    return out
+
+
+def test_det_mod_p_batch_matches_leibniz():
+    rng = np.random.default_rng(17)
+    cases = []
+    for p, r in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        codes = np.arange(p ** (r * r), dtype=np.int64)
+        cases.append((p, (codes[:, None] // endos_mod._block_places(p, r) % p).reshape(-1, r, r)))
+    for p in (5, 7):
+        for r in (4, 5):
+            blocks = rng.integers(0, p, size=(240, r, r))
+            blocks[:80, 0, 0] = 0  # a zero first pivot
+            blocks[80:120, :, 0] = 0  # a zero first column: singular
+            blocks[120:160, 0, :] = 0  # a zero first row: singular
+            blocks[160:200, 1] = blocks[160:200, 0]  # a repeated row: singular
+            blocks[200:, :2, :2] = [[0, 1], [1, 0]]  # zero first and second pivots
+            cases.append((p, blocks))
+    pivots_fixed = 0
+    for p, blocks in cases:
+        want = [_leibniz_det(b) % p for b in blocks.tolist()]
+        assert endos_mod._det_mod_p_batch(blocks, p).tolist() == want, p
+        # unreduced and negative entries give the same determinants mod p
+        shifted = blocks + p * rng.integers(-3, 4, size=blocks.shape)
+        assert endos_mod._det_mod_p_batch(shifted, p).tolist() == want, p
+        pivots_fixed += sum(w != 0 for b, w in zip(blocks, want) if b[0, 0] == 0)
+        assert 0 < sum(w != 0 for w in want) < len(want)
+    assert pivots_fixed > 0
+
+
 def test_automorphism_flags_above_the_block_table_budget():
     # one 4x4 run mod 2: 2^16 blocks, so the flags come from elimination
     s = make_shape(2, [1, 1, 1, 1])
@@ -449,6 +555,22 @@ def test_generator_tables_match_induced_tables():
             # the einsum kernel, pinned to `induced_tables_batch` and to
             # `dumb_endo_table` above, builds no per-row tables for each shape
             assert np.array_equal(tables, endos_mod._induced_tables(carrier(s), ents)), s
+
+
+def test_prefix_generator_tables_are_the_summands_own():
+    shapes = [
+        *build_corpus(2, 256).shapes,
+        *build_corpus(3, 729).shapes,
+        *build_corpus(5, 625).shapes,
+    ]
+    checked = 0
+    for s in shapes:
+        for t in range(1, s.rank):
+            left = GroupShape(s.prime, s.exponents[:t])
+            got = prefix_aut_generator_tables(s, t)
+            assert np.array_equal(got, aut_generator_tables(left)), (s, t)
+            checked += 1
+    assert checked > 100
 
 
 def test_generator_entries_match_scalar_construction():

@@ -218,7 +218,7 @@ def test_oracle_catches_a_stability_test_that_keeps_everything(monkeypatch):
     monkeypatch.setattr(
         harness_mod,
         "stable_flags",
-        lambda shape, masks, tables: np.ones(len(masks), dtype=bool),
+        lambda shape, masks, tables: np.ones(sum(1 for _ in masks), dtype=bool),
     )
     r = verify_claim("oracle-crosscheck", build_corpus(2, 16))
     assert r.status == "fail"

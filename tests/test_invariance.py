@@ -80,7 +80,11 @@ def test_stable_flags_batches_match_oracles(endo_oracle_shapes, monkeypatch):
                 (stability_test_tables(s), is_fully_invariant, oracle_fi),
             ):
                 assert stable_flags(s, masks, tables).tolist() == oracle
+                # masks streamed from an iterator are flagged chunk by chunk
+                streamed = stable_flags(s, (h.mask for h in subs), tables)
+                assert streamed.tolist() == oracle
                 assert [one_mask(h) for h in subs] == oracle
+                assert stable_flags(s, iter(()), tables).shape == (0,)
 
     big = make_shape(2, [1, 12])
     assert all(is_characteristic(h) for h in characteristic_from_orbits(big))
