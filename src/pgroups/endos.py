@@ -13,11 +13,14 @@ G/pG; with exponents ascending that reduction is block upper-triangular
 (maps from a strictly lower to a strictly higher exponent pick up a factor of
 p), so the fast test is that every equal-exponent diagonal block has nonzero
 determinant mod p.  `automorphism_flags` codes each r x r block in base p
-and reads a per-(p, r) table of nonsingular blocks, built once by
-elimination over every block; runs with too many blocks for a table are
-eliminated batch by batch.  The elimination swaps no rows: a zero pivot's
-row gets a later row with a nonzero entry in its column added to it, which
-keeps the determinant.  The brute-force alternative is the definition:
+and reads a per-(p, r) table of determinants mod p, built once by
+elimination over every block.  A run with too many blocks for a table
+expands each determinant along the block's last row, reading the r
+cofactors' minors from the (r-1) x (r-1) table; only a run whose minor
+table would also be too large is eliminated batch by batch.  The
+elimination swaps no rows: a zero pivot's row gets a later row with a
+nonzero entry in its column added to it, which keeps the determinant.  The
+brute-force alternative is the definition:
 an endomorphism is bijective iff its carrier table is a permutation.  The
 two must agree, and the verification harness cross-checks that they do.
 
@@ -162,6 +165,11 @@ def endo_entry_batches(
     fastest).  Guarded by the endo oracle cap; this is the brute-force oracle
     layer, batched so exhaustive sweeps stay in numpy instead of looping over
     a million matrices one at a time.
+
+    Matrices come in sweeps of c, the last row's codes, that share rows
+    0..n-2: a batch tiles the last row's (c, n) block, decoded once, under
+    rows 0..n-2 decoded once per sweep (index // c), cut where it starts or
+    ends mid-sweep.
     """
     cap = endo_oracle_cap()
     total = endo_count(shape)
@@ -174,11 +182,24 @@ def endo_entry_batches(
     if batch_size is None:
         batch_size = _batch_size(shape)
     moduli, place = _cell_places(shape)
-    moduli, place = moduli.ravel(), place.ravel()
+    c = int(moduli[-1].prod())
+    last = np.arange(c, dtype=np.int64)[:, None] // place[-1] % moduli[-1]
+    # the place values of rows 0..n-2 are multiples of c: a sweep's number
+    # is its first matrix's index // c
+    prefix_moduli, prefix_place = moduli[:-1].ravel(), place[:-1].ravel() // c
     for start in range(0, total, batch_size):
-        idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
-        flat = (idx[:, None] // place[None, :]) % moduli[None, :]
-        yield flat.reshape(-1, n, n)
+        stop = min(start + batch_size, total)
+        sweeps = np.arange(start // c, -(-stop // c), dtype=np.int64)
+        skip = start % c
+        if len(sweeps) == 1:
+            block, skip = last[skip : skip + stop - start], 0
+        else:
+            block = last
+        grid = np.empty((len(sweeps), len(block), n, n), dtype=np.int64)
+        prefix = sweeps[:, None] // prefix_place % prefix_moduli
+        grid[:, :, :-1] = prefix.reshape(len(sweeps), 1, n - 1, n)
+        grid[:, :, -1] = block
+        yield grid.reshape(-1, n, n)[skip : skip + stop - start]
 
 
 # the row tables of one shape hold at most this many int16 cells (2 MB); a
@@ -316,9 +337,12 @@ def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
-# a run with more r x r blocks mod p than this is tested by elimination: under
-# the default endo-oracle cap only single-run shapes (2:1^4, 3:1^3) have one,
-# and for them a table of every block would cost as much as their whole scan
+# a run with more r x r blocks mod p than this expands its determinants along
+# the block's last row, reading each cofactor's minor from the (r-1) x (r-1)
+# table; under the default endo-oracle cap only single-run shapes (2:1^4,
+# 3:1^3) have such a run, and for them a table of every block would cost as
+# much as their whole scan.  A run whose minor table would also be over this
+# is eliminated batch by batch
 _BLOCK_TABLE_LIMIT = 1 << 12
 
 
@@ -329,37 +353,57 @@ def _block_places(p: int, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _nonsingular_blocks(p: int, r: int) -> np.ndarray:
-    """Read-only bool table over every r x r block mod p, indexed by the
-    block's code sum(block.ravel() * _block_places(p, r)): True iff the
-    block's determinant mod p is nonzero.  Built by `_det_mod_p_batch` on
-    all p^(r*r) blocks at once, so callers keep p^(r*r) within
-    `_BLOCK_TABLE_LIMIT`."""
+def _block_dets(p: int, r: int) -> np.ndarray:
+    """Read-only table of determinants mod p over every r x r block mod p,
+    indexed by the block's code sum(block.ravel() * _block_places(p, r)); a
+    block is nonsingular iff its entry is nonzero.  Built by
+    `_det_mod_p_batch` on all p^(r*r) blocks at once, so callers keep
+    p^(r*r) within `_BLOCK_TABLE_LIMIT`."""
     codes = np.arange(p ** (r * r), dtype=np.int64)
     blocks = (codes[:, None] // _block_places(p, r) % p).reshape(-1, r, r)
-    table = _det_mod_p_batch(blocks, p) != 0
+    table = _det_mod_p_batch(blocks, p)
     table.flags.writeable = False  # cached: shared by every later caller
     return table
+
+
+# rows 0..r-2 of an r x r block, flattened, times column j of this
+# ((r-1)*r, r) matrix give the `_block_dets(p, r - 1)` code of the minor
+# without the last row and column j
+@lru_cache(maxsize=None)
+def _minor_places(p: int, r: int) -> np.ndarray:
+    places = _block_places(p, r - 1).reshape(r - 1, r - 1)
+    out = np.zeros((r - 1, r, r), dtype=np.int64)  # (row, column, deleted column)
+    for j in range(r):
+        out[:, np.arange(r) != j, j] = places
+    out = out.reshape((r - 1) * r, r)
+    out.flags.writeable = False  # cached: shared by every later caller
+    return out
 
 
 def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     """Automorphism flags of a (B, n, n) entry batch: every equal-exponent
     diagonal block must be nonsingular mod p.
 
-    Each equal-exponent run's blocks are coded in base p and looked up in
-    `_nonsingular_blocks`; a run above `_BLOCK_TABLE_LIMIT` goes through
-    `_det_mod_p_batch` directly.
+    Each run's r x r blocks are looked up in `_block_dets(p, r)`; a run over
+    `_BLOCK_TABLE_LIMIT` expands along the block's last row with minors from
+    `_block_dets(p, r - 1)`, or, over it too, goes through `_det_mod_p_batch`.
     """
     p = shape.prime
     flags = np.ones(entries.shape[0], dtype=bool)
     for run in _equal_exponent_runs(shape):
         r = len(run)
-        block = entries[:, run.start : run.stop, run.start : run.stop]
-        if p ** (r * r) > _BLOCK_TABLE_LIMIT:
-            flags &= _det_mod_p_batch(block, p) != 0
+        block = entries[:, run.start : run.stop, run.start : run.stop] % p
+        if p ** (r * r) <= _BLOCK_TABLE_LIMIT:
+            codes = block.reshape(-1, r * r) @ _block_places(p, r)
+            flags &= _block_dets(p, r)[codes] != 0
+        elif p ** ((r - 1) * (r - 1)) <= _BLOCK_TABLE_LIMIT:
+            top = block[:, :-1].reshape(-1, (r - 1) * r)
+            minors = _block_dets(p, r - 1)[top @ _minor_places(p, r)]  # (B, r)
+            # cofactor signs (-1)^(r-1+j) alternate from + at the last column
+            signs = (-1) ** np.arange(r - 1, 2 * r - 1)
+            flags &= (block[:, -1] * minors) @ signs % p != 0
         else:
-            codes = (block % p).reshape(-1, r * r) @ _block_places(p, r)
-            flags &= _nonsingular_blocks(p, r)[codes]
+            flags &= _det_mod_p_batch(block, p) != 0
     return flags
 
 

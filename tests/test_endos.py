@@ -239,6 +239,36 @@ def test_entry_batches_match_scalar_enumeration(endo_oracle_shapes):
         assert batched == reference
 
 
+def _indexed_entries(s, start, stop):
+    """Reference: matrices start..stop-1 decoded cell by cell from their
+    index, idx // place % moduli over all n^2 cells."""
+    moduli, place = endos_mod._cell_places(s)
+    idx = np.arange(start, stop, dtype=np.int64)
+    return (idx[:, None] // place.ravel() % moduli.ravel()).reshape(-1, s.rank, s.rank)
+
+
+def test_entry_batches_match_index_decoding():
+    # c matrices per sweep of the last row; batch sizes below c, not a
+    # multiple of c, and the default (269 for 3:2,3, not a multiple of 243)
+    cases = {
+        (3, (4,)): (81, [5, 30, None]),
+        (3, (2, 3)): (243, [100, 250, None]),
+        (2, (1, 1, 1, 1)): (16, [5, 24, None]),
+    }
+    for (p, exps), (c, sizes) in cases.items():
+        s = make_shape(p, list(exps))
+        assert int(endos_mod._cell_places(s)[0][-1].prod()) == c
+        for size in sizes:
+            step = endos_mod._batch_size(s) if size is None else size
+            start = 0
+            for ents in endo_entry_batches(s, size):
+                stop = min(start + step, endo_count(s))
+                assert ents.dtype == np.int64 and ents.shape == (stop - start, s.rank, s.rank)
+                assert np.array_equal(ents, _indexed_entries(s, start, stop)), (s, size, start)
+                start = stop
+            assert start == endo_count(s), (s, size)
+
+
 def test_entry_batches_cap(monkeypatch):
     monkeypatch.setenv("PGROUPS_ENDO_ORACLE_CAP", "8")
     with pytest.raises(CapExceeded, match="endo-oracle"):
@@ -445,19 +475,21 @@ def _row_space_size(rows, p):
 
 
 def test_block_tables_match_scalar_determinants():
-    # an r x r block mod p is nonsingular iff its rows span all p^r vectors
+    # an r x r block mod p is nonsingular iff its rows span all p^r vectors,
+    # and its table entry is its Leibniz determinant mod p
     checked = []
     for p in (2, 3, 5, 7):
         r = 1
         while p ** (r * r) <= endos_mod._BLOCK_TABLE_LIMIT:
-            table = endos_mod._nonsingular_blocks(p, r)
+            table = endos_mod._block_dets(p, r)
             places = endos_mod._block_places(p, r)
             blocks = list(itertools.product(range(p), repeat=r * r))
             assert len(table) == len(blocks) and not table.flags.writeable
             for flat in blocks:
                 rows = [flat[k * r : (k + 1) * r] for k in range(r)]
                 code = int(np.dot(flat, places))
-                assert table[code] == (_row_space_size(rows, p) == p ** r)
+                assert table[code] == _leibniz_det(rows) % p
+                assert (table[code] != 0) == (_row_space_size(rows, p) == p ** r)
             checked.append((p, r))
             r += 1
     assert checked == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)]
@@ -508,15 +540,34 @@ def test_det_mod_p_batch_matches_leibniz():
     assert pivots_fixed > 0
 
 
-def test_automorphism_flags_above_the_block_table_budget():
-    # one 4x4 run mod 2: 2^16 blocks, so the flags come from elimination
-    s = make_shape(2, [1, 1, 1, 1])
-    assert 2 ** 16 > endos_mod._BLOCK_TABLE_LIMIT
-    rng = np.random.default_rng(31)
-    batches = list(endo_entry_batches(s))
-    for k in sorted(rng.choice(len(batches), size=3, replace=False)):
-        ents = batches[k]
-        assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
+def test_automorphism_flags_by_expansion_match_scalar():
+    # one run over the block-table budget whose minors fit one: 4x4 mod 2
+    # (3x3 minors) and 3x3 mod 3 (2x2 minors), expanded along the last row
+    for p, r in ((2, 4), (3, 3)):
+        s = make_shape(p, [1] * r)
+        assert p ** (r * r) > endos_mod._BLOCK_TABLE_LIMIT
+        assert p ** ((r - 1) * (r - 1)) <= endos_mod._BLOCK_TABLE_LIMIT
+        for ents in endo_entry_batches(s):
+            assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
+
+
+def test_automorphism_flags_by_elimination_over_both_tables(monkeypatch):
+    # a limit below the minor tables of 2:1,1,1 (2^4) and 3:1,1 (3^1) sends
+    # their runs to `_det_mod_p_batch`, the route of a raised endo-oracle cap
+    monkeypatch.setattr(endos_mod, "_BLOCK_TABLE_LIMIT", 2)
+    eliminated = []
+    real = endos_mod._det_mod_p_batch
+
+    def spy(blocks, p):
+        eliminated.append(len(blocks))
+        return real(blocks, p)
+
+    monkeypatch.setattr(endos_mod, "_det_mod_p_batch", spy)
+    for s in (make_shape(2, [1, 1, 1]), make_shape(3, [1, 1])):
+        eliminated.clear()
+        for ents in endo_entry_batches(s):
+            assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
+        assert sum(eliminated) == endo_count(s), s
 
 
 def test_automorphism_flags_on_unreduced_and_negative_entries():

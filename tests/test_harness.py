@@ -1,6 +1,7 @@
 """Corpus construction, claim execution, parallel determinism, negative controls."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import pgroups.endos as endos_mod
 import pgroups.harness as harness_mod
 import pgroups.invariance as invariance_mod
+from conftest import dumb_endo_table
 from pgroups.core import GroupShape, carrier, format_shape, make_shape, parse_shape
 from pgroups.endos import stability_test_tables
 from pgroups.harness import (
@@ -229,20 +231,27 @@ def test_oracle_catches_a_stability_test_that_keeps_everything(monkeypatch):
     }
 
 
-def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
-    real = endos_mod._nonsingular_blocks
+def _flip_block_det(monkeypatch):
+    """Make the 3x3 mod-2 determinant table read 1 for one singular block,
+    which it returns."""
     singular = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    real = endos_mod._block_dets
     code = int(np.dot(np.ravel(singular), endos_mod._block_places(2, 3)))
-    assert not real(2, 3)[code]
+    assert real(2, 3)[code] == 0
 
     def flipped(p, r):
         table = real(p, r)
         if (p, r) == (2, 3):
             table = table.copy()
-            table[code] = True
+            table[code] = 1
         return table
 
-    monkeypatch.setattr(endos_mod, "_nonsingular_blocks", flipped)
+    monkeypatch.setattr(endos_mod, "_block_dets", flipped)
+    return singular
+
+
+def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
+    singular = _flip_block_det(monkeypatch)
     # only 2:1,1,1 has a 3x3 run mod 2; its one map with that block is the
     # block itself, so exactly one violation, and none on the other shapes
     shapes = ("2:1,1", "2:1,2", "2:2,2", "2:1,1,1", "2:1,1,2")
@@ -260,6 +269,43 @@ def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
             },
         )
     ]
+
+
+def test_expansion_oracle_catches_a_flipped_minor_entry(monkeypatch):
+    singular = _flip_block_det(monkeypatch)
+    # 2:1^4 expands its 4x4 determinants along the last row into 3x3 minors
+    # read from the same table; a flipped minor changes the expansion by
+    # that cofactor's last-row entry, so a matrix is misflagged iff its last
+    # row is odd on the columns j whose minor (rows 0..2 without column j)
+    # is the flipped block
+    s = make_shape(2, [1, 1, 1, 1])
+    misflagged = []
+    for flat in itertools.product(range(2), repeat=16):
+        m = [list(flat[k : k + 4]) for k in range(0, 16, 4)]
+        hits = [j for j in range(4) if [row[:j] + row[j + 1 :] for row in m[:3]] == singular]
+        if sum(m[3][j] for j in hits) % 2:
+            misflagged.append(m)
+    assert len(misflagged) == 232
+    monkeypatch.setattr(harness_mod, "MAX_STORED_VIOLATIONS", 1000)
+    corpus = harness_mod.Corpus(2, 16, (parse_shape("2:1,1,1"), s))
+    r = verify_claim("oracle-crosscheck", corpus)
+    assert r.status == "fail"
+
+    def witness(m, bijective):
+        return {
+            "check": "fast-aut-vs-bijective-table",
+            "entries": m,
+            "fast": not bijective,
+            "bijective": bijective,
+        }
+
+    want = [("2:1,1,1", witness(singular, False))] + [
+        ("2:1,1,1,1", witness(m, len(set(dumb_endo_table(s, m))) == s.order))
+        for m in misflagged
+    ]
+    assert [(v["shape"], v["witness"]) for v in r.violations] == want
+    # both ways: singular maps flagged as automorphisms, and automorphisms missed
+    assert {w["fast"] for _, w in want[1:]} == {True, False}
 
 
 def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
