@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .core import GroupShape, format_shape
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _flags_to_str(flags) -> str:
@@ -46,7 +46,7 @@ class LatticeCache:
         return self.root / f"{digest}.json.gz"
 
     def load(self, shape: GroupShape):
-        """(masks, char_flags, fi_flags, iso_types) or None if absent/unusable."""
+        """(masks, char_flags, fi_flags) or None if absent/unusable."""
         path = self._path(shape)
         try:
             with gzip.open(path, "rt", encoding="utf-8") as fh:
@@ -61,17 +61,16 @@ class LatticeCache:
             masks = [int(m, 16) for m in doc["masks"]]
             char_flags = _str_to_flags(doc["char"])
             fi_flags = _str_to_flags(doc["fi"])
-            iso_types = doc["iso"]
             n = doc["count"]
-            if not (len(masks) == len(char_flags) == len(fi_flags) == len(iso_types) == n):
+            if not (len(masks) == len(char_flags) == len(fi_flags) == n):
                 return None
             if n == 0 or masks[0] != 1:
                 return None
         except (KeyError, TypeError, ValueError):
             return None
-        return masks, char_flags, fi_flags, iso_types
+        return masks, char_flags, fi_flags
 
-    def save(self, shape: GroupShape, masks, char_flags, fi_flags, iso_types) -> None:
+    def save(self, shape: GroupShape, masks, char_flags, fi_flags) -> None:
         if self._disabled:
             return
         doc = {
@@ -81,7 +80,6 @@ class LatticeCache:
             "masks": [format(m, "x") for m in masks],
             "char": _flags_to_str(char_flags),
             "fi": _flags_to_str(fi_flags),
-            "iso": list(iso_types),
         }
         path = self._path(shape)
         try:

@@ -144,10 +144,6 @@ def element(shape: GroupShape, coords: Sequence[int]) -> GroupElement:
     return GroupElement(shape, reduced)
 
 
-def zero(shape: GroupShape) -> GroupElement:
-    return GroupElement(shape, (0,) * shape.rank)
-
-
 def add(x: GroupElement, y: GroupElement) -> GroupElement:
     if x.shape != y.shape:
         raise ValueError("elements live in different groups")

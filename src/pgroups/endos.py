@@ -12,28 +12,27 @@ An endomorphism is an automorphism iff its reduction mod p is invertible on
 G/pG; with exponents ascending that reduction is block upper-triangular
 (maps from a strictly lower to a strictly higher exponent pick up a factor of
 p), so the fast test is that every equal-exponent diagonal block has nonzero
-determinant mod p.  `automorphism_flags` codes each r x r block in base p
-and reads a per-(p, r) table of determinants mod p, built once by
-elimination over every block.  A run with too many blocks for a table
-expands each determinant along the block's last row, reading the r
-cofactors' minors from the (r-1) x (r-1) table; only a run whose minor
-table would also be too large is eliminated batch by batch.  The
-elimination swaps no rows: a zero pivot's row gets a later row with a
-nonzero entry in its column added to it, which keeps the determinant.  The
-brute-force alternative is the definition:
-an endomorphism is bijective iff its carrier table is a permutation.  The
-two must agree, and the verification harness cross-checks that they do.
+determinant mod p.  One routine gives the determinants (`_dets`): a block
+coded in base p is read from a per-(p, r) table of every block's
+determinant, and a run with too many blocks for a table expands each
+determinant along the block's last row (`_expand`), reading the r minors
+from the (r-1) x (r-1) table, or expanding them in turn where that table is
+too large as well.  The tables are built by the same expansion.  The
+brute-force alternative is the definition: an endomorphism is bijective iff
+its carrier table is a permutation.  The two must agree, and the
+verification harness cross-checks that they do.
 
 The harness does so exhaustively: `endo_table_batches` yields every entry
 matrix of `endo_entry_batches` with its whole carrier table, and
 `bijective_flags_by_table` tests each table for being a permutation by
-sorting it.  Image coordinate i depends on row i of the matrix alone, so a
-table is the sum of n per-row terms, each read from a per-row table built
-once per shape (`induced_tables_batch`: n gathers per batch, not a product
-over all n^2 entries).  The last row varies fastest in the enumeration, so
-the scan sums rows 0..n-2 once per sweep of the last row and adds each of
-that row's tables to it: one add per table cell.  The per-row tables, and
-so the scan's tables, are int16: a shape has them only when |G| <= 1024.
+sorting it.  Image coordinate i depends on row i of the matrix alone
+(`_row_terms`), so a table is the sum of n per-row terms, each read from a
+per-row table built once per shape (`induced_tables_batch`: n gathers per
+batch, not a product over all n^2 entries).  The last row varies fastest in
+the enumeration, so the scan sums rows 0..n-2 once per sweep of the last row
+and adds each of that row's tables to it: one add per table cell.  The
+per-row tables, and so the scan's tables, are int16: a shape has them only
+when |G| <= 1024, and a larger one sums its per-row terms batch by batch.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
@@ -43,12 +42,11 @@ table, and each element's rank in the enumeration (its key in the closure's
 `seen` bitmap) is n one-column look-ups.  The closure is checked against the
 exhaustive enumeration.
 Generator and single-entry tables (`aut_generator_tables`,
-`stability_test_tables`) are built here once per shape for every caller
-(a prefix summand's generator tables are read off its group's,
-`prefix_aut_generator_tables`),
-each summed from its map's nonzero entries (rows that match the identity's
-are read off the identity table), so a sparse map costs a few |G|-long
-terms, not n^2.
+`stability_test_tables`) are built here once per shape for every caller (a
+prefix summand's generator tables are read off its group's,
+`prefix_aut_generator_tables`).  A generator's table is the identity table
+with the rows it changes corrected, and E_ij's table is read off the
+coordinates directly: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from .caps import CapExceeded, aut_closure_cap, endo_oracle_cap
-from .core import Carrier, GroupShape, carrier
+from .core import GroupShape, carrier
 
 
 def _scales(shape: GroupShape) -> np.ndarray:
@@ -102,27 +100,6 @@ def _equal_exponent_runs(shape: GroupShape) -> list[range]:
     return runs
 
 
-# ---- carrier-level induced maps ---------------------------------------------------
-
-
-def _induced_tables(car: Carrier, entries: np.ndarray) -> np.ndarray:
-    """Table kernel behind `induced_tables_batch`: one carrier table per
-    matrix in a (B, n, n) entry batch."""
-    shape = car.shape
-    n = shape.rank
-    if n == 0:
-        return np.zeros((entries.shape[0], car.n), dtype=np.int64)
-    weights = _scales(shape)
-    radices = np.array(car.radices, dtype=np.int64)
-    strides = np.array(car.strides, dtype=np.int64)
-    # image coordinate i of point x is sum_j e_ij * w_ij * coords[j, x] mod p^ki;
-    # weights and coordinates are each < 2^16 under the carrier cap, so the
-    # accumulated sums stay far inside int64
-    imgs = np.einsum("bij,jx->bix", entries.astype(np.int64) * weights, car.coords_mat)
-    imgs %= radices[None, :, None]
-    return np.einsum("bix,i->bx", imgs, strides)
-
-
 # ---- exhaustive enumeration and generators ----------------------------------------
 
 
@@ -150,9 +127,9 @@ def _cell_places(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch_size(shape: GroupShape) -> int:
     """Matrices per batch: B * n * |G| stays around 2^17 cells, which bounds
-    both the (B, |G|) tables and the gathers of `induced_tables_batch` and
-    the (B, n, |G|) einsum intermediate of `_induced_tables`; larger batches
-    scan no faster and only raise peak memory."""
+    the (B, |G|) tables, the n gathers of `induced_tables_batch` and the
+    (B, |G|) terms of `_row_terms`; larger batches scan no faster and only
+    raise peak memory."""
     return max(64, (1 << 17) // max(1, shape.rank * carrier(shape).n))
 
 
@@ -176,9 +153,6 @@ def endo_entry_batches(
     if total > cap:
         raise CapExceeded("endo-oracle", cap, total, f"|End| for {shape}")
     n = shape.rank
-    if n == 0:
-        yield np.zeros((1, 0, 0), dtype=np.int64)
-        return
     if batch_size is None:
         batch_size = _batch_size(shape)
     moduli, place = _cell_places(shape)
@@ -203,28 +177,40 @@ def endo_entry_batches(
 
 
 # the row tables of one shape hold at most this many int16 cells (2 MB); a
-# shape above it (a cyclic 2:12, say) builds its tables with the einsum kernel.
-# Exponents ascend, so the last row has p^min(kn, kj) = p^kj choices per cell
-# and |G| codes in all: |G|^2 <= sum(counts) * |G| <= 2^20, every carrier
-# index and every partial row sum is below 1024, and int16 holds them all
+# shape above it (a cyclic 2:12, say) sums `_row_terms` over the rows of each
+# batch instead.  Exponents ascend, so the last row has p^min(kn, kj) = p^kj
+# choices per cell and |G| codes in all: |G|^2 <= sum(counts) * |G| <= 2^20,
+# every carrier index and every partial row sum is below 1024, and int16
+# holds them all
 _ROW_TABLE_CELLS = 1 << 20
+
+
+def _row_terms(shape: GroupShape, i: int, rows: np.ndarray) -> np.ndarray:
+    """stride_i * (image coordinate i) of every element, one int64 row per
+    row-i entry vector in a (B, n) batch: coordinate i of the image of x is
+    sum_j e_ij * p^max(0, ki - kj) * x_j mod p^ki, whatever the other rows.
+
+    Weights and coordinates are each < 2^16 under the carrier cap, so the
+    sums stay far inside int64."""
+    car = carrier(shape)
+    terms = np.einsum("bj,jx->bx", rows * _scales(shape)[i], car.coords_mat)
+    terms %= car.radices[i]
+    terms *= car.strides[i]
+    return terms
 
 
 @lru_cache(maxsize=2)
 def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """(moduli, places, tables) for the row route of `induced_tables_batch`,
-    or None for a shape of rank 0 or above `_ROW_TABLE_CELLS`.
+    or None for a shape above `_ROW_TABLE_CELLS`.
 
     Image coordinate i depends on row i of the entry matrix alone.  A row
     reduced mod `moduli[i]` is coded as sum(row * places[i]) (mixed radix, the
     last cell varying fastest), and `tables[i]` is the (codes, |G|) int16
-    table of stride_i * coordinate i of the image, so that a carrier table is
-    the sum over i of tables[i][code_i].  The tables come from the one-row
-    matrices of each row, through `_induced_tables`.
+    table of `_row_terms` over every code, so that a carrier table is the sum
+    over i of tables[i][code_i].
     """
     n = shape.rank
-    if n == 0:
-        return None
     car = carrier(shape)
     moduli, _ = _cell_places(shape)
     counts = moduli.prod(axis=1)
@@ -235,12 +221,10 @@ def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | Non
     step = _batch_size(shape)
     tables = []
     for i in range(n):
-        codes = np.arange(counts[i], dtype=np.int64)
-        ents = np.zeros((len(codes), n, n), dtype=np.int64)
-        ents[:, i, :] = codes[:, None] // places[i] % moduli[i]
-        table = np.empty((len(codes), car.n), dtype=np.int16)
-        for start in range(0, len(codes), step):
-            table[start : start + step] = _induced_tables(car, ents[start : start + step])
+        rows = np.arange(counts[i], dtype=np.int64)[:, None] // places[i] % moduli[i]
+        table = np.empty((len(rows), car.n), dtype=np.int16)
+        for start in range(0, len(rows), step):
+            table[start : start + step] = _row_terms(shape, i, rows[start : start + step])
         tables.append(table)
     for a in (moduli, places, *tables):
         a.flags.writeable = False  # cached: shared by every later caller
@@ -255,24 +239,28 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     row[x] is the index of sum_ij entries[b, i, j] * p^max(0, ki - kj) *
     x_j * a_i.  Rows are summed from the shape's cached per-row tables
     (`_row_tables`), n gathers per batch; a shape above the row-table budget
-    goes through `_induced_tables`.
+    sums the n `_row_terms` of each batch.
     """
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
         raise ValueError(f"expected a (B, {n}, {n}) entry array for {shape}")
     rows = _row_tables(shape)
     if rows is None:
-        return _induced_tables(carrier(shape), entries).astype(np.int32)
+        out = _row_terms(shape, 0, entries[:, 0])
+        for i in range(1, n):
+            out += _row_terms(shape, i, entries[:, i])
+        return out.astype(np.int32)
     return _row_sums(rows, entries, n).astype(np.int32)
 
 
 def _row_sums(rows: tuple, entries: np.ndarray, stop: int) -> np.ndarray:
     """Sum of the per-row table terms of rows 0..stop-1 of a (B, n, n) entry
-    batch, one int16 row per matrix; `rows` is `_row_tables(shape)`."""
+    batch, one int16 row per matrix (zeros for stop = 0); `rows` is
+    `_row_tables(shape)`."""
     moduli, places, tables = rows
     codes = (entries[:, :stop] % moduli[:stop] * places[:stop]).sum(axis=2)  # (B, stop)
-    out = tables[0][codes[:, 0]]
-    for i in range(1, stop):
+    out = np.zeros((len(entries), tables[0].shape[1]), dtype=tables[0].dtype)
+    for i in range(stop):
         out += tables[i][codes[:, i]]
     return out
 
@@ -284,14 +272,14 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
 
     The last matrix row varies fastest, so with c codes for that row every
     batch is made of whole sweeps of c matrices that share rows 0..n-2.  Each
-    sweep's prefix table is summed once from its first matrix, and its c
-    tables are that prefix plus each of the c last-row tables: one add per
-    cell instead of n gathers and n-1 adds.  Rank 1 and shapes above the
-    row-table budget go through `induced_tables_batch` batch by batch.
+    sweep's prefix table is summed once from its first matrix (zeros at rank
+    1), and its c tables are that prefix plus each of the c last-row tables:
+    one add per cell instead of n gathers and n-1 adds.  Only shapes above
+    the row-table budget go through `induced_tables_batch` batch by batch.
     """
     n = shape.rank
     rows = _row_tables(shape)
-    if n < 2 or rows is None:
+    if rows is None:
         for ents in endo_entry_batches(shape):
             yield ents, induced_tables_batch(shape, ents)
         return
@@ -310,39 +298,11 @@ def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:
     return (np.sort(tables, axis=1) == np.arange(n, dtype=tables.dtype)).all(axis=1)
 
 
-def _det_mod_p_batch(blocks: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, r, r) batch, by elimination without row
-    swaps: a zero pivot gets the first later row with a nonzero entry in its
-    column added to its own row, which leaves the determinant unchanged.
-    Column col is never read after step col, so each step updates only the
-    trailing submatrix."""
-    b, r = blocks.shape[0], blocks.shape[1]
-    # every product below is < p^2, so int32 holds it for any p < 46341
-    dtype = np.int32 if p * p < 1 << 31 else np.int64
-    m = (blocks % p).astype(dtype)
-    det = np.ones(b, dtype=dtype)
-    inv_table = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=dtype)
-    for col in range(r):
-        below = m[:, col + 1 :, col] != 0
-        fix = np.nonzero((m[:, col, col] == 0) & below.any(axis=1))[0]
-        if fix.size:
-            src = col + 1 + np.argmax(below[fix], axis=1)
-            m[fix, col, col:] = (m[fix, col, col:] + m[fix, src, col:]) % p
-        pv = m[:, col, col]
-        det = det * pv % p
-        factors = m[:, col + 1 :, col] * inv_table[pv][:, None] % p
-        m[:, col + 1 :, col + 1 :] = (
-            m[:, col + 1 :, col + 1 :] - factors[:, :, None] * m[:, None, col, col + 1 :]
-        ) % p
-    return det
-
-
 # a run with more r x r blocks mod p than this expands its determinants along
-# the block's last row, reading each cofactor's minor from the (r-1) x (r-1)
-# table; under the default endo-oracle cap only single-run shapes (2:1^4,
-# 3:1^3) have such a run, and for them a table of every block would cost as
-# much as their whole scan.  A run whose minor table would also be over this
-# is eliminated batch by batch
+# the block's last row (`_expand`) instead of reading them from one table;
+# under the default endo-oracle cap only single-run shapes (2:1^4, 3:1^3) have
+# such a run, and for them a table of every block would cost as much as their
+# whole scan.  Their minors' tables are within it
 _BLOCK_TABLE_LIMIT = 1 << 12
 
 
@@ -356,12 +316,12 @@ def _block_places(p: int, r: int) -> np.ndarray:
 def _block_dets(p: int, r: int) -> np.ndarray:
     """Read-only table of determinants mod p over every r x r block mod p,
     indexed by the block's code sum(block.ravel() * _block_places(p, r)); a
-    block is nonsingular iff its entry is nonzero.  Built by
-    `_det_mod_p_batch` on all p^(r*r) blocks at once, so callers keep
-    p^(r*r) within `_BLOCK_TABLE_LIMIT`."""
+    block is nonsingular iff its entry is nonzero.  Built by `_expand` on all
+    p^(r*r) blocks at once, so callers keep p^(r*r) within
+    `_BLOCK_TABLE_LIMIT`."""
     codes = np.arange(p ** (r * r), dtype=np.int64)
-    blocks = (codes[:, None] // _block_places(p, r) % p).reshape(-1, r, r)
-    table = _det_mod_p_batch(blocks, p)
+    blocks = (codes[:, None] // _block_places(p, r) % p).reshape(len(codes), r, r)
+    table = _expand(blocks, p)
     table.flags.writeable = False  # cached: shared by every later caller
     return table
 
@@ -380,30 +340,43 @@ def _minor_places(p: int, r: int) -> np.ndarray:
     return out
 
 
+def _dets(blocks: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, r, r) batch of blocks reduced mod p: read
+    from `_block_dets(p, r)` while that table is within `_BLOCK_TABLE_LIMIT`,
+    expanded by `_expand` otherwise."""
+    r = blocks.shape[1]
+    if p ** (r * r) <= _BLOCK_TABLE_LIMIT:
+        return _block_dets(p, r)[blocks.reshape(len(blocks), r * r) @ _block_places(p, r)]
+    return _expand(blocks, p)
+
+
+def _expand(blocks: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, r, r) batch of blocks reduced mod p, by
+    Laplace expansion along the last row.  The r minors of rows 0..r-2 are
+    coded with `_minor_places` and read from `_block_dets(p, r - 1)` when that
+    table is within `_BLOCK_TABLE_LIMIT`, and expanded in turn otherwise.  A
+    0 x 0 block has determinant 1."""
+    b, r = blocks.shape[:2]
+    if r == 0:
+        return np.ones(b, dtype=np.int64)
+    top = blocks[:, :-1]
+    if p ** ((r - 1) * (r - 1)) <= _BLOCK_TABLE_LIMIT:
+        minors = _block_dets(p, r - 1)[top.reshape(b, (r - 1) * r) @ _minor_places(p, r)]
+    else:
+        minors = np.stack([_expand(np.delete(top, j, axis=2), p) for j in range(r)], axis=1)
+    # cofactor signs (-1)^(r-1+j) alternate from + at the last column
+    signs = (-1) ** np.arange(r - 1, 2 * r - 1)
+    return (blocks[:, -1] * minors) @ signs % p
+
+
 def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     """Automorphism flags of a (B, n, n) entry batch: every equal-exponent
-    diagonal block must be nonsingular mod p.
-
-    Each run's r x r blocks are looked up in `_block_dets(p, r)`; a run over
-    `_BLOCK_TABLE_LIMIT` expands along the block's last row with minors from
-    `_block_dets(p, r - 1)`, or, over it too, goes through `_det_mod_p_batch`.
-    """
+    diagonal block must have a nonzero determinant mod p (`_dets`)."""
     p = shape.prime
     flags = np.ones(entries.shape[0], dtype=bool)
     for run in _equal_exponent_runs(shape):
-        r = len(run)
         block = entries[:, run.start : run.stop, run.start : run.stop] % p
-        if p ** (r * r) <= _BLOCK_TABLE_LIMIT:
-            codes = block.reshape(-1, r * r) @ _block_places(p, r)
-            flags &= _block_dets(p, r)[codes] != 0
-        elif p ** ((r - 1) * (r - 1)) <= _BLOCK_TABLE_LIMIT:
-            top = block[:, :-1].reshape(-1, (r - 1) * r)
-            minors = _block_dets(p, r - 1)[top @ _minor_places(p, r)]  # (B, r)
-            # cofactor signs (-1)^(r-1+j) alternate from + at the last column
-            signs = (-1) ** np.arange(r - 1, 2 * r - 1)
-            flags &= (block[:, -1] * minors) @ signs % p != 0
-        else:
-            flags &= _det_mod_p_batch(block, p) != 0
+        flags &= _dets(block, p) != 0
     return flags
 
 
@@ -468,35 +441,27 @@ def _aut_generator_entries(shape: GroupShape) -> np.ndarray:
 
 
 def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
-    """Induced carrier tables of a (B, n, n) entry batch of sparse maps, one
-    int32 row per map.
+    """Induced carrier tables of a (B, n, n) entry batch of maps that differ
+    from the identity in a few rows (transvections, transpositions, unit
+    multiples), one int32 row per map.
 
-    Image coordinate i is sum_j e_ij * w_ij * coords[j] mod p^ki, so only the
-    nonzero entries are summed: a single-entry map costs one term of |G|
-    values, not n^2.  A map whose rows are mostly the identity's (a
-    transvection, a unit multiple, a transposition) starts from the identity
-    table and corrects only the rows that differ.  Tables are filled in place,
-    so a shape's tables are never held twice while they are built, and int32
-    is enough for a carrier index while halving what the caches keep.
+    Each table starts from the identity table and corrects only the rows that
+    differ: image coordinate i is sum_j e_ij * w_ij * coords[j] mod p^ki, and
+    only its nonzero terms are summed.  Tables are filled in place, so a
+    shape's tables are never held twice while they are built, and int32 is
+    enough for a carrier index while halving what the caches keep.
     """
     car = carrier(shape)
-    n = shape.rank
     coords = car.coords_mat
     moduli, _ = _cell_places(shape)
     coeffs = entries % moduli * _scales(shape)  # e_ij * w_ij, each < p^ki
-    eye = np.eye(n, dtype=np.int64)
-    identity = np.arange(car.n, dtype=np.int32)
+    eye = np.eye(shape.rank, dtype=np.int64)
     out = np.empty((len(entries), car.n), dtype=np.int32)
+    out[:] = np.arange(car.n, dtype=np.int32)
     for table, coeff in zip(out, coeffs):
-        changed = (coeff != eye).any(axis=1)
-        from_identity = 2 * int(changed.sum()) < n
-        table[:] = identity if from_identity else 0
-        for i in np.nonzero(changed if from_identity else coeff.any(axis=1))[0]:
+        for i in np.nonzero((coeff != eye).any(axis=1))[0]:
             acc = sum(c * coords[j] for j, c in enumerate(coeff[i].tolist()) if c)
-            acc = acc % car.radices[i]
-            if from_identity:
-                acc = acc - coords[i]
-            table += acc * car.strides[i]
+            table += (acc % car.radices[i] - coords[i]) * car.strides[i]
     return out
 
 
@@ -537,11 +502,20 @@ def stability_test_tables(shape: GroupShape) -> np.ndarray:
     A subset closed under addition is stable under every endomorphism iff it
     is stable under these: any matrix is an entrywise sum of multiples of the
     E_ij, and stability under a map passes to its integer multiples and sums.
+    E_ij sends x to (p^max(0, ki - kj) * x_j mod p^ki) * a_i, so row block i
+    (the n maps into summand i) is one product of the weights of row i with
+    the coordinates, filled in place.
     """
     n = shape.rank
-    ents = np.zeros((n * n, n, n), dtype=np.int64)
-    ents.reshape(n * n, n * n)[np.arange(n * n), np.arange(n * n)] = 1
-    return _generator_tables(shape, ents)
+    car = carrier(shape)
+    weights = _scales(shape)
+    out = np.empty((n, n, car.n), dtype=np.int32)
+    for i in range(n):
+        block = weights[i][:, None] * car.coords_mat
+        block %= car.radices[i]
+        block *= car.strides[i]
+        out[i] = block
+    return out.reshape(n * n, car.n)
 
 
 def _rank_lookup(shape: GroupShape) -> np.ndarray:

@@ -154,11 +154,7 @@ class LatticeStore:
             lat = compute_shape_lattice(shape)
             if self._cache is not None:
                 self._cache.save(
-                    shape,
-                    [h.mask for h in lat.subgroups],
-                    lat.char_flags,
-                    lat.fi_flags,
-                    [_iso_string(h.iso_type()) for h in lat.subgroups],
+                    shape, [h.mask for h in lat.subgroups], lat.char_flags, lat.fi_flags
                 )
         return lat
 
@@ -167,13 +163,13 @@ class LatticeStore:
         absent, does not rebuild into subgroups of `shape` (a mask without the
         zero element or wider than the carrier), does not list each mask once
         in `enumeration_key` order, or flags other subgroups characteristic or
-        fully invariant than the orbit and profile routes give.  Stored iso
-        strings are not read: each subgroup computes its type from its mask.
-        Closure under addition is not checked."""
+        fully invariant than the orbit and profile routes give.  No iso type
+        is stored: each subgroup computes its type from its mask.  Closure
+        under addition is not checked."""
         got = self._cache.load(shape)
         if got is None:
             return None
-        masks, char_flags, fi_flags, _ = got
+        masks, char_flags, fi_flags = got
         full_mask = carrier(shape).full_mask
         if any(mask & ~full_mask or not mask & 1 for mask in masks):
             return None
@@ -888,10 +884,6 @@ def registry() -> dict[str, ClaimSpec]:
     return dict(_REGISTRY)
 
 
-def runnable_claim_ids() -> list[str]:
-    return [cid for cid, spec in _REGISTRY.items() if spec.kind != "out-of-scope"]
-
-
 def all_claim_ids() -> list[str]:
     return list(_REGISTRY)
 
@@ -940,7 +932,6 @@ def run_claims(
     *,
     jobs: int = 1,
     cache_dir=None,
-    store: Optional[LatticeStore] = None,
 ) -> list[ClaimReport]:
     """One report per requested claim, in request order."""
     for cid in claim_ids:
@@ -962,7 +953,7 @@ def run_claims(
                 for key, res in pool.imap_unordered(_worker_run, work):
                     unit_results[key] = res
         else:
-            local = store or LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
+            local = LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
             for shape in units:
                 unit_results[format_shape(shape)] = _run_unit(local, shape, per_shape)
 
@@ -988,7 +979,7 @@ def run_claims(
         all_violations: list[dict] = []
         skip_shapes: dict[str, list[str]] = {}
         if spec.kind == "family":
-            local = store or LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
+            local = LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
             checked, outcome = spec.family(local, corpus)
             report.shapes_checked = checked
             all_violations.extend(outcome.violations)
@@ -1025,7 +1016,3 @@ def run_claims(
             report.status = "adapted"
         reports.append(report)
     return reports
-
-
-def verify_claim(claim_id: str, corpus: Corpus, **kwargs) -> ClaimReport:
-    return run_claims([claim_id], corpus, **kwargs)[0]

@@ -121,6 +121,18 @@ def dumb_endo_table(shape: GroupShape, entries) -> list[int]:
     ]
 
 
+def einsum_endo_tables(shape: GroupShape, entries) -> np.ndarray:
+    """Carrier tables of a (B, n, n) entry batch by one dense einsum over
+    every cell: image coordinate i of x is sum_j e_ij * w_ij * coords[j, x]
+    mod p^ki, and the table is the sum of stride_i times coordinate i."""
+    car = carrier(shape)
+    exps = np.array(shape.exponents, dtype=np.int64)
+    weights = shape.prime ** np.maximum(0, exps[:, None] - exps[None, :])
+    imgs = np.einsum("bij,jx->bix", np.asarray(entries, dtype=np.int64) * weights, car.coords_mat)
+    imgs %= np.array(car.radices, dtype=np.int64)[None, :, None]
+    return np.einsum("bix,i->bx", imgs, np.array(car.strides, dtype=np.int64))
+
+
 @lru_cache(maxsize=None)
 def _dumb_all_coords(shape: GroupShape) -> tuple:
     """`dumb_coords` of every index, once per shape: the endomorphism scans

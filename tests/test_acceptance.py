@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import pytest
 
 from pgroups.core import element, make_shape
-from pgroups.harness import LatticeStore, build_corpus, run_claims
+from pgroups.harness import build_corpus, run_claims
 from pgroups.invariance import is_characteristic, is_fully_invariant
 from pgroups.lattice import span
 
@@ -83,9 +83,7 @@ def classify_sweeps():
     out = {}
     for p in (2, 3):
         corpus = build_corpus(p, p ** 6)
-        reports = run_claims(
-            ["thm-2.5-i", "thm-2.5-ii"], corpus, store=LatticeStore()
-        )
+        reports = run_claims(["thm-2.5-i", "thm-2.5-ii"], corpus)
         out[p] = {r.claim_id: r for r in reports}
     return out
 
@@ -117,8 +115,7 @@ def test_criterion_5_doubling(sweep):
     ok = r["status"] == "pass" and r["total_violations"] == 0
     # the classify route must have covered every lambda whose double fits 2^10
     for p, bound, expected in ((2, 32, 18), (3, 27, 6)):
-        direct = run_claims(["thm-2.1"], build_corpus(p, bound),
-                            store=LatticeStore())[0]
+        direct = run_claims(["thm-2.1"], build_corpus(p, bound))[0]
         ok = (ok and direct.status == "pass" and direct.total_violations == 0
               and direct.shapes_checked == expected)
     _line(5, ok, "doubled-shape IFI verdict equals the IC verdict of the "
@@ -164,9 +161,7 @@ def test_criterion_8_oracle_crosschecks():
     ok = True
     details = []
     for p in (2, 3):
-        r = run_claims(
-            ["oracle-crosscheck"], build_corpus(p, 64), store=LatticeStore()
-        )[0]
+        r = run_claims(["oracle-crosscheck"], build_corpus(p, 64))[0]
         ok = ok and r.status == "pass" and r.total_violations == 0
         skips = _closure_skip_shapes(r)
         if p == 2:

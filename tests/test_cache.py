@@ -19,18 +19,14 @@ def shape():
 
 def _payload(shape):
     lat = compute_shape_lattice(shape)
-    isos = [
-        "" if h.iso_type().is_trivial_marker() else str(h.iso_type())
-        for h in lat.subgroups
-    ]
-    return [h.mask for h in lat.subgroups], list(lat.char_flags), list(lat.fi_flags), isos
+    return [h.mask for h in lat.subgroups], list(lat.char_flags), list(lat.fi_flags)
 
 
 def test_round_trip(tmp_path, shape):
     cache = LatticeCache(tmp_path)
-    masks, char, fi, isos = _payload(shape)
-    cache.save(shape, masks, char, fi, isos)
-    assert cache.load(shape) == (masks, char, fi, isos)
+    masks, char, fi = _payload(shape)
+    cache.save(shape, masks, char, fi)
+    assert cache.load(shape) == (masks, char, fi)
 
 
 def test_empty_cache_is_absent(tmp_path, shape):
@@ -63,7 +59,7 @@ def test_version_bump_invalidates(tmp_path, shape, monkeypatch):
     cache = LatticeCache(tmp_path)
     cache.save(shape, *_payload(shape))
     old_path = cache._path(shape)
-    monkeypatch.setattr(cache_mod, "FORMAT_VERSION", 2)
+    monkeypatch.setattr(cache_mod, "FORMAT_VERSION", cache_mod.FORMAT_VERSION + 1)
     bumped = LatticeCache(tmp_path)
     # key includes the version, so the old entry is simply never addressed
     assert bumped._path(shape) != old_path
@@ -74,7 +70,9 @@ def test_stamped_version_mismatch_is_absent(tmp_path, shape):
     cache = LatticeCache(tmp_path)
     cache.save(shape, *_payload(shape))
     path = cache._path(shape)
-    doc = gzip.open(path, "rt").read().replace('"version": 1', '"version": 99')
+    stamp = f'"version": {cache_mod.FORMAT_VERSION}'
+    assert stamp in gzip.open(path, "rt").read()
+    doc = gzip.open(path, "rt").read().replace(stamp, '"version": 99')
     with gzip.open(path, "wt") as fh:
         fh.write(doc)
     assert cache.load(shape) is None
@@ -82,8 +80,8 @@ def test_stamped_version_mismatch_is_absent(tmp_path, shape):
 
 def test_length_mismatch_is_absent(tmp_path, shape):
     cache = LatticeCache(tmp_path)
-    masks, char, fi, isos = _payload(shape)
-    cache.save(shape, masks, char[:-1] + [char[-1]], fi, isos[:-1] + ["2:9"])
+    masks, char, fi = _payload(shape)
+    cache.save(shape, masks, char[:-1] + [char[-1]], fi)
     path = cache._path(shape)
     doc = gzip.open(path, "rt").read().replace('"count": 11', '"count": 10')
     with gzip.open(path, "wt") as fh:
@@ -129,60 +127,45 @@ def test_entries_that_do_not_rebuild_are_recomputed(tmp_path, capsys):
     assert run(verify) == 0
     uncached = _runtime_free(capsys.readouterr().out)
     flags = [True, False, True]
-    LatticeCache(tmp_path).save(make_shape(2, [1]), [1, 2, 3], flags, flags, ["", "2:1", "2:1"])
+    LatticeCache(tmp_path).save(make_shape(2, [1]), [1, 2, 3], flags, flags)
     assert run(verify + ["--cache", str(tmp_path)]) == 0
     assert _runtime_free(capsys.readouterr().out) == uncached
-
-    # an iso string that does not parse, read through `enumerate`
-    shape = make_shape(2, [2])
-    masks, char, fi, isos = _payload(shape)
-    listing = ["enumerate", "--p", "2", "--partition", "2"]
-    assert run(listing) == 0
-    uncached = capsys.readouterr().out
-    LatticeCache(tmp_path).save(shape, masks, char, fi, isos[:-1] + ["2:x"])
-    assert run(listing + ["--cache", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == uncached
 
 
 def test_store_rejects_masks_and_iso_types_that_do_not_fit(tmp_path):
     shape = make_shape(2, [2])
-    masks, char, fi, isos = _payload(shape)
+    # a mask wider than the carrier; no iso type is stored, so each
+    # subgroup's comes from its mask
+    masks, char, fi = _payload(shape)
     fresh = [h.mask for h in compute_shape_lattice(shape).subgroups]
-    for bad_masks, bad_isos in (
-        (masks[:-1] + [masks[-1] | 1 << 4], isos),  # wider than the carrier
-        (masks, isos[:-1] + ["2:1"]),  # iso type of another order
-        (masks, isos[:-1] + ["2:100"]),  # beyond the carrier cap
-    ):
-        LatticeCache(tmp_path).save(shape, bad_masks, char, fi, bad_isos)
-        lat = LatticeStore(LatticeCache(tmp_path)).get(shape)
-        assert [h.mask for h in lat.subgroups] == fresh
-        assert str(lat.subgroups[-1].iso_type()) == "2:2"
+    LatticeCache(tmp_path).save(shape, masks[:-1] + [masks[-1] | 1 << 4], char, fi)
+    lat = LatticeStore(LatticeCache(tmp_path)).get(shape)
+    assert [h.mask for h in lat.subgroups] == fresh
+    assert str(lat.subgroups[-1].iso_type()) == "2:2"
 
 
 def test_entries_with_altered_flags_or_iso_strings_change_nothing(tmp_path, capsys):
     # each tampered entry, read through `enumerate`, must give the uncached
     # listing: flags that disagree with the orbit and profile routes make it
-    # a miss, and iso strings are never read
+    # a miss, and no iso string is stored to be read
     shape = make_shape(2, [2])
-    masks, char, fi, isos = _payload(shape)
+    masks, char, fi = _payload(shape)
     assert masks[1] == 0b101  # the order-2 subgroup
     cleared = [True, False, True]
-    for kind, bad_char, bad_fi, bad_isos in (
-        ("characteristic", cleared, fi, isos),
-        ("fully-invariant", char, cleared, isos),
-        ("all", char, fi, isos[:-1] + ["2:1,1"]),
-        ("characteristic", cleared, fi, isos[:-1] + ["2:1,1"]),
+    for kind, bad_char, bad_fi in (
+        ("characteristic", cleared, fi),
+        ("fully-invariant", char, cleared),
     ):
         listing = ["enumerate", "--p", "2", "--partition", "2", "--kind", kind]
         assert run(listing) == 0
         uncached = capsys.readouterr().out
-        LatticeCache(tmp_path).save(shape, masks, bad_char, bad_fi, bad_isos)
+        LatticeCache(tmp_path).save(shape, masks, bad_char, bad_fi)
         assert run(listing + ["--cache", str(tmp_path)]) == 0
         assert capsys.readouterr().out == uncached
 
 
 def test_entries_out_of_order_or_repeated_are_recomputed(tmp_path, capsys):
-    # flags and iso strings travel with their masks, so the orbit and profile
+    # flags travel with their masks, so the orbit and profile
     # checks pass; only the order check turns these entries away
     shape = make_shape(2, [1, 1])
     payload = _payload(shape)

@@ -23,7 +23,6 @@ from pgroups.core import (
     scalar_mul,
     ulm_invariants,
     ulm_sequence,
-    zero,
 )
 
 
@@ -86,7 +85,7 @@ def test_element_arithmetic_matches_coordinates():
     assert (-a).coords == (1, 3)
     assert (a - b).coords == (0, 7)
     assert (3 * a).coords == (1, 7)
-    assert not zero(s)
+    assert not element(s, [0] * s.rank)
     assert a
     assert scalar_mul(8, a).coords == (0, 0)
 
@@ -137,8 +136,9 @@ def test_ulm_sequence_shifts():
     pseq = ulm_sequence(px)
     # dropping the head of U(x) must give U(px)
     assert seq.heights[1:] == pseq.heights
-    assert seq.pointwise_leq(ulm_sequence(zero(s)))
-    assert not ulm_sequence(zero(s)).pointwise_leq(seq)
+    zero_seq = ulm_sequence(element(s, [0] * s.rank))
+    assert seq.pointwise_leq(zero_seq)
+    assert not zero_seq.pointwise_leq(seq)
 
 
 def test_ulm_sequence_strictly_increasing_until_infinite():

@@ -23,6 +23,7 @@ from conftest import (
     dumb_endo_entries,
     dumb_endo_table,
     dumb_index,
+    einsum_endo_tables,
     mask_members,
 )
 from pgroups.caps import CapExceeded, endo_oracle_cap
@@ -293,13 +294,12 @@ def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
     rng = np.random.default_rng(2024)
     for s in endo_oracle_shapes:
         assert endos_mod._row_tables(s) is not None
-        car = carrier(s)
         for ents in endo_entry_batches(s):
-            want = endos_mod._induced_tables(car, ents)
+            want = einsum_endo_tables(s, ents)
             assert np.array_equal(induced_tables_batch(s, ents), want)
         # unreduced and negative entries reduce mod their cell moduli
         wild = rng.integers(-500, 500, size=(200, s.rank, s.rank))
-        want = endos_mod._induced_tables(car, wild)
+        want = einsum_endo_tables(s, wild)
         assert np.array_equal(induced_tables_batch(s, wild), want)
 
 
@@ -310,6 +310,7 @@ def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
     ents = rng.integers(-50, 50, size=(3, 2, 2))
     tables = induced_tables_batch(s, ents)
     assert [t.tolist() for t in tables] == [dumb_endo_table(s, e.tolist()) for e in ents]
+    assert np.array_equal(tables, einsum_endo_tables(s, ents))
 
 
 def test_row_tables_are_int16_and_every_index_fits():
@@ -400,7 +401,7 @@ def test_table_batches_match_entry_batches():
     shapes = _endo_oracle_corpus()
     assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
     for s in shapes:
-        assert s.rank < 2 or endos_mod._row_tables(s) is not None
+        assert endos_mod._row_tables(s) is not None
         got = _assert_table_batches_match(s, endo_table_batches(s))
         assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
 
@@ -436,11 +437,15 @@ def test_table_batches_hold_no_more_bytes_than_int32_batches():
         assert max(sizes) <= limit, (s, max(sizes))
 
 
-def test_table_batches_fall_back_on_rank_1_and_over_the_row_table_budget():
+def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
+    # rank 1 is one sweep of the last row under an empty prefix
     s = make_shape(3, [4])
-    got = _assert_table_batches_match(s, endo_table_batches(s))
+    batches = list(endo_table_batches(s))
+    assert [len(ents) for ents, _ in batches] == [81]
+    assert np.array_equal(batches[0][1], endos_mod._row_tables(s)[2][-1])
+    got = _assert_table_batches_match(s, batches)
     assert got.ravel().tolist() == list(range(81))
-    # 2:2,10 has no row tables; its first batches come from the einsum kernel
+    # 2:2,10 has no row tables; its first batches sum the per-row terms
     s = make_shape(2, [2, 10])
     assert endos_mod._row_tables(s) is None
     batches = itertools.islice(endo_table_batches(s), 3)
@@ -513,31 +518,33 @@ def _signed_permutations(r):
     return out
 
 
-def test_det_mod_p_batch_matches_leibniz():
+def test_dets_match_leibniz():
+    # every block of a table-sized (p, r), and random blocks over the table
+    # budget: 5 and 7 at r = 4, 5 read minors from tables or expand them in
+    # turn, and 4099 (one entry already over the budget) expands down to the
+    # 0 x 0 minors at r = 1 and to minors expanded in turn at r = 2
     rng = np.random.default_rng(17)
     cases = []
     for p, r in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
         codes = np.arange(p ** (r * r), dtype=np.int64)
         cases.append((p, (codes[:, None] // endos_mod._block_places(p, r) % p).reshape(-1, r, r)))
-    for p in (5, 7):
-        for r in (4, 5):
-            blocks = rng.integers(0, p, size=(240, r, r))
-            blocks[:80, 0, 0] = 0  # a zero first pivot
-            blocks[80:120, :, 0] = 0  # a zero first column: singular
-            blocks[120:160, 0, :] = 0  # a zero first row: singular
+    for p, r in ((5, 4), (5, 5), (7, 4), (7, 5), (4099, 1), (4099, 2)):
+        blocks = rng.integers(0, p, size=(240, r, r))
+        blocks[:80, 0, 0] = 0  # a zero first entry
+        blocks[80:120, :, 0] = 0  # a zero first column: singular
+        blocks[120:160, 0, :] = 0  # a zero first row: singular
+        if r > 1:
             blocks[160:200, 1] = blocks[160:200, 0]  # a repeated row: singular
-            blocks[200:, :2, :2] = [[0, 1], [1, 0]]  # zero first and second pivots
-            cases.append((p, blocks))
-    pivots_fixed = 0
+            blocks[200:, :2, :2] = [[0, 1], [1, 0]]  # zero first and second diagonal entries
+        cases.append((p, blocks))
+    assert 4099 > endos_mod._BLOCK_TABLE_LIMIT
+    nonsingular_with_zero_corner = 0
     for p, blocks in cases:
         want = [_leibniz_det(b) % p for b in blocks.tolist()]
-        assert endos_mod._det_mod_p_batch(blocks, p).tolist() == want, p
-        # unreduced and negative entries give the same determinants mod p
-        shifted = blocks + p * rng.integers(-3, 4, size=blocks.shape)
-        assert endos_mod._det_mod_p_batch(shifted, p).tolist() == want, p
-        pivots_fixed += sum(w != 0 for b, w in zip(blocks, want) if b[0, 0] == 0)
+        assert endos_mod._dets(blocks, p).tolist() == want, p
+        nonsingular_with_zero_corner += sum(w != 0 for b, w in zip(blocks, want) if b[0, 0] == 0)
         assert 0 < sum(w != 0 for w in want) < len(want)
-    assert pivots_fixed > 0
+    assert nonsingular_with_zero_corner > 0
 
 
 def test_automorphism_flags_by_expansion_match_scalar():
@@ -551,23 +558,27 @@ def test_automorphism_flags_by_expansion_match_scalar():
             assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
 
 
-def test_automorphism_flags_by_elimination_over_both_tables(monkeypatch):
-    # a limit below the minor tables of 2:1,1,1 (2^4) and 3:1,1 (3^1) sends
-    # their runs to `_det_mod_p_batch`, the route of a raised endo-oracle cap
+def test_automorphism_flags_by_recursive_expansion_over_both_tables(monkeypatch):
+    # a limit below the minor tables of 2:1,1,1 (2^4) and 3:1,1 (3^1) makes
+    # their runs expand each minor in turn, the route of a raised
+    # endo-oracle cap
     monkeypatch.setattr(endos_mod, "_BLOCK_TABLE_LIMIT", 2)
-    eliminated = []
-    real = endos_mod._det_mod_p_batch
+    expanded = []
+    real = endos_mod._expand
 
     def spy(blocks, p):
-        eliminated.append(len(blocks))
+        expanded.append((blocks.shape[1], len(blocks)))
         return real(blocks, p)
 
-    monkeypatch.setattr(endos_mod, "_det_mod_p_batch", spy)
+    monkeypatch.setattr(endos_mod, "_expand", spy)
     for s in (make_shape(2, [1, 1, 1]), make_shape(3, [1, 1])):
-        eliminated.clear()
+        expanded.clear()
         for ents in endo_entry_batches(s):
             assert automorphism_flags(s, ents).tolist() == _dumb_bijective(s, ents)
-        assert sum(eliminated) == endo_count(s), s
+        r = s.rank
+        # every block is expanded, and so is each of its r minors
+        assert sum(b for k, b in expanded if k == r) == endo_count(s), s
+        assert sum(b for k, b in expanded if k == r - 1) == r * endo_count(s), s
 
 
 def test_automorphism_flags_on_unreduced_and_negative_entries():
@@ -603,9 +614,9 @@ def test_generator_tables_match_induced_tables():
             (stability_test_tables(s), single),
         ]:
             assert tables.dtype == np.int32
-            # the einsum kernel, pinned to `induced_tables_batch` and to
-            # `dumb_endo_table` above, builds no per-row tables for each shape
-            assert np.array_equal(tables, endos_mod._induced_tables(carrier(s), ents)), s
+            # the dense einsum reference, pinned to `induced_tables_batch` and
+            # to `dumb_endo_table` above, builds no per-row tables for each shape
+            assert np.array_equal(tables, einsum_endo_tables(s, ents)), s
 
 
 def test_prefix_generator_tables_are_the_summands_own():

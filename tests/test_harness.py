@@ -25,8 +25,6 @@ from pgroups.harness import (
     compute_shape_lattice,
     registry,
     run_claims,
-    runnable_claim_ids,
-    verify_claim,
 )
 from pgroups.invariance import is_characteristic, stable_flags
 from pgroups.lattice import Subgroup, enumerate_subgroups, span
@@ -54,8 +52,9 @@ def test_corpus_rejects_bad_input():
 def test_registry_is_stable():
     ids = all_claim_ids()
     assert ids == list(registry())
-    assert set(runnable_claim_ids()) <= set(ids)
-    stubs = set(ids) - set(runnable_claim_ids())
+    runnable = [cid for cid, spec in registry().items() if spec.kind != "out-of-scope"]
+    assert set(runnable) <= set(ids)
+    stubs = set(ids) - set(runnable)
     assert stubs  # out-of-scope entries keep the coverage gap explicit
     for cid in stubs:
         assert registry()[cid].reason
@@ -66,7 +65,9 @@ def test_unknown_claim_raises():
         run_claims(["thm-2.5-i", "nope"], build_corpus(2, 4))
 
 
-EXPECTED_STATUS = {cid: "pass" for cid in runnable_claim_ids()}
+EXPECTED_STATUS = {
+    cid: "pass" for cid, spec in registry().items() if spec.kind != "out-of-scope"
+}
 EXPECTED_STATUS["lemma-2.25"] = "adapted"  # sparse partitions in every corpus
 
 
@@ -82,14 +83,14 @@ def test_full_registry_on_small_corpus():
 
 
 def test_out_of_scope_reports():
-    r = verify_claim("thm-2.1-ipi", build_corpus(2, 8))
+    r = run_claims(["thm-2.1-ipi"], build_corpus(2, 8))[0]
     assert r.status == "out-of-scope"
     assert r.shapes_checked == 0
     assert any("untestable" in n for n in r.notes)
 
 
 def test_inapplicable_claim_is_noted():
-    r = verify_claim("prop-2.26", build_corpus(3, 27))  # claim is about p = 2
+    r = run_claims(["prop-2.26"], build_corpus(3, 27))[0]  # claim is about p = 2
     assert r.status == "pass" and r.shapes_checked == 0
     assert any("applicability" in n for n in r.notes)
 
@@ -114,7 +115,7 @@ def test_parallel_runs_are_identical(tmp_path):
 
 
 def test_report_json_is_sorted_and_schema_stable():
-    r = verify_claim("thm-2.5-i", build_corpus(2, 8))
+    r = run_claims(["thm-2.5-i"], build_corpus(2, 8))[0]
     doc = json.loads(r.to_json())
     assert list(doc) == sorted(doc)
     assert set(doc) == {
@@ -129,7 +130,7 @@ def test_harness_detects_planted_violations(monkeypatch):
         harness_mod, "kaplansky_2group_predicate", lambda shape: False
     )
     corpus = build_corpus(2, 64)
-    r = verify_claim("prop-2.26", corpus)
+    r = run_claims(["prop-2.26"], corpus)[0]
     assert r.status == "fail"
     assert r.total_violations > harness_mod.MAX_STORED_VIOLATIONS
     assert len(r.violations) == harness_mod.MAX_STORED_VIOLATIONS
@@ -146,13 +147,13 @@ def test_violation_reports_carry_witnesses():
 
 
 def test_family_claim_off_prime():
-    r = verify_claim("example-2.18", build_corpus(3, 27))
+    r = run_claims(["example-2.18"], build_corpus(3, 27))[0]
     assert r.shapes_checked == 0
     assert any("p = 2" in n for n in r.notes)
 
 
 def test_oracle_skip_notes_name_shapes():
-    r = verify_claim("oracle-crosscheck", build_corpus(2, 32))
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 32))[0]
     skip_notes = [n for n in r.notes if n.startswith("closure-vs-filtered-endos")]
     assert len(skip_notes) == 1
     assert "2:1,1,1,1,1" in skip_notes[0]
@@ -162,7 +163,7 @@ def test_a_skipped_closure_names_the_skipped_scan_too(monkeypatch):
     # the exhaustive endomorphism scan runs inside the closure comparison, so
     # wherever the closure is capped the scan is skipped on the same shapes
     monkeypatch.setenv("PGROUPS_AUT_CLOSURE_CAP", "4")
-    r = verify_claim("oracle-crosscheck", build_corpus(2, 8))
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 8))[0]
     assert r.status == "pass"
     skipped = "skipped on 3 of 6 shapes (oracle caps): 2:1,1, 2:1,2, 2:1,1,1"
     for part in ("closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
@@ -173,7 +174,7 @@ def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
     closure = harness_mod.aut_closure_tables
     monkeypatch.setattr(harness_mod, "aut_closure_tables", lambda s: closure(s)[1:])
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
-    r = verify_claim("oracle-crosscheck", corpus)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
     assert [v["witness"] for v in r.violations] == [
         {
@@ -200,7 +201,7 @@ def test_closure_oracle_catches_a_repeated_automorphism(monkeypatch, mangle, clo
     closure = harness_mod.aut_closure_tables
     monkeypatch.setattr(harness_mod, "aut_closure_tables", lambda s: mangle(closure(s)))
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
-    r = verify_claim("oracle-crosscheck", corpus)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
     assert [v["witness"] for v in r.violations] == [
         {
@@ -222,7 +223,7 @@ def test_oracle_catches_a_stability_test_that_keeps_everything(monkeypatch):
         "stable_flags",
         lambda shape, masks, tables: np.ones(sum(1 for _ in masks), dtype=bool),
     )
-    r = verify_claim("oracle-crosscheck", build_corpus(2, 16))
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 16))[0]
     assert r.status == "fail"
     assert r.total_violations == 14  # both checks, on each of the 7 non-cyclic shapes
     assert {v["witness"]["check"] for v in r.violations} == {
@@ -256,7 +257,7 @@ def test_block_test_oracle_catches_a_flipped_table_entry(monkeypatch):
     # block itself, so exactly one violation, and none on the other shapes
     shapes = ("2:1,1", "2:1,2", "2:2,2", "2:1,1,1", "2:1,1,2")
     corpus = harness_mod.Corpus(2, 16, tuple(parse_shape(s) for s in shapes))
-    r = verify_claim("oracle-crosscheck", corpus)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
     assert [(v["shape"], v["witness"]) for v in r.violations] == [
         (
@@ -288,7 +289,7 @@ def test_expansion_oracle_catches_a_flipped_minor_entry(monkeypatch):
     assert len(misflagged) == 232
     monkeypatch.setattr(harness_mod, "MAX_STORED_VIOLATIONS", 1000)
     corpus = harness_mod.Corpus(2, 16, (parse_shape("2:1,1,1"), s))
-    r = verify_claim("oracle-crosscheck", corpus)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
 
     def witness(m, bijective):
@@ -323,7 +324,7 @@ def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "endo_table_batches", batches)
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
-    r = verify_claim("oracle-crosscheck", corpus)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
     assert [v["witness"] for v in r.violations] == [
         {
@@ -378,7 +379,7 @@ def test_custom_claim_runs_through_registry(monkeypatch):
     spec = ClaimSpec("tmp-claim", "test-only", "per-shape",
                      applies=lambda s: s.rank == 1, check=check)
     monkeypatch.setitem(harness_mod._REGISTRY, "tmp-claim", spec)
-    r = verify_claim("tmp-claim", build_corpus(2, 8))
+    r = run_claims(["tmp-claim"], build_corpus(2, 8))[0]
     # units are scheduled cost-first, so only the set of visits is stable
     assert sorted(seen) == ["2:1", "2:2", "2:3"]
     assert r.status == "fail" and r.total_violations == 1
@@ -400,12 +401,12 @@ def test_only_the_oracle_claim_enumerates(monkeypatch, prime, max_order):
         monkeypatch.setattr(module, "enumerate_subgroups", refuse)
     monkeypatch.setattr(LatticeStore, "get", refuse)
     corpus = build_corpus(prime, max_order)
-    claim_ids = [c for c in runnable_claim_ids() if c != "oracle-crosscheck"]
+    claim_ids = [c for c in EXPECTED_STATUS if c != "oracle-crosscheck"]
     for r in run_claims(claim_ids, corpus):
         assert r.total_violations == 0, (r.claim_id, r.violations)
         assert r.status == EXPECTED_STATUS[r.claim_id], (r.claim_id, r.status)
     with pytest.raises(AssertionError, match="outside oracle-crosscheck"):
-        verify_claim("oracle-crosscheck", corpus)
+        run_claims(["oracle-crosscheck"], corpus)[0]
 
 
 def _member_coords(shape, mask):
@@ -617,6 +618,6 @@ def test_split_claims_build_no_addition_rows():
 
 def test_doubling_runs_on_every_shape():
     # 5:1,1,1,1 doubles past the carrier cap; the exponent arithmetic needs no carrier
-    r = verify_claim("thm-2.1", build_corpus(5, 625))
+    r = run_claims(["thm-2.1"], build_corpus(5, 625))[0]
     assert r.status == "pass" and r.shapes_checked == 11
     assert r.notes == []
