@@ -8,9 +8,9 @@ in minutes, and each can be overridden by an environment variable:
 
     PGROUPS_CARRIER_CAP      max group order for which a carrier is built
     PGROUPS_ENUM_CAP         max group order for full subgroup enumeration
-                             (`enumerate`, and in `verify` only the
-                             `oracle-crosscheck` claim; `classify` never
-                             enumerates)
+                             (`enumerate`; in `verify`, `oracle-crosscheck`
+                             skips its lattice parts above it; `classify`
+                             never enumerates)
     PGROUPS_ENDO_ORACLE_CAP  max |End(G)| for exhaustive endo enumeration
     PGROUPS_AUT_CLOSURE_CAP  max closure size when expanding Aut generators
 

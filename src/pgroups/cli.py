@@ -6,7 +6,8 @@ stable ordering); `classify --table` renders the same data for humans.
 
 Exit codes: 0 ok, 1 a verification sweep found violations, 2 usage or parse
 error (including unknown claim ids), 3 a resource cap was exceeded (the
-message names the cap).
+message names the cap): by a `classify` or `enumerate` shape, or by a `verify`
+corpus shape over the carrier cap.  Other caps only skip `verify` oracle parts.
 """
 
 from __future__ import annotations

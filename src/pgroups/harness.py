@@ -4,9 +4,8 @@ A claim is a named property of shapes (or of a fixed family) together with an
 applicability filter.  `run_claims` walks the corpus shape by shape, feeds
 each applicable checker, and merges the outcomes into one ClaimReport per
 claim.  Shapes are independent work units, so the sweep parallelizes across
-processes; reports are merged in corpus order and are byte-identical for a
-given corpus and claim set regardless of the job count (runtime fields
-excepted).
+processes; reports are merged in corpus order and, runtime fields aside, are
+byte-identical for a given corpus and claim set whatever the job count.
 
 Every per-shape claim except `oracle-crosscheck` reads the characteristic
 subgroups from Aut-orbits (`characteristic_from_orbits`) and the fully
@@ -14,7 +13,8 @@ invariant ones from projection profiles (`fi_from_profiles`); neither route
 enumerates the lattice.  Only `oracle-crosscheck` asks a `LatticeStore` for
 the enumerated lattice and its brute-force flags, to check those routes, so
 a report's `runtime_ms` charges enumeration (or the disk-cache read) to that
-claim alone.
+claim alone.  Its parts whose inputs are over a cap or a scan limit are
+skipped and named in the report notes; only the carrier cap ends a sweep.
 
 The registry also carries out-of-scope entries (no checker, a reason
 instead) so the gap between what the source material states and what a
@@ -134,10 +134,6 @@ def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
     fi = stable_flags(shape, (h.mask for h in subs), stability_test_tables(shape))
     char, fi = tuple(map(bool, char)), tuple(map(bool, fi))
     return ShapeLattice(shape, tuple(subs), char, fi)
-
-
-def _iso_string(shape_or_marker: GroupShape) -> str:
-    return "" if shape_or_marker.is_trivial_marker() else format_shape(shape_or_marker)
 
 
 class LatticeStore:
@@ -601,40 +597,53 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _capped(build: Callable, shape: GroupShape):
+    """`build(shape)`, or None where that would exceed one of its caps."""
+    try:
+        return build(shape)
+    except CapExceeded:
+        return None
+
+
 def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    car = carrier(shape)
-    lat = store.get(shape)
 
-    # profile route against the brute-force filter, and its arithmetic iso
-    # types against mask-derived ones
+    def runs(gate: bool, *names: str) -> bool:
+        if not gate:
+            out.skips.extend(names)
+        return gate
+
     profile_subs = fi_from_profiles(shape)
-    brute = {h.mask for h, f in zip(lat.subgroups, lat.fi_flags) if f}
-    if brute != {h.mask for h in profile_subs}:
-        out.violations.append(
-            _violation(
-                shape,
-                check="profile-route-vs-brute",
-                profile_count=len(profile_subs),
-                brute_count=len(brute),
-                detail="profile route and brute filtering disagree",
+    lat = _capped(store.get, shape)
+    if runs(lat is not None, "profile-route-vs-brute", "char-orbits-vs-flags"):
+        # profile route against the brute-force filter
+        brute = {h.mask for h, f in zip(lat.subgroups, lat.fi_flags) if f}
+        if brute != {h.mask for h in profile_subs}:
+            out.violations.append(
+                _violation(
+                    shape,
+                    check="profile-route-vs-brute",
+                    profile_count=len(profile_subs),
+                    brute_count=len(brute),
+                    detail="profile route and brute filtering disagree",
+                )
             )
-        )
-    # orbit route against the generator flags, order included
-    orbit_masks = [h.mask for h in characteristic_from_orbits(shape)]
-    flag_masks = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
-    if orbit_masks != flag_masks:
-        out.violations.append(
-            _violation(
-                shape,
-                check="char-orbits-vs-flags",
-                orbit_count=len(orbit_masks),
-                flag_count=len(flag_masks),
-                detail="orbit route and generator flags disagree",
+        # orbit route against the generator flags, order included
+        orbit_masks = [h.mask for h in characteristic_from_orbits(shape)]
+        flag_masks = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
+        if orbit_masks != flag_masks:
+            out.violations.append(
+                _violation(
+                    shape,
+                    check="char-orbits-vs-flags",
+                    orbit_count=len(orbit_masks),
+                    flag_count=len(flag_masks),
+                    detail="orbit route and generator flags disagree",
+                )
             )
-        )
-    arith = sorted(_iso_string(t) for _, t in fi_profile_iso_types(shape))
-    masked = sorted(_iso_string(h.iso_type()) for h in profile_subs)
+    # the profile route's arithmetic iso types against mask-derived ones
+    arith = sorted(t.exponents for _, t in fi_profile_iso_types(shape))
+    masked = sorted(h.iso_type().exponents for h in profile_subs)
     if arith != masked:
         out.violations.append(
             _violation(
@@ -645,18 +654,14 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         )
 
     # full closure against the filtered exhaustive enumeration, with the fast
-    # invertibility test compared to table bijectivity on every endomorphism;
-    # the closure raises the endo-oracle cap itself, and no closure means no
-    # scan either
-    try:
-        closure = aut_closure_tables(shape)
-    except CapExceeded:
-        closure = None
-        out.skips += ["closure-vs-filtered-endos", "fast-aut-vs-bijective-table"]
-    if closure is not None:
+    # invertibility test compared to table bijectivity on every endomorphism.
+    # The scan behind it costs |End|·|G|, and of the oracle caps only the
+    # enumeration cap bounds |G|, so the closure is built only where lat is.
+    closure = _capped(aut_closure_tables, shape) if lat is not None else None
+    if runs(closure is not None, "closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
         # compared as image rows, sorted here rather than through the
         # closure's own rank codes, so the oracle stays independent of it
-        strides = list(car.strides)
+        strides = list(carrier(shape).strides)
         filtered = []
         for ents, tables in endo_table_batches(shape):
             bij = bijective_flags_by_table(tables)
@@ -689,7 +694,8 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
             )
 
     # fully-invariant flags against sampled random endomorphisms
-    if len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT:
+    scanned = lat is not None and len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT
+    if runs(scanned, "fi-flag-vs-random-endos"):
         rng = np.random.default_rng(_shape_seed(shape))
         ents = random_endo_entries(shape, rng, _SAMPLED_ENDOS)
         rows = induced_tables_batch(shape, ents)
@@ -704,15 +710,10 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                         detail="flagged fully invariant but a sampled endomorphism escapes",
                     )
                 )
-    else:
-        out.skips.append("fi-flag-vs-random-endos")
 
     # characteristic flags (decided from generators) against the full closure
-    if (
-        closure is not None
-        and len(closure) <= _CLOSURE_SCAN_LIMIT
-        and len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT
-    ):
+    closure_scanned = closure is not None and len(closure) <= _CLOSURE_SCAN_LIMIT
+    if runs(scanned and closure_scanned, "char-flag-vs-closure"):
         crows = induced_tables_batch(shape, entries_from_images(shape, closure))
         kept = stable_flags(shape, [h.mask for h in lat.subgroups], crows)
         for h, c, k in zip(lat.subgroups, lat.char_flags, kept):
@@ -725,8 +726,6 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                         detail="generator stability disagrees with closure stability",
                     )
                 )
-    else:
-        out.skips.append("char-flag-vs-closure")
     return out
 
 

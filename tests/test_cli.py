@@ -130,8 +130,28 @@ def test_verify_enumerates_only_for_the_oracle_claim(capsys, monkeypatch):
     args = ["verify", "--p", "2", "--max-order", "16", "--claims"]
     assert run(args + ["lemma-2.25,defs-implications"]) == 0
     capsys.readouterr()
-    assert run(args + ["oracle-crosscheck"]) == 3
-    assert "enumeration" in capsys.readouterr().err
+    # the shapes over the enumeration cap skip the parts that read the lattice
+    # (and the closure, built only where the lattice is); the rest still run
+    assert run(args + ["oracle-crosscheck"]) == 0
+    doc = _json_out(capsys)
+    assert doc["shapes_checked"] == 11 and doc["status"] == "pass"
+    capped = "2:4, 2:1,3, 2:2,2, 2:1,1,2, 2:1,1,1,1"
+    parts = [
+        "char-flag-vs-closure", "char-orbits-vs-flags", "closure-vs-filtered-endos",
+        "fast-aut-vs-bijective-table", "fi-flag-vs-random-endos", "profile-route-vs-brute",
+    ]
+    assert doc["notes"] == [
+        f"{part}: skipped on 5 of 11 shapes (oracle caps): {capped}" for part in parts
+    ]
+    assert not any("profile-iso-arithmetic" in n for n in doc["notes"])
+
+
+def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("PGROUPS_ENUM_CAP", "8")
+    assert run(["enumerate", "--p", "2", "--partition", "1,3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration cap exceeded" in captured.err
 
 
 def test_verify_rejects_bad_jobs(capsys):

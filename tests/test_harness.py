@@ -104,14 +104,19 @@ def _stripped(reports):
     return out
 
 
-def test_parallel_runs_are_identical(tmp_path):
+def test_parallel_runs_are_identical(tmp_path, monkeypatch):
     corpus = build_corpus(2, 16)
     ids = ["thm-2.1", "prop-2.26", "lemma-2.25", "oracle-crosscheck"]
-    seq = _stripped(run_claims(ids, corpus, jobs=1))
-    par = _stripped(run_claims(ids, corpus, jobs=3))
-    cached = _stripped(run_claims(ids, corpus, jobs=2, cache_dir=tmp_path))
-    recached = _stripped(run_claims(ids, corpus, jobs=1, cache_dir=tmp_path))
-    assert seq == par == cached == recached
+    # uncapped, then with five shapes over the enumeration cap
+    for enum_cap in (None, "8"):
+        if enum_cap is not None:
+            monkeypatch.setenv("PGROUPS_ENUM_CAP", enum_cap)
+        cache_dir = tmp_path / f"cap-{enum_cap}"
+        seq = _stripped(run_claims(ids, corpus, jobs=1))
+        par = _stripped(run_claims(ids, corpus, jobs=3))
+        cached = _stripped(run_claims(ids, corpus, jobs=2, cache_dir=cache_dir))
+        recached = _stripped(run_claims(ids, corpus, jobs=1, cache_dir=cache_dir))
+        assert seq == par == cached == recached
 
 
 def test_report_json_is_sorted_and_schema_stable():
@@ -168,6 +173,24 @@ def test_a_skipped_closure_names_the_skipped_scan_too(monkeypatch):
     skipped = "skipped on 3 of 6 shapes (oracle caps): 2:1,1, 2:1,2, 2:1,1,1"
     for part in ("closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
         assert f"{part}: {skipped}" in r.notes
+
+
+def test_iso_arithmetic_oracle_runs_above_the_enumeration_cap(monkeypatch):
+    # the arithmetic iso types need no lattice, so a wrong one is caught on
+    # every shape, the five over the enumeration cap included
+    iso_types = harness_mod.fi_profile_iso_types
+    monkeypatch.setattr(
+        harness_mod,
+        "fi_profile_iso_types",
+        lambda s: [(v, GroupShape(s.prime, t.exponents + (1,))) for v, t in iso_types(s)],
+    )
+    monkeypatch.setenv("PGROUPS_ENUM_CAP", "8")
+    corpus = build_corpus(2, 16)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
+    assert r.status == "fail" and r.shapes_checked == 11
+    assert r.total_violations == 11
+    assert [v["shape"] for v in r.violations] == [format_shape(s) for s in corpus.shapes]
+    assert {v["witness"]["check"] for v in r.violations} == {"profile-iso-arithmetic"}
 
 
 def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
