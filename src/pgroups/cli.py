@@ -8,6 +8,9 @@ Exit codes: 0 ok, 1 a verification sweep found violations, 2 usage or parse
 error (including unknown claim ids), 3 a resource cap was exceeded (the
 message names the cap): by a `classify` or `enumerate` shape, or by a `verify`
 corpus shape over the carrier cap.  Other caps only skip `verify` oracle parts.
+
+`run` reuses one parser per process (`build_parser` is cached), so a
+long-lived caller pays for the parser once, not once per request.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .cache import LatticeCache
@@ -126,7 +130,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="pgroups",
         description="classify finite abelian p-groups and verify claim sweeps",

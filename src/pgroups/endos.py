@@ -41,12 +41,15 @@ with a generator costs n table look-ups per element, not a whole carrier
 table, and each element's rank in the enumeration (its key in the closure's
 `seen` bitmap) is n one-column look-ups.  The closure is checked against the
 exhaustive enumeration.
+
 Generator and single-entry tables (`aut_generator_tables`,
 `stability_test_tables`) are built here once per shape for every caller (a
 prefix summand's generator tables are read off its group's,
 `prefix_aut_generator_tables`).  A generator's table is the identity table
-with the rows it changes corrected, and E_ij's table is read off the
-coordinates directly: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
+with the rows it changes corrected, one row at a time for every generator
+at once: the generators that change row i get that row's `_row_terms`, one
+product of their rows i with the coordinates.  E_ij's table is read off
+the coordinates directly: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
 """
 
 from __future__ import annotations
@@ -445,23 +448,25 @@ def _generator_tables(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     from the identity in a few rows (transvections, transpositions, unit
     multiples), one int32 row per map.
 
-    Each table starts from the identity table and corrects only the rows that
-    differ: image coordinate i is sum_j e_ij * w_ij * coords[j] mod p^ki, and
-    only its nonzero terms are summed.  Tables are filled in place, so a
-    shape's tables are never held twice while they are built, and int32 is
-    enough for a carrier index while halving what the caches keep.
+    Every table starts as the identity table, and each row i is corrected in
+    the tables of the maps that change it, all at once: their `_row_terms`
+    (stride_i times image coordinate i of every element, one product of
+    their rows i with the coordinates) minus the identity's.  Tables are
+    filled in place, so a shape's tables are never held twice while they are
+    built, and int32 is enough for a carrier index while halving what the
+    caches keep.
     """
     car = carrier(shape)
-    coords = car.coords_mat
     moduli, _ = _cell_places(shape)
-    coeffs = entries % moduli * _scales(shape)  # e_ij * w_ij, each < p^ki
     eye = np.eye(shape.rank, dtype=np.int64)
     out = np.empty((len(entries), car.n), dtype=np.int32)
     out[:] = np.arange(car.n, dtype=np.int32)
-    for table, coeff in zip(out, coeffs):
-        for i in np.nonzero((coeff != eye).any(axis=1))[0]:
-            acc = sum(c * coords[j] for j, c in enumerate(coeff[i].tolist()) if c)
-            table += (acc % car.radices[i] - coords[i]) * car.strides[i]
+    for i in range(shape.rank):
+        changed = np.nonzero((entries[:, i] % moduli[i] != eye[i]).any(axis=1))[0]
+        if len(changed):
+            terms = _row_terms(shape, i, entries[changed, i])
+            terms -= car.coords_mat[i] * car.strides[i]
+            out[changed] += terms
     return out
 
 

@@ -1,11 +1,12 @@
 """CLI surface: flags, exit codes, output schemas."""
 
 import json
+import time
 
 import pytest
 
 import pgroups.harness as harness_mod
-from pgroups.cli import run
+from pgroups.cli import build_parser, run
 from pgroups.harness import CheckOutcome, ClaimSpec
 
 
@@ -173,3 +174,59 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
+
+
+# 10^20 - 11, a prime whose order is far over the carrier cap
+BIG_PRIME = "99999999999999999989"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--p", BIG_PRIME, "--partition", "1"], 3),
+        (["enumerate", "--p", BIG_PRIME, "--partition", "1"], 3),
+        (["verify", "--p", BIG_PRIME, "--max-order", "1"], 0),
+    ],
+)
+def test_large_prime_is_decided_at_once(argv, code, capsys):
+    start = time.perf_counter()
+    assert run(argv) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 3:
+        assert "carrier cap exceeded" in capsys.readouterr().err
+
+
+def test_prime_beyond_the_exact_bound_is_a_usage_error(capsys):
+    assert run(["classify", "--p", str(10 ** 25 + 13), "--partition", "1"]) == 2
+    assert "decided exactly only below" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one call, report runtimes dropped."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = captured.out
+    if argv[0] == "verify":
+        docs = [json.loads(line) for line in out.splitlines()]
+        out = [{k: v for k, v in d.items() if k != "runtime_ms"} for d in docs]
+    return code, out, captured.err
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    calls = [
+        ["classify", "--p", "2", "--partition", "1,2", "--table"],
+        ["classify", "--p", "2", "--partition", "1,2"],
+        ["classify", "--p", "2"],
+        ["classify", "--p", BIG_PRIME, "--partition", "1"],
+        ["verify", "--p", "2", "--max-order", "8", "--claims", "prop-2.26"],
+    ]
+    shared = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 3, 0]
+    assert shared[0][1].startswith("shape ")
+    assert json.loads(shared[1][1])["shape"] == "2:1,2"
+    for argv, outcome in zip(calls, shared):
+        build_parser.cache_clear()
+        assert _outcome(argv, capsys) == outcome, argv

@@ -17,6 +17,7 @@ from pgroups.core import (
     element_order,
     format_shape,
     height,
+    MR_EXACT_BOUND,
     is_prime,
     make_shape,
     parse_shape,
@@ -32,6 +33,23 @@ def test_is_prime():
 
     for n in range(-3, 200):
         assert is_prime(n) == sieve(n)
+
+
+def test_is_prime_is_exact_on_pseudoprimes_and_large_primes():
+    # Carmichael numbers, and strong pseudoprimes to every prime base up to
+    # 23 (3825123056546413051) and up to 37 (318665857834031151167461)
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (2 ** 61 - 1, 10 ** 20 - 11, 2 ** 64 - 59, 10 ** 24 + 7):
+        assert is_prime(n), n
+    assert not is_prime((2 ** 61 - 1) * 1000003)  # two primes, product below the bound
+
+
+def test_is_prime_refuses_to_guess_at_or_above_its_bound():
+    assert not is_prime(MR_EXACT_BOUND - 1)  # even
+    for n in (MR_EXACT_BOUND, MR_EXACT_BOUND + 1, 10 ** 30):
+        with pytest.raises(ValueError, match=str(MR_EXACT_BOUND)):
+            is_prime(n)
 
 
 def test_make_shape_canonicalizes():

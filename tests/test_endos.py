@@ -604,7 +604,13 @@ def test_generator_tables_match_induced_tables():
         *build_corpus(2, 256).shapes,
         *build_corpus(3, 729).shapes,
         *build_corpus(5, 625).shapes,
+        # 7 is the first prime whose least primitive root is not 2, so its
+        # unit generators come from a longer search
+        *build_corpus(7, 2401).shapes,
+        *build_corpus(11, 1331).shapes,
         make_shape(2, [1] * 10),
+        # about 13 generators change each row
+        make_shape(2, [1] * 12),
     ]
     for s in shapes:
         n = s.rank
