@@ -8,8 +8,6 @@ notions.
 
 from pgroups import (
     element,
-    enumerate_characteristic,
-    enumerate_fully_invariant,
     enumerate_subgroups,
     format_shape,
     is_characteristic,
@@ -20,16 +18,16 @@ from pgroups import (
 
 s = make_shape(2, [1, 3])
 subs = enumerate_subgroups(s)
-chars = enumerate_characteristic(s)
-fis = enumerate_fully_invariant(s)
+chars = [h for h in subs if is_characteristic(h)]
+fis = [h for h in subs if is_fully_invariant(h)]
 print(f"{format_shape(s)}: {len(subs)} subgroups, "
       f"{len(chars)} characteristic, {len(fis)} fully invariant")
 
 for h in subs:
     tags = []
-    if is_characteristic(h):
+    if h in chars:
         tags.append("char")
-    if is_fully_invariant(h):
+    if h in fis:
         tags.append("fi")
     gens = ", ".join(str(tuple(g.coords)) for g in h.generators)
     print(f"  order {h.order:2d} type {format_shape(h.iso_type()):8s} "

@@ -37,12 +37,7 @@ from .harness import (
     registry,
     run_claims,
 )
-from .invariance import (
-    enumerate_characteristic,
-    enumerate_fully_invariant,
-    is_characteristic,
-    is_fully_invariant,
-)
+from .invariance import is_characteristic, is_fully_invariant
 from .lattice import Subgroup, enumerate_subgroups, span
 
 __version__ = "0.1.0"
@@ -64,8 +59,6 @@ __all__ = [
     "classify",
     "element",
     "element_order",
-    "enumerate_characteristic",
-    "enumerate_fully_invariant",
     "enumerate_subgroups",
     "format_shape",
     "height",

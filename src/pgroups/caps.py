@@ -8,9 +8,10 @@ in minutes, and each can be overridden by an environment variable:
 
     PGROUPS_CARRIER_CAP      max group order for which a carrier is built
     PGROUPS_ENUM_CAP         max group order for full subgroup enumeration
-                             (`enumerate`; in `verify`, `oracle-crosscheck`
-                             skips its lattice parts above it; `classify`
-                             never enumerates)
+                             (`enumerate --kind all`; in `verify`,
+                             `oracle-crosscheck` skips its lattice parts
+                             above it; `classify` and the other `enumerate`
+                             kinds never enumerate)
     PGROUPS_ENDO_ORACLE_CAP  max |End(G)| for exhaustive endo enumeration
     PGROUPS_AUT_CLOSURE_CAP  max closure size when expanding Aut generators
 

@@ -3,11 +3,14 @@
 Three subcommands: `classify` one shape, `enumerate` its subgroups, `verify`
 claim sweeps over a whole corpus.  JSON is the machine format (keys sorted,
 stable ordering); `classify --table` renders the same data for humans.
+Only `enumerate --kind all` enumerates the lattice and reads `--cache`; the
+other kinds list the orbit and profile routes.
 
 Exit codes: 0 ok, 1 a verification sweep found violations, 2 usage or parse
 error (including unknown claim ids), 3 a resource cap was exceeded (the
-message names the cap): by a `classify` or `enumerate` shape, or by a `verify`
-corpus shape over the carrier cap.  Other caps only skip `verify` oracle parts.
+message names the cap): by a `classify` or `enumerate` shape (the enumeration
+cap only for `--kind all`), or by a `verify` corpus shape over the carrier
+cap.  Other caps only skip `verify` oracle parts.
 
 `run` reuses one parser per process (`build_parser` is cached), so a
 long-lived caller pays for the parser once, not once per request.
@@ -26,6 +29,7 @@ from .caps import CapExceeded, default_jobs
 from .classify import classify, subgroup_descriptor
 from .core import format_shape, make_shape
 from .harness import LatticeStore, all_claim_ids, build_corpus, run_claims
+from .invariance import characteristic_from_orbits, fi_from_profiles
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -93,14 +97,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = make_shape(args.p, _parse_partition(args.partition))
-    lat = _store(args.cache).get(shape)
-    entries = []
-    for h, c, f in zip(lat.subgroups, lat.char_flags, lat.fi_flags):
-        if args.kind == "characteristic" and not c:
-            continue
-        if args.kind == "fully-invariant" and not f:
-            continue
-        entries.append(subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f})
+    if args.kind == "all":
+        lat = _store(args.cache).get(shape)
+        listed = zip(lat.subgroups, lat.char_flags, lat.fi_flags)
+    else:
+        # both routes list their subgroups in the lattice's order
+        char, fi = characteristic_from_orbits(shape), fi_from_profiles(shape)
+        char_set, fi_set = set(char), set(fi)
+        route = char if args.kind == "characteristic" else fi
+        listed = ((h, h in char_set, h in fi_set) for h in route)
+    entries = [
+        subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f}
+        for h, c, f in listed
+    ]
     payload = {
         "shape": format_shape(shape),
         "kind": args.kind,

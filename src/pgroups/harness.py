@@ -15,6 +15,7 @@ the enumerated lattice and its brute-force flags, to check those routes, so
 a report's `runtime_ms` charges enumeration (or the disk-cache read) to that
 claim alone.  Its parts whose inputs are over a cap or a scan limit are
 skipped and named in the report notes; only the carrier cap ends a sweep.
+Outside `verify`, only `enumerate --kind all` enumerates.
 
 The registry also carries out-of-scope entries (no checker, a reason
 instead) so the gap between what the source material states and what a
@@ -72,7 +73,7 @@ from .invariance import (
     stable_flags,
     within_growth_bound,
 )
-from .lattice import Subgroup, enumerate_subgroups, enumeration_key, span
+from .lattice import Subgroup, enumerate_subgroups, enumeration_key, span, subgroup_count
 
 MAX_STORED_VIOLATIONS = 16
 
@@ -118,8 +119,8 @@ def build_corpus(prime: int, max_order: int) -> Corpus:
 @dataclass
 class ShapeLattice:
     """Every subgroup of one shape with its brute-force characteristic and
-    fully invariant flags; read by `oracle-crosscheck`, `enumerate` and the
-    disk cache."""
+    fully invariant flags; read by `oracle-crosscheck`, `enumerate --kind
+    all` and the disk cache."""
 
     shape: GroupShape
     subgroups: tuple[Subgroup, ...]
@@ -156,16 +157,20 @@ class LatticeStore:
 
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
         """The cached lattice, or None (so it is recomputed) when the entry is
-        absent, does not rebuild into subgroups of `shape` (a mask without the
-        zero element or wider than the carrier), does not list each mask once
-        in `enumeration_key` order, or flags other subgroups characteristic or
+        absent, lists other than `subgroup_count(shape)` masks, does not
+        rebuild into subgroups of `shape` (a mask without the zero element or
+        wider than the carrier), does not list each mask once in
+        `enumeration_key` order, or flags other subgroups characteristic or
         fully invariant than the orbit and profile routes give.  No iso type
         is stored: each subgroup computes its type from its mask.  Closure
-        under addition is not checked."""
+        under addition is not checked: a subgroup's mask swapped for a
+        non-subgroup keeps the count and is read."""
         got = self._cache.load(shape)
         if got is None:
             return None
         masks, char_flags, fi_flags = got
+        if len(masks) != subgroup_count(shape):
+            return None
         full_mask = carrier(shape).full_mask
         if any(mask & ~full_mask or not mask & 1 for mask in masks):
             return None

@@ -16,8 +16,9 @@ exponent k); fully invariant subgroups are exactly the sums of power
 subgroups p^(n_k) B_k whose profile (n_k) is monotone and grows at most by
 the exponent gap between consecutive layers.  Projections onto layers are
 endomorphisms, which is what pins every fully invariant subgroup to that
-form; the brute filtered-enumeration route stays available as the oracle and
-the two are cross-checked by the harness.
+form.  The brute-force route, the enumerated lattice filtered by
+`stable_flags`, lives only in the harness's `compute_shape_lattice`, as the
+oracle the two routes are cross-checked against; nothing here enumerates.
 
 Its characteristic-side twin is `characteristic_from_orbits`: a
 characteristic subgroup is an addition-closed union of Aut-orbits, so the
@@ -43,7 +44,7 @@ import numpy as np
 
 from .core import GroupShape, carrier, mask_from_bool, masks_to_bool, ulm_invariants
 from .endos import aut_generator_tables, stability_test_tables
-from .lattice import Subgroup, enumerate_subgroups, enumeration_key
+from .lattice import Subgroup, enumeration_key
 
 # Cells (subgroups x tables x |G|) one gather may touch.  2^20 flagged the
 # lattice of 2:1^8 slower (1.9 s against 1.5 s) with 4x the temporaries.
@@ -88,20 +89,6 @@ def is_characteristic(h: Subgroup) -> bool:
 def is_fully_invariant(h: Subgroup) -> bool:
     """True iff every endomorphism maps H into H."""
     return bool(stable_flags(h.shape, [h.mask], stability_test_tables(h.shape))[0])
-
-
-def enumerate_characteristic(shape: GroupShape, subgroups=None) -> list[Subgroup]:
-    if subgroups is None:
-        subgroups = enumerate_subgroups(shape)
-    flags = stable_flags(shape, [h.mask for h in subgroups], aut_generator_tables(shape))
-    return [h for h, f in zip(subgroups, flags) if f]
-
-
-def enumerate_fully_invariant(shape: GroupShape, subgroups=None) -> list[Subgroup]:
-    if subgroups is None:
-        subgroups = enumerate_subgroups(shape)
-    flags = stable_flags(shape, [h.mask for h in subgroups], stability_test_tables(shape))
-    return [h for h, f in zip(subgroups, flags) if f]
 
 
 # ---- characteristic lattice from Aut-orbits ------------------------------------------

@@ -7,6 +7,7 @@ p*x in H (every index-p overgroup of H is H + <x> for such an x, and every
 subgroup of order p^(m+1) is an index-p overgroup of something on level m, so
 the walk is exhaustive).  No algebraic shortcut feeds this walk; it is the
 oracle layer the structured routes are cross-checked against.
+`subgroup_count` gives the number of subgroups it lists in closed form.
 
 Output order is deterministic: ascending order, then lexicographic on the
 membership bit-vector (the subgroup whose first differing index is present
@@ -201,6 +202,42 @@ def _iso_type_of_mask(shape: GroupShape, mask: int) -> GroupShape:
         f_n = 2 * logs[n + 1] - logs[n] - logs[n + 2]
         exponents.extend([n + 1] * f_n)
     return GroupShape(p, tuple(sorted(exponents)))
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for j in range(k):
+        num *= q ** (n - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def _partitions_inside(outer: tuple[int, ...], most: int) -> Iterable[tuple[int, ...]]:
+    """Non-increasing sequences below `outer` entrywise, each entry <= most."""
+    if not outer:
+        yield ()
+        return
+    for first in range(min(outer[0], most) + 1):
+        for rest in _partitions_inside(outer[1:], first):
+            yield (first,) + rest
+
+
+def subgroup_count(shape: GroupShape) -> int:
+    """Number of subgroups, by Birkhoff's formula summed over every type mu
+    inside the group's type lambda (Butler, *Subgroup Lattices and Symmetric
+    Functions*, Mem. AMS 1994).  Over conjugate partitions, type mu occurs
+    prod_i p^(mu'_(i+1) (lambda'_i - mu'_i)) [lambda'_i - mu'_(i+1) choose
+    mu'_i - mu'_(i+1)]_p times."""
+    p = shape.prime
+    top = max(shape.exponents, default=0)
+    outer = tuple(sum(e >= i for e in shape.exponents) for i in range(1, top + 1))
+    total = 0
+    for inner in _partitions_inside(outer, shape.rank):
+        term = 1
+        for lam, mu, nxt in zip(outer, inner, inner[1:] + (0,)):
+            term *= p ** (nxt * (lam - mu)) * _gaussian_binomial(lam - nxt, mu - nxt, p)
+        total += term
+    return total
 
 
 def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:

@@ -26,7 +26,7 @@ def test_all_names_resolve_and_are_listed_once():
     for name in names:
         assert hasattr(pgroups, name), name
     # the top level stays what the CLI, the demos and the README examples use
-    assert len(names) <= 30
+    assert len(names) <= 28
 
 
 def test_every_public_function_or_class_has_a_caller_or_is_exported():

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from pgroups.cache import LatticeCache
 from pgroups.cli import run
 from pgroups.core import make_shape
 from pgroups.harness import LatticeStore, compute_shape_lattice
+from pgroups.lattice import enumeration_key
 
 
 @pytest.fixture
@@ -144,19 +146,16 @@ def test_store_rejects_masks_and_iso_types_that_do_not_fit(tmp_path):
     assert str(lat.subgroups[-1].iso_type()) == "2:2"
 
 
-def test_entries_with_altered_flags_or_iso_strings_change_nothing(tmp_path, capsys):
-    # each tampered entry, read through `enumerate`, must give the uncached
-    # listing: flags that disagree with the orbit and profile routes make it
-    # a miss, and no iso string is stored to be read
+def test_entries_with_altered_flags_change_nothing(tmp_path, capsys):
+    # each tampered entry, read through `enumerate --kind all` (the one kind
+    # that reads the cache), must give the uncached listing: flags that
+    # disagree with the orbit and profile routes make it a miss
     shape = make_shape(2, [2])
     masks, char, fi = _payload(shape)
     assert masks[1] == 0b101  # the order-2 subgroup
     cleared = [True, False, True]
-    for kind, bad_char, bad_fi in (
-        ("characteristic", cleared, fi),
-        ("fully-invariant", char, cleared),
-    ):
-        listing = ["enumerate", "--p", "2", "--partition", "2", "--kind", kind]
+    listing = ["enumerate", "--p", "2", "--partition", "2", "--kind", "all"]
+    for bad_char, bad_fi in ((cleared, fi), (char, cleared)):
         assert run(listing) == 0
         uncached = capsys.readouterr().out
         LatticeCache(tmp_path).save(shape, masks, bad_char, bad_fi)
@@ -177,3 +176,50 @@ def test_entries_out_of_order_or_repeated_are_recomputed(tmp_path, capsys):
         LatticeCache(tmp_path).save(shape, *([seq[i] for i in picks] for seq in payload))
         assert run(listing + ["--cache", str(tmp_path)]) == 0
         assert capsys.readouterr().out == uncached
+
+
+_RUNTIME = re.compile(r'"runtime_ms": [0-9]+, ')
+
+
+def _without_mask_3(payload):
+    # 2:1,1 without its order-2 subgroup of mask 3, which is neither
+    # characteristic nor fully invariant, so both flagged lists stay intact
+    return [seq[:1] + seq[2:] for seq in payload]
+
+
+def _with_unclosed_mask(payload):
+    # 2:1,2 with an extra mask {0,1,2,4} in its (order, lexicographic) place:
+    # four elements, not closed under addition, flagged neither way
+    key = enumeration_key(make_shape(2, [1, 2]))
+    at = sum(key(mask) < key(0b10111) for mask in payload[0])
+    extras = (0b10111, False, False)
+    return [seq[:at] + [extra] + seq[at:] for seq, extra in zip(payload, extras)]
+
+
+@pytest.mark.parametrize(
+    "exps, tamper", [((1, 1), _without_mask_3), ((1, 2), _with_unclosed_mask)]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--p", "2", "--partition", "{partition}", "--kind", "all"],
+        ["verify", "--p", "2", "--max-order", "8", "--claims", "oracle-crosscheck"],
+    ],
+    ids=["enumerate", "verify"],
+)
+def test_entries_with_a_missing_or_extra_mask_are_recomputed(
+    tmp_path, capsys, exps, tamper, argv
+):
+    # the entry keeps its order and both flag checks; only the closed-form
+    # subgroup count turns it away, so the lattice is enumerated and saved
+    # again (`verify` prints the same reports either way: no oracle part
+    # compares the lattice's length)
+    shape = make_shape(2, exps)
+    argv = [arg.format(partition=",".join(map(str, exps))) for arg in argv]
+    assert run(argv) == 0
+    uncached = _RUNTIME.sub("", capsys.readouterr().out)
+    payload = _payload(shape)
+    LatticeCache(tmp_path).save(shape, *tamper(payload))
+    assert run(argv + ["--cache", str(tmp_path)]) == 0
+    assert _RUNTIME.sub("", capsys.readouterr().out) == uncached
+    assert LatticeCache(tmp_path).load(shape) == payload

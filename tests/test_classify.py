@@ -9,9 +9,8 @@ from pgroups.classify import (
     subgroup_descriptor,
 )
 from pgroups.core import format_shape, make_shape
-from pgroups.harness import build_corpus
-from pgroups.invariance import enumerate_characteristic, enumerate_fully_invariant
-from pgroups.lattice import Subgroup, enumerate_subgroups
+from pgroups.harness import build_corpus, compute_shape_lattice
+from pgroups.lattice import Subgroup
 
 # (ifi, ic, strongly_ifi, strongly_ic, weakly, criterion, char_eq_fi)
 VERDICTS = {
@@ -50,9 +49,9 @@ def test_verdict_fields_match_iso_witnesses_on_enumerated_lattices():
     # recomputed from the enumerated, flag-filtered lattices instead
     for corpus in (build_corpus(2, 64), build_corpus(3, 81)):
         for shape in corpus.shapes:
-            subs = enumerate_subgroups(shape)
-            chars = enumerate_characteristic(shape, subs)
-            fis = enumerate_fully_invariant(shape, subs)
+            lat = compute_shape_lattice(shape)
+            chars = [h for h, c in zip(lat.subgroups, lat.char_flags) if c]
+            fis = [h for h, f in zip(lat.subgroups, lat.fi_flags) if f]
             ifi_w, s_ifi_w = iso_witnesses(fis)
             ic_w, s_ic_w = iso_witnesses(chars)
             weakly = [h for h in chars if not h.is_full() and h.iso_type() == shape]

@@ -155,6 +155,35 @@ def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):
     assert "enumeration cap exceeded" in captured.err
 
 
+@pytest.mark.parametrize("prime, max_order", [(2, 64), (3, 81)])
+def test_route_listings_are_the_full_listing_filtered(capsys, prime, max_order):
+    # the two route kinds list what `--kind all` lists under their flag
+    for shape in harness_mod.build_corpus(prime, max_order).shapes:
+        argv = ["enumerate", "--p", str(prime),
+                "--partition", ",".join(map(str, shape.exponents)), "--kind"]
+        assert run(argv + ["all"]) == 0
+        full = _json_out(capsys)["subgroups"]
+        for kind, flag in (("characteristic", "characteristic"),
+                           ("fully-invariant", "fully_invariant")):
+            assert run(argv + [kind]) == 0
+            doc = _json_out(capsys)
+            expected = [entry for entry in full if entry[flag]]
+            assert doc["subgroups"] == expected, (shape, kind)
+            assert doc["count"] == len(expected)
+
+
+@pytest.mark.parametrize("kind", ["characteristic", "fully-invariant"])
+def test_route_kinds_need_no_enumeration(capsys, monkeypatch, kind):
+    # 2:1^9 has order 512 and millions of subgroups, but 2 characteristic
+    # and 2 fully invariant ones; the enumeration cap does not gate them
+    monkeypatch.setenv("PGROUPS_ENUM_CAP", "8")
+    assert run(["enumerate", "--p", "2", "--partition", "1,1,1,1,1,1,1,1,1",
+                "--kind", kind]) == 0
+    doc = _json_out(capsys)
+    assert doc["count"] == 2
+    assert [entry["order"] for entry in doc["subgroups"]] == [1, 512]
+
+
 def test_verify_rejects_bad_jobs(capsys):
     assert run(["verify", "--p", "2", "--max-order", "8",
                 "--claims", "thm-2.5-i", "--jobs", "0"]) == 2

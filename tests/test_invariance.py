@@ -22,8 +22,6 @@ from pgroups.core import GroupShape, carrier, element, make_shape, mask_from_boo
 from pgroups.endos import aut_generator_tables, stability_test_tables
 from pgroups.invariance import (
     characteristic_from_orbits,
-    enumerate_characteristic,
-    enumerate_fully_invariant,
     fi_from_profiles,
     fi_profile_iso_types,
     is_characteristic,
@@ -119,26 +117,14 @@ def test_unique_char_not_fi_subgroup_of_2_1_3():
     assert set(gap[0].members()) == expected
 
 
-def test_enumerate_wrappers_respect_flags():
-    s = make_shape(2, [1, 3])
-    subs = enumerate_subgroups(s)
-    chars = enumerate_characteristic(s)
-    fis = enumerate_fully_invariant(s)
-    assert [h.mask for h in chars] == [h.mask for h in subs if is_characteristic(h)]
-    assert [h.mask for h in fis] == [h.mask for h in subs if is_fully_invariant(h)]
-    # precomputed lattice gives the same answer
-    assert [h.mask for h in enumerate_characteristic(s, subs)] == [
-        h.mask for h in chars
-    ]
-
-
 def test_characteristic_from_orbits_equals_enumeration():
-    from pgroups.harness import build_corpus
+    from pgroups.harness import build_corpus, compute_shape_lattice
 
     for p, max_order in ((2, 128), (3, 243), (5, 625)):
         for s in build_corpus(p, max_order).shapes:
             via_orbits = [h.mask for h in characteristic_from_orbits(s)]
-            brute = [h.mask for h in enumerate_characteristic(s)]
+            lat = compute_shape_lattice(s)
+            brute = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
             assert via_orbits == brute, s
 
 

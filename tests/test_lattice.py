@@ -12,7 +12,8 @@ from conftest import (
 )
 from pgroups.caps import CapExceeded
 from pgroups.core import GroupShape, carrier, element, make_shape
-from pgroups.lattice import Subgroup, enumerate_subgroups, span
+from pgroups.harness import build_corpus
+from pgroups.lattice import Subgroup, enumerate_subgroups, span, subgroup_count
 
 # confirmed against the subset oracle below
 KNOWN_SUBGROUP_COUNTS = {
@@ -49,6 +50,25 @@ def test_elementary_counts_are_gaussian_sums(p, n):
     s = make_shape(p, [1] * n)
     expected = sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
     assert len(enumerate_subgroups(s)) == expected
+
+
+def test_subgroup_count_equals_enumeration():
+    for p, max_order in ((2, 128), (3, 243), (5, 625), (7, 343)):
+        for s in build_corpus(p, max_order).shapes:
+            assert subgroup_count(s) == len(enumerate_subgroups(s)), s
+
+
+@pytest.mark.parametrize(
+    "p,exps,expected",
+    [(2, [1] * 8, 417_199), (2, [1] * 10, 229_755_605), (3, [1] * 7, 2_052_656)],
+)
+def test_subgroup_count_past_enumeration(p, exps, expected):
+    # too many subgroups to enumerate in a test; the elementary ones are
+    # also sums of Gaussian binomials
+    s = make_shape(p, exps)
+    assert subgroup_count(s) == expected
+    n = len(exps)
+    assert expected == sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2)])
