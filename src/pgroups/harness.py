@@ -34,7 +34,14 @@ import numpy as np
 
 from .cache import LatticeCache
 from .caps import CapExceeded, endo_oracle_cap
-from .classify import ifi_criterion, iso_witnesses, subgroup_descriptor
+from .classify import (
+    arithmetic_route_applies,
+    arithmetic_verdict,
+    carrier_verdict,
+    ifi_criterion,
+    iso_witnesses,
+    subgroup_descriptor,
+)
 from .core import (
     GroupShape,
     carrier,
@@ -620,7 +627,12 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
 
     profile_subs = fi_from_profiles(shape)
     lat = _capped(store.get, shape)
-    if runs(lat is not None, "profile-route-vs-brute", "char-orbits-vs-flags"):
+    if runs(
+        lat is not None,
+        "profile-route-vs-brute",
+        "char-orbits-vs-flags",
+        "lattice-count-vs-birkhoff",
+    ):
         # profile route against the brute-force filter
         brute = {h.mask for h, f in zip(lat.subgroups, lat.fi_flags) if f}
         if brute != {h.mask for h in profile_subs}:
@@ -646,6 +658,18 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                     detail="orbit route and generator flags disagree",
                 )
             )
+        # the enumeration against Birkhoff's closed-form subgroup count
+        count = subgroup_count(shape)
+        if len(lat.subgroups) != count:
+            out.violations.append(
+                _violation(
+                    shape,
+                    check="lattice-count-vs-birkhoff",
+                    enumerated=len(lat.subgroups),
+                    birkhoff=count,
+                    detail="enumerated lattice and closed-form count disagree",
+                )
+            )
     # the profile route's arithmetic iso types against mask-derived ones
     arith = sorted(t.exponents for _, t in fi_profile_iso_types(shape))
     masked = sorted(h.iso_type().exponents for h in profile_subs)
@@ -657,6 +681,20 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                 detail="arithmetic iso types disagree with mask iso types",
             )
         )
+    # the carrier-free classify verdict against the carrier one, wherever
+    # classify takes the arithmetic route
+    if arithmetic_route_applies(shape):
+        by_arithmetic = arithmetic_verdict(shape).to_dict()
+        by_carrier = carrier_verdict(shape).to_dict()
+        if by_arithmetic != by_carrier:
+            out.violations.append(
+                _violation(
+                    shape,
+                    check="classify-arith-vs-carrier",
+                    fields=sorted(k for k in by_arithmetic if by_arithmetic[k] != by_carrier[k]),
+                    detail="arithmetic and carrier verdicts differ",
+                )
+            )
 
     # full closure against the filtered exhaustive enumeration, with the fast
     # invertibility test compared to table bijectivity on every endomorphism.

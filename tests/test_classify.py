@@ -1,8 +1,15 @@
 """Classification verdicts: frozen truth table plus structural checks."""
 
+import json
+import sys
+
 import pytest
 
+from pgroups import cli, core
 from pgroups.classify import (
+    arithmetic_route_applies,
+    arithmetic_verdict,
+    carrier_verdict,
     classify,
     ifi_criterion,
     iso_witnesses,
@@ -10,6 +17,7 @@ from pgroups.classify import (
 )
 from pgroups.core import format_shape, make_shape
 from pgroups.harness import build_corpus, compute_shape_lattice
+from pgroups.invariance import characteristic_from_orbits, fi_from_profiles
 from pgroups.lattice import Subgroup
 
 # (ifi, ic, strongly_ifi, strongly_ic, weakly, criterion, char_eq_fi)
@@ -143,3 +151,57 @@ def test_weakly_ic_false_across_small_corpora():
 def test_subgroup_descriptor_of_trivial():
     d = subgroup_descriptor(Subgroup(make_shape(2, [1, 2]), 1))
     assert d == {"order": 1, "generators": [], "iso_type": None}
+
+
+def test_arithmetic_route_equals_the_carrier_route():
+    # byte for byte, witnesses and their generators included, on every shape
+    # where characteristic equals fully invariant by theorem
+    checked = 0
+    for p, max_order in ((2, 1024), (3, 2187), (5, 625), (7, 343)):
+        for shape in build_corpus(p, max_order).shapes:
+            if arithmetic_route_applies(shape):
+                arith = json.dumps(arithmetic_verdict(shape).to_dict(), sort_keys=True)
+                carried = json.dumps(carrier_verdict(shape).to_dict(), sort_keys=True)
+                assert arith == carried, shape
+                checked += 1
+    assert checked == 160
+
+
+def _refuse_carriers(monkeypatch):
+    # every module that bound `carrier`, and the routes that cache what it built
+    def refuse(shape):
+        raise RuntimeError(f"carrier built for {shape}")
+
+    built = core.carrier
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroups") and getattr(module, "carrier", None) is built:
+            monkeypatch.setattr(module, "carrier", refuse)
+    characteristic_from_orbits.cache_clear()
+    fi_from_profiles.cache_clear()
+
+
+@pytest.mark.parametrize("p, exps", [(3, [1, 2]), (5, [1, 1, 2]), (2, [1, 1, 2])])
+def test_the_arithmetic_route_builds_no_carrier(monkeypatch, p, exps):
+    shape = make_shape(p, exps)
+    expected = carrier_verdict(shape).to_dict()
+    _refuse_carriers(monkeypatch)
+    assert classify(shape).to_dict() == expected
+
+
+def test_2_1_2_3_takes_the_carrier_route(monkeypatch):
+    shape = make_shape(2, [1, 2, 3])
+    assert not arithmetic_route_applies(shape)
+    assert not classify(shape).char_eq_fi
+    _refuse_carriers(monkeypatch)
+    with pytest.raises(RuntimeError, match="carrier built for 2:1,2,3"):
+        classify(shape)
+
+
+@pytest.mark.parametrize("table", [["--table"], []], ids=["table", "json"])
+def test_classify_output_is_the_carrier_routes(capsys, monkeypatch, table):
+    argv = ["classify", "--p", "3", "--partition", "1,1,3"] + table
+    assert cli.run(argv) == 0
+    arithmetic = capsys.readouterr().out
+    monkeypatch.setattr(cli, "classify", carrier_verdict)
+    assert cli.run(argv) == 0
+    assert arithmetic == capsys.readouterr().out

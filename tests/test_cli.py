@@ -139,12 +139,14 @@ def test_verify_enumerates_only_for_the_oracle_claim(capsys, monkeypatch):
     capped = "2:4, 2:1,3, 2:2,2, 2:1,1,2, 2:1,1,1,1"
     parts = [
         "char-flag-vs-closure", "char-orbits-vs-flags", "closure-vs-filtered-endos",
-        "fast-aut-vs-bijective-table", "fi-flag-vs-random-endos", "profile-route-vs-brute",
+        "fast-aut-vs-bijective-table", "fi-flag-vs-random-endos", "lattice-count-vs-birkhoff",
+        "profile-route-vs-brute",
     ]
     assert doc["notes"] == [
         f"{part}: skipped on 5 of 11 shapes (oracle caps): {capped}" for part in parts
     ]
     assert not any("profile-iso-arithmetic" in n for n in doc["notes"])
+    assert not any("classify-arith-vs-carrier" in n for n in doc["notes"])
 
 
 def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):

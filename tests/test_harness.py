@@ -1,6 +1,7 @@
 """Corpus construction, claim execution, parallel determinism, negative controls."""
 
 import dataclasses
+import importlib
 import itertools
 import json
 
@@ -190,6 +191,62 @@ def test_iso_arithmetic_oracle_runs_above_the_enumeration_cap(monkeypatch):
     assert r.total_violations == 11
     assert [v["shape"] for v in r.violations] == [format_shape(s) for s in corpus.shapes]
     assert {v["witness"]["check"] for v in r.violations} == {"profile-iso-arithmetic"}
+
+
+def test_count_oracle_catches_a_dropped_subgroup(monkeypatch):
+    # a subgroup flagged neither characteristic nor fully invariant leaves
+    # every flag comparison as it was; only the closed-form count sees it
+    def drop_one(shape):
+        subs = enumerate_subgroups(shape)
+        chars = {h.mask for h in harness_mod.characteristic_from_orbits(shape)}
+        plain = [h for h in subs if h.mask not in chars]
+        return [h for h in subs if h not in plain[:1]]
+
+    monkeypatch.setattr(harness_mod, "enumerate_subgroups", drop_one)
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 16))[0]
+    assert r.status == "fail"
+    assert [v["shape"] for v in r.violations] == [
+        "2:1,1", "2:1,2", "2:1,3", "2:2,2", "2:1,1,1", "2:1,1,2", "2:1,1,1,1",
+    ]
+    assert {v["witness"]["check"] for v in r.violations} == {"lattice-count-vs-birkhoff"}
+    v = r.violations[0]["witness"]
+    assert (v["enumerated"], v["birkhoff"]) == (4, 5)
+
+
+_classify_mod = importlib.import_module("pgroups.classify")
+_profile_generators = _classify_mod._ProfileSubgroup.generators
+
+
+@pytest.mark.parametrize(
+    "owner, attr, fault, corpus, shapes",
+    [
+        (
+            _classify_mod,
+            "_profile_order",
+            lambda h: (h.order, tuple(-m for m in h.m)),
+            (3, 243),
+            ["3:1,3", "3:1,4"],
+        ),
+        (
+            _classify_mod._ProfileSubgroup,
+            "generators",
+            property(lambda h: _profile_generators.fget(h)[:-1]),
+            (3, 27),
+            ["3:2", "3:3", "3:1,2"],
+        ),
+    ],
+    ids=["reversed-order-key", "dropped-generator"],
+)
+def test_classify_oracle_catches_a_broken_arithmetic_route(
+    monkeypatch, owner, attr, fault, corpus, shapes
+):
+    # the arithmetic route feeds no other part or claim, so this part alone fires
+    monkeypatch.setattr(owner, attr, fault)
+    r = run_claims(["oracle-crosscheck"], build_corpus(*corpus))[0]
+    assert r.status == "fail"
+    assert [v["shape"] for v in r.violations] == shapes
+    assert {v["witness"]["check"] for v in r.violations} == {"classify-arith-vs-carrier"}
+    assert {tuple(v["witness"]["fields"]) for v in r.violations} == {("witnesses",)}
 
 
 def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
