@@ -36,7 +36,7 @@ class CapExceeded(Exception):
     this into exit code 3) can say which knob to turn.
     """
 
-    def __init__(self, cap_name: str, limit: int, needed: int, detail: str = ""):
+    def __init__(self, cap_name: str, limit: int, needed: int | str, detail: str = ""):
         self.cap_name = cap_name
         self.limit = limit
         self.needed = needed

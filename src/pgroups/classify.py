@@ -229,18 +229,26 @@ def arithmetic_route_applies(shape: GroupShape) -> bool:
     return shape.prime != 2 or kaplansky_2group_predicate(shape)
 
 
-def arithmetic_verdict(shape: GroupShape) -> ClassificationVerdict:
-    """The verdict by exponent arithmetic over the layer profiles, for a shape
-    where `arithmetic_route_applies`; builds no carrier."""
+def profile_records(shape: GroupShape) -> list[_ProfileSubgroup]:
+    """One `_ProfileSubgroup` per layer profile, in enumeration order: the
+    subgroups the arithmetic route reads, and that the
+    `classify-arith-vs-carrier` oracle part holds against `fi_from_profiles`
+    position by position.  Builds no carrier."""
     levels = distinct_exponents(shape)
     layer_of = [levels.index(k) for k in shape.exponents]
-    subs = sorted(
+    return sorted(
         (
             _ProfileSubgroup(shape, tuple(vec[j] for j in layer_of), iso)
             for vec, iso in fi_profile_iso_types(shape)
         ),
         key=_profile_order,
     )
+
+
+def arithmetic_verdict(shape: GroupShape) -> ClassificationVerdict:
+    """The verdict by exponent arithmetic over the layer profiles, for a shape
+    where `arithmetic_route_applies`; builds no carrier."""
+    subs = profile_records(shape)
     return _verdict(shape, subs, subs, char_eq_fi=True)
 
 

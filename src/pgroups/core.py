@@ -106,10 +106,23 @@ def make_shape(prime: int, exponents: Iterable[int]) -> GroupShape:
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"exponents must be positive integers, got {k!r}")
     shape = GroupShape(prime, exps)
-    cap = carrier_cap()
-    if shape.order > cap:
-        raise CapExceeded("carrier", cap, shape.order, f"shape {shape}")
+    check_carrier_cap(shape)
     return shape
+
+
+def check_carrier_cap(shape: GroupShape) -> None:
+    """Raise `CapExceeded` if the order of `shape` is above the carrier cap.
+
+    Decided on the exponent sum s against the largest s with p^s within the
+    cap, so an over-cap order is never computed (p^s for a huge s would take
+    unbounded time and memory) and is named as "p^s", not in full."""
+    cap = carrier_cap()
+    p, total = shape.prime, sum(shape.exponents)
+    largest, power = 0, p
+    while power <= cap:
+        largest, power = largest + 1, power * p
+    if total > largest:
+        raise CapExceeded("carrier", cap, f"{p}^{total}", f"shape {shape}")
 
 
 def format_shape(shape: GroupShape) -> str:
@@ -294,9 +307,7 @@ class Carrier:
     """
 
     def __init__(self, shape: GroupShape):
-        cap = carrier_cap()
-        if shape.order > cap:
-            raise CapExceeded("carrier", cap, shape.order, f"shape {shape}")
+        check_carrier_cap(shape)
         self.shape = shape
         self.n = shape.order
         p = shape.prime

@@ -39,8 +39,15 @@ can be carried as (K, n) rows of carrier indices (`entries_from_images`
 converts them back).  The automorphism closure works in that form: composing
 with a generator costs n table look-ups per element, not a whole carrier
 table, and each element's rank in the enumeration (its key in the closure's
-`seen` bitmap) is n one-column look-ups.  The closure is checked against the
-exhaustive enumeration.
+`seen` bitmap) is n one-column look-ups.  It is built coset by coset along
+the chain {1} = H_0 <= H_1 <= ... of the subgroups spanned by the first
+generators (Dimino's algorithm): each new left coset y o H_(i-1) is one
+gather of a generator table over a coset already found, a candidate y
+outside `seen` always opens a new coset because `seen` holds whole cosets
+and cosets are disjoint, and a generator's own powers come by doubling
+(g^(m+1)..g^(2m) from the table of g^m), so each automorphism is composed
+about once instead of once per generator.  The closure is checked against
+the exhaustive enumeration.
 
 Generator and single-entry tables (`aut_generator_tables`,
 `stability_test_tables`) are built here once per shape for every caller (a
@@ -398,10 +405,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _unit_generators(p: int, k: int) -> list[int]:
-    """Generators of (Z/p^k)*, as residues."""
+    """Generators of (Z/p^k)*, as residues: none for the trivial (Z/2)*."""
     if p == 2:
         if k == 1:
-            return [1]  # trivial unit group; kept for uniformity
+            return []
         if k == 2:
             return [3]
         return [2 ** k - 1, 5]
@@ -425,7 +432,8 @@ def _aut_generator_entries(shape: GroupShape) -> np.ndarray:
 
     Three families: unipotent transvections I + E_ij for i != j, adjacent
     transpositions of equal-exponent summands, and diagonal unit
-    multiplications on single summands.  Transvections come first; they are
+    multiplications on single summands (none on a Z(2) summand, whose only
+    unit is 1).  Transvections come first; they are
     the maps that kill most non-characteristic subgroups fastest.
     """
     n = shape.rank
@@ -543,13 +551,40 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
     An automorphism is fixed by where it sends the canonical generators, so
     the result is a (K, n) integer array with K = |Aut(G)|: row k, column j is
     the carrier index of the image of a_j under the k-th automorphism
-    (`entries_from_images` turns rows back into matrices).  The breadth-first
-    search composes a whole level with one generator table at a time, n
-    look-ups per element, and dedupes rows by their rank in
-    `endo_entry_batches`, kept in a bitmap over End(G).  So it is gated by the
-    endo oracle cap before anything is allocated, and K by the aut closure
-    cap.  This is oracle machinery: characteristic testing never needs the
-    closure, only the generators.
+    (`entries_from_images` turns rows back into matrices).  Rows come coset
+    by coset, the identity first; callers treat them as a set.
+
+    The group is built along the chain H_0 = {1} <= H_1 <= ... <= H_m =
+    Aut(G), where H_i adds the i-th generator that is not yet in H_(i-1) (one
+    `seen` look-up skips the others), by Dimino's coset enumeration (Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559): H_i is a union
+    of left cosets y o H_(i-1), each one gather of a generator table over the
+    rows of a coset already found, n look-ups per element.
+
+    * The powers of the new generator g come first, by doubling: with the
+      rows of g^1..g^m and the table of g^m (itself the square of the table
+      of g^(m/2)), g^(m+1)..g^(2m) is one gather, until the least power j
+      inside H_(i-1) turns up.  The cosets g^0..g^(j-1) o H_(i-1) are then
+      doubled the same way, so a cyclic step takes log j rounds.
+    * The union U of the cosets found is H_i once t o U lies in U for every
+      chain generator t, that is once t o y lies in U for every coset
+      representative y (a coset's first row: H_(i-1) lists the identity
+      first).  Each round tries every generator on the cosets the last round
+      found; a candidate t o y outside `seen` opens the coset t o y o
+      H_(i-1), whose rows are t applied to y's coset.
+    * The dedupe is exact without comparing cosets: `seen` always holds whole
+      cosets, which are disjoint, so a candidate outside it lies in a coset
+      not yet found; and one generator's candidates from distinct cosets y o
+      H_(i-1) open distinct cosets (t o y o H = t o y' o H iff y o H = y' o
+      H).  Trying the generators one after another, each against the `seen`
+      the last one left, keeps two generators from opening one coset twice.
+
+    So each automorphism is composed about once, not once per generator.
+    Elements are keyed by their rank in `endo_entry_batches`, n one-column
+    look-ups, in a bitmap over End(G): the closure is gated by the endo
+    oracle cap before anything is allocated, and its running size by the aut
+    closure cap.  This is oracle machinery: characteristic testing never
+    needs the closure, only the generators.
     """
     total = endo_count(shape)
     cap = endo_oracle_cap()
@@ -567,30 +602,63 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
             codes += lookup[j][rows[:, j]]
         return codes
 
+    def grow(size: int) -> None:
+        if size > cap:
+            raise CapExceeded("aut-closure", cap, size, f"closure for {shape}")
+
     ident = np.array([carrier(shape).strides], dtype=np.int32)  # a_j sits at its stride
     seen = np.zeros(total, dtype=bool)
     seen[codes_of(ident)] = True
-    found = [ident]
-    size = 1
-    frontier = ident
-    while len(frontier):
-        level = []
-        # one generator at a time: composing with all of them at once holds
-        # a level times the generator count and measured a higher peak RSS.
-        # A generator is a bijection and the frontier rows are distinct, so
-        # one composed batch holds no duplicates; only `seen` filters.
-        for table in aut_generator_tables(shape):
-            rows = table[frontier]
-            codes = codes_of(rows)
-            fresh = ~seen[codes]
-            seen[codes[fresh]] = True
-            level.append(rows[fresh])
-            size += int(fresh.sum())
-            if size > cap:
-                raise CapExceeded("aut-closure", cap, size, f"closure for {shape}")
-        frontier = np.concatenate(level) if level else ident[:0]
-        found.append(frontier)
-    return np.concatenate(found)
+    group = ident  # H_(i-1), identity first
+    chain = []  # the generators that extended the chain
+    for table in aut_generator_tables(shape):
+        powers = table[ident]  # g^1..g^m as rows
+        if seen[codes_of(powers)[0]]:
+            continue
+        chain.append(table)
+        doubled = [table]  # tables of g^1, g^2, g^4, ...
+        while True:
+            more = doubled[-1][powers]  # g^(m+1)..g^(2m)
+            inside = np.flatnonzero(seen[codes_of(more)])
+            if len(inside):
+                index = len(powers) + int(inside[0]) + 1  # least power inside H_(i-1)
+                break
+            powers = np.concatenate([powers, more])
+            doubled.append(doubled[-1][doubled[-1]])
+        size = index * len(group)
+        grow(size)
+        # (cosets, |H_(i-1)|, n): g^0..g^(index-1) o H_(i-1), filled in place
+        # by doubling; take's "clip" mode writes to `out` unbuffered
+        cosets = np.empty((index, len(group), n), dtype=group.dtype)
+        cosets[0] = group
+        del group
+        filled = 1
+        for power_table in doubled:
+            if filled == index:
+                break
+            block = cosets[filled : min(2 * filled, index)]
+            np.take(power_table, cosets[: len(block)], out=block, mode="clip")
+            seen[codes_of(block.reshape(-1, n))] = True
+            filled += len(block)
+        found, frontier = [cosets], cosets
+        while True:
+            level = []
+            for t in chain:
+                fresh = ~seen[codes_of(t[frontier[:, 0]])]
+                if not fresh.any():
+                    continue
+                new = t[frontier[fresh]]
+                size += new.shape[0] * new.shape[1]
+                grow(size)
+                seen[codes_of(new.reshape(-1, n))] = True
+                level.append(new)
+            if not level:
+                break
+            frontier = np.concatenate(level)
+            found.append(frontier)
+        # a step whose cosets all came from powers is one array already
+        group = (cosets if len(found) == 1 else np.concatenate(found)).reshape(-1, n)
+    return group
 
 
 def random_endo_entries(shape: GroupShape, rng: np.random.Generator, count: int) -> np.ndarray:

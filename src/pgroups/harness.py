@@ -40,6 +40,7 @@ from .classify import (
     carrier_verdict,
     ifi_criterion,
     iso_witnesses,
+    profile_records,
     subgroup_descriptor,
 )
 from .core import (
@@ -617,6 +618,30 @@ def _capped(build: Callable, shape: GroupShape):
         return None
 
 
+def _first_stray_record(shape: GroupShape, profile_subs) -> Optional[int]:
+    """The first position where `profile_records(shape)` and the profile
+    route's subgroups (both in enumeration order) hold different subgroups,
+    or None.
+
+    A record with exponents m is the sum of the p^(m_i) Z(p^(k_i)); it lies in
+    a subgroup iff every p^(m_i) e_i with m_i < k_i does, a few bit tests on
+    the mask, and a contained record of the same order is that subgroup."""
+    records = profile_records(shape)
+    strides = carrier(shape).strides
+    p, exps = shape.prime, shape.exponents
+    for pos, (rec, h) in enumerate(zip(records, profile_subs)):
+        inside = all(
+            h.mask >> (p ** m * stride) & 1
+            for k, m, stride in zip(exps, rec.m, strides)
+            if m < k
+        )
+        if rec.order != h.order or not inside:
+            return pos
+    if len(records) != len(profile_subs):
+        return min(len(records), len(profile_subs))
+    return None
+
+
 def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
 
@@ -681,18 +706,22 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                 detail="arithmetic iso types disagree with mask iso types",
             )
         )
-    # the carrier-free classify verdict against the carrier one, wherever
-    # classify takes the arithmetic route
+    # the carrier-free classify verdict against the carrier one, and its
+    # records against the profile route's subgroups, wherever classify takes
+    # the arithmetic route
     if arithmetic_route_applies(shape):
         by_arithmetic = arithmetic_verdict(shape).to_dict()
         by_carrier = carrier_verdict(shape).to_dict()
-        if by_arithmetic != by_carrier:
+        fields = sorted(k for k in by_arithmetic if by_arithmetic[k] != by_carrier[k])
+        record = _first_stray_record(shape, profile_subs)
+        if fields or record is not None:
             out.violations.append(
                 _violation(
                     shape,
                     check="classify-arith-vs-carrier",
-                    fields=sorted(k for k in by_arithmetic if by_arithmetic[k] != by_carrier[k]),
-                    detail="arithmetic and carrier verdicts differ",
+                    fields=fields,
+                    record=record,
+                    detail="arithmetic and carrier routes differ",
                 )
             )
 

@@ -287,3 +287,24 @@ def dumb_aut_closure(shape: GroupShape) -> list:
                     new_frontier.append(composed)
         frontier = new_frontier
     return out
+
+
+def hillar_rhea_aut_order(shape: GroupShape) -> int:
+    """|Aut(G)| in closed form (Hillar & Rhea, "Automorphisms of finite
+    abelian groups", Amer. Math. Monthly 114, 2007).
+
+    With exponents e_1 <= ... <= e_n, d_k the last and c_k the first
+    (1-based) position holding the value e_k:
+    prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (n - d_j)) * prod_i p^((e_i - 1)(n - c_i + 1)).
+    """
+    p, e, n = shape.prime, shape.exponents, shape.rank
+    last = [max(l for l in range(1, n + 1) if e[l - 1] == ek) for ek in e]
+    first = [min(l for l in range(1, n + 1) if e[l - 1] == ek) for ek in e]
+    out = 1
+    for k in range(1, n + 1):
+        out *= p ** last[k - 1] - p ** (k - 1)
+    for j in range(n):
+        out *= p ** (e[j] * (n - last[j]))
+    for i in range(n):
+        out *= p ** ((e[i] - 1) * (n - first[i] + 1))
+    return out

@@ -1,13 +1,19 @@
 """CLI surface: flags, exit codes, output schemas."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import pgroups.harness as harness_mod
 from pgroups.cli import build_parser, run
 from pgroups.harness import CheckOutcome, ClaimSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _json_out(capsys):
@@ -225,6 +231,20 @@ def test_large_prime_is_decided_at_once(argv, code, capsys):
     assert time.perf_counter() - start < 1.0
     if code == 3:
         assert "carrier cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+@pytest.mark.parametrize("sum_", ["20000", "99999999999"])
+def test_huge_exponent_sum_exits_on_the_carrier_cap(command, sum_):
+    # the cap is decided on the exponent sum, so 2^sum is never computed or
+    # printed in full; a subprocess, so a regression hangs only until timeout
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pgroups.cli", command, "--p", "2", "--partition", sum_],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 3
+    assert f"carrier cap exceeded: needs 2^{sum_}," in done.stderr
 
 
 def test_prime_beyond_the_exact_bound_is_a_usage_error(capsys):

@@ -74,6 +74,15 @@ def test_make_shape_respects_carrier_cap(monkeypatch):
     monkeypatch.setenv("PGROUPS_CARRIER_CAP", "64")
     with pytest.raises(CapExceeded, match="carrier"):
         make_shape(2, [7])
+    # the cap is p^s <= cap on the exponent sum s, exact at the boundary
+    assert make_shape(2, [1, 2, 3]).order == 64
+    monkeypatch.setenv("PGROUPS_CARRIER_CAP", "63")
+    with pytest.raises(CapExceeded, match=r"needs 2\^6, cap is 63"):
+        make_shape(2, [1, 2, 3])
+    monkeypatch.setenv("PGROUPS_CARRIER_CAP", "81")
+    assert make_shape(3, [2, 2]).order == 81
+    with pytest.raises(CapExceeded, match=r"needs 3\^5, cap is 81 \(shape 3:1,4\)"):
+        make_shape(3, [4, 1])
 
 
 def test_parse_format_roundtrip():

@@ -24,6 +24,7 @@ from conftest import (
     dumb_endo_table,
     dumb_index,
     einsum_endo_tables,
+    hillar_rhea_aut_order,
     mask_members,
 )
 from pgroups.caps import CapExceeded, endo_oracle_cap
@@ -144,12 +145,12 @@ def test_aut_order_of_cyclic_groups_is_totient():
 
 
 def test_closure_rows_match_table_closure():
-    # the image rows are the generator columns of the table BFS they replaced,
-    # on every shape of three small corpora; shapes whose End(G) is over the
+    # the image rows are the generator columns of a plain whole-table BFS, on
+    # every shape of three small corpora; shapes whose End(G) is over the
     # endo oracle cap must refuse instead
     shapes = [
         s
-        for p, max_order in ((2, 32), (3, 81), (5, 25))
+        for p, max_order in ((2, 64), (3, 81), (5, 25))
         for s in build_corpus(p, max_order).shapes
     ]
     for s in shapes:
@@ -162,6 +163,32 @@ def test_closure_rows_match_table_closure():
         reference = [t[strides].tolist() for t in dumb_aut_closure(s)]
         assert len(rows) == len(reference), s
         assert set(map(tuple, rows)) == set(map(tuple, reference)), s
+
+
+def test_closure_size_is_the_closed_form_aut_order():
+    # every shape of four corpora whose closure is within the caps: as many
+    # distinct rows as Hillar and Rhea's |Aut(G)|
+    checked = 0
+    for p, max_order in ((2, 256), (3, 729), (5, 625), (7, 343)):
+        for s in build_corpus(p, max_order).shapes:
+            try:
+                rows = aut_closure_tables(s)
+            except CapExceeded:
+                continue
+            assert len(rows) == hillar_rhea_aut_order(s), s
+            assert len(np.unique(rows, axis=0)) == len(rows), s
+            checked += 1
+    assert checked == 45 + 18 + 7 + 5
+
+
+def test_hillar_rhea_matches_known_orders():
+    for (p, exps), order in KNOWN_AUT_ORDERS.items():
+        assert hillar_rhea_aut_order(GroupShape(p, exps)) == order
+    # GL(n, p) on the elementary abelian groups, the totient on cyclic ones
+    assert hillar_rhea_aut_order(GroupShape(2, (1, 1, 1, 1))) == 20160
+    assert hillar_rhea_aut_order(GroupShape(3, (1, 1, 1))) == 11232
+    assert hillar_rhea_aut_order(GroupShape(7, (4,))) == 7 ** 3 * 6
+    assert hillar_rhea_aut_order(GroupShape(2, (1,))) == 1
 
 
 def test_entries_from_images_matches_scalar_inverse(endo_oracle_shapes):
@@ -648,4 +675,7 @@ def test_generator_entries_match_scalar_construction():
         *build_corpus(5, 625).shapes,
     ]
     for s in shapes:
-        assert endos_mod._aut_generator_entries(s).tolist() == dumb_aut_generators(s), s
+        ents = endos_mod._aut_generator_entries(s)
+        assert ents.tolist() == dumb_aut_generators(s), s
+        # no generator is the identity (a Z(2) summand has no unit generator)
+        assert not (ents == np.eye(s.rank, dtype=np.int64)).all(axis=(1, 2)).any(), s

@@ -218,35 +218,46 @@ _profile_generators = _classify_mod._ProfileSubgroup.generators
 
 
 @pytest.mark.parametrize(
-    "owner, attr, fault, corpus, shapes",
+    "owner, attr, fault, corpus, found",
     [
+        # the records check fires on every shape whose order ties the fault
+        # reorders; the verdicts differ only where a first clash moves
         (
             _classify_mod,
             "_profile_order",
             lambda h: (h.order, tuple(-m for m in h.m)),
             (3, 243),
-            ["3:1,3", "3:1,4"],
+            [("3:1,3", ["witnesses"], 2), ("3:1,4", ["witnesses"], 2)],
+        ),
+        (
+            _classify_mod,
+            "_profile_order",
+            lambda h: (h.order, tuple(-m for m in h.m)),
+            (2, 64),
+            [("2:1,1,4", [], 3)],
         ),
         (
             _classify_mod._ProfileSubgroup,
             "generators",
             property(lambda h: _profile_generators.fget(h)[:-1]),
             (3, 27),
-            ["3:2", "3:3", "3:1,2"],
+            [("3:2", ["witnesses"], None), ("3:3", ["witnesses"], None),
+             ("3:1,2", ["witnesses"], None)],
         ),
     ],
-    ids=["reversed-order-key", "dropped-generator"],
+    ids=["reversed-order-key", "reversed-order-key-p2", "dropped-generator"],
 )
 def test_classify_oracle_catches_a_broken_arithmetic_route(
-    monkeypatch, owner, attr, fault, corpus, shapes
+    monkeypatch, owner, attr, fault, corpus, found
 ):
     # the arithmetic route feeds no other part or claim, so this part alone fires
     monkeypatch.setattr(owner, attr, fault)
     r = run_claims(["oracle-crosscheck"], build_corpus(*corpus))[0]
     assert r.status == "fail"
-    assert [v["shape"] for v in r.violations] == shapes
     assert {v["witness"]["check"] for v in r.violations} == {"classify-arith-vs-carrier"}
-    assert {tuple(v["witness"]["fields"]) for v in r.violations} == {("witnesses",)}
+    assert [
+        (v["shape"], v["witness"]["fields"], v["witness"]["record"]) for v in r.violations
+    ] == found
 
 
 def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
@@ -263,6 +274,30 @@ def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):
             "filtered_size": 8,
             "detail": "generator closure and filtered enumeration differ",
         }
+    ]
+
+
+def test_closure_oracle_catches_a_generating_set_without_units(monkeypatch):
+    # the coset walk closes only what the generators give: without the unit
+    # multiplications it misses the automorphisms only they reach (GL(r, 3)
+    # needs none of them: transvections and swaps generate it)
+    tables = endos_mod.aut_generator_tables
+
+    def no_units(shape):
+        units = sum(len(endos_mod._unit_generators(shape.prime, k)) for k in shape.exponents)
+        kept = tables(shape)
+        return kept[: len(kept) - units]
+
+    monkeypatch.setattr(endos_mod, "aut_generator_tables", no_units)
+    r = run_claims(["oracle-crosscheck"], build_corpus(3, 81))[0]
+    assert r.status == "fail"
+    assert [
+        (v["shape"], v["witness"]["closure_size"], v["witness"]["filtered_size"])
+        for v in r.violations
+        if v["witness"]["check"] == "closure-vs-filtered-endos"
+    ] == [
+        ("3:1", 1, 2), ("3:2", 1, 6), ("3:3", 1, 18), ("3:4", 1, 54), ("3:1,2", 27, 108),
+        ("3:1,3", 27, 324), ("3:2,2", 1296, 3888), ("3:1,1,2", 11664, 23328),
     ]
 
 
