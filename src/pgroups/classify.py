@@ -20,55 +20,38 @@ reads "all exponents equal 1 or all exponents equal 2".
 
 Every false verdict carries a minimal witness in enumeration order.
 
-`classify` takes one of two routes to the same verdict.
+`classify` reads the fully invariant lattice as `profile_records`: each
+subgroup's order, iso type and canonical generators by exponent arithmetic,
+in enumeration order, with no carrier.  The characteristic lattice is those
+same records where it is known to equal the fully invariant one
+(`arithmetic_route_applies`): for every odd p, and for p = 2 exactly when
+`kaplansky_2group_predicate` holds (Kaplansky, *Infinite Abelian Groups*,
+the section on fully invariant subgroups; the `odd-p-char-eq-fi` and
+`prop-2.26` sweeps check both facts).  Every other 2-group reads it from
+Aut-orbits (`characteristic_from_orbits`), as masks over the carrier.
+Either way `char_eq_fi` compares the two lattices' sizes: every fully
+invariant subgroup is characteristic, so lattices of equal size are equal.
 
-* The arithmetic route (`arithmetic_verdict`) is taken where the
-  characteristic lattice is known to equal the fully invariant one
-  (`arithmetic_route_applies`): for every odd p, and for p = 2 exactly when
-  `kaplansky_2group_predicate` holds (Kaplansky, *Infinite Abelian Groups*,
-  the section on fully invariant subgroups; the `odd-p-char-eq-fi` and
-  `prop-2.26` sweeps check both facts).  There the one lattice is the
-  profile lattice, and each of its subgroups is read off its profile with no
-  carrier: with m_i = n_(k_i) on the summand Z(p^(k_i)), the subgroup is
-  the sum of the p^(m_i) Z(p^(k_i)), of order p^(sum (k_i - m_i)), type
-  sorted(k_i - m_i > 0), and canonical generators p^(m_i) e_i in coordinate
-  order over the i with m_i < k_i.  (The greedy generator search starts from
-  pH, the same sum with every m_i raised by one; its least member outside is
-  p^(m_i) e_i for the first i still missing, since a member with a smaller
-  index is zero on every later coordinate and below p^(m_i) on coordinate i.)
-  `char_eq_fi` is true by the theorem, ic and strong ic are the ifi
-  verdicts, and weakly_ic scans the same records.
-* The carrier route (`carrier_verdict`) reads the characteristic lattice
-  from Aut-orbits and the fully invariant one from profile masks, and
-  compares their masks for `char_eq_fi`.  It serves every other 2-group,
-  and the `classify-arith-vs-carrier` oracle part runs it next to the
-  arithmetic route on every shape where both apply.
+`carrier_verdict` reads both lattices as masks (`fi_from_profiles` and the
+orbit route) and compares the masks for `char_eq_fi`.  It is the oracle:
+the `classify-vs-carrier` part of `oracle-crosscheck` holds `classify`
+against it, field by field, on every shape.
 
-Both routes list subgroups in `enumeration_key` order: by order, then by the
-membership bit-vector, the subgroup present at the first differing index
-first.  On profile subgroups of one order that is m in lexicographic order,
-smaller first.  Proof: let i be the first coordinate where m^H_i < m^K_i
-(they agree before it).  A carrier index x below p^(m^H_i) stride_i is zero
-on every coordinate after i and below p^(m^H_i) on coordinate i, so it lies
-in H exactly when it lies in K: they agree on the coordinates before i, and
-on coordinate i both need it to be 0.  The index p^(m^H_i) stride_i itself,
-p^(m^H_i) e_i, is in H and not in K, as m^H_i < m^K_i <= k_i.
-
-Either way the carrier cap of `make_shape` bounds the shapes `classify` is
-given; no subgroup is ever enumerated.
+Both list subgroups in `enumeration_key` order (`profile_records` gives the
+proof for the records).  The carrier cap of `make_shape` bounds the shapes
+`classify` is given; no subgroup is ever enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import GroupElement, GroupShape, format_shape
+from .core import GroupShape, format_shape
 from .invariance import (
     characteristic_from_orbits,
-    distinct_exponents,
     fi_from_profiles,
-    fi_profile_iso_types,
     kaplansky_2group_predicate,
+    profile_records,
 )
 from .lattice import Subgroup
 
@@ -85,8 +68,8 @@ def subgroup_descriptor(h: Subgroup) -> dict:
 
 def iso_witnesses(subs: list[Subgroup]):
     """The shared predicate behind the ifi and ic verdicts and their strong
-    forms, applied to one subgroup family (of `Subgroup`s, or of the
-    arithmetic route's profile records, which answer the same questions).
+    forms, applied to one subgroup family (of `Subgroup`s, or of
+    `profile_records`, which answer the same questions).
 
     Returns (proper, nonzero).  `proper` is None when all non-trivial members
     (neither {0} nor G) are pairwise isomorphic, and otherwise the first
@@ -184,78 +167,16 @@ def carrier_verdict(shape: GroupShape) -> ClassificationVerdict:
     return _verdict(shape, fi, chars, char_eq_fi)
 
 
-@dataclass(frozen=True)
-class _ProfileSubgroup:
-    """The fully invariant subgroup sum_i p^(m_i) Z(p^(k_i)) of `shape`, held
-    by its per-coordinate exponents m and its iso type: it answers what
-    `iso_witnesses` and `subgroup_descriptor` ask of a `Subgroup`, without a
-    carrier."""
-
-    shape: GroupShape
-    m: tuple[int, ...]
-    iso: GroupShape
-
-    @property
-    def order(self) -> int:
-        return self.shape.prime ** sum(k - m for k, m in zip(self.shape.exponents, self.m))
-
-    @property
-    def generators(self) -> tuple[GroupElement, ...]:
-        p, rank = self.shape.prime, self.shape.rank
-        return tuple(
-            GroupElement(self.shape, tuple(p ** m if j == i else 0 for j in range(rank)))
-            for i, (k, m) in enumerate(zip(self.shape.exponents, self.m))
-            if m < k
-        )
-
-    def iso_type(self) -> GroupShape:
-        return self.iso
-
-    def is_trivial(self) -> bool:
-        return self.iso.is_trivial_marker()
-
-    def is_full(self) -> bool:
-        return not any(self.m)
-
-
-def _profile_order(h: _ProfileSubgroup) -> tuple:
-    """`enumeration_key` order on profile subgroups (see the module docstring)."""
-    return h.order, h.m
-
-
 def arithmetic_route_applies(shape: GroupShape) -> bool:
     """Whether the characteristic subgroups are known to be exactly the fully
     invariant ones: p odd, or `kaplansky_2group_predicate`."""
     return shape.prime != 2 or kaplansky_2group_predicate(shape)
 
 
-def profile_records(shape: GroupShape) -> list[_ProfileSubgroup]:
-    """One `_ProfileSubgroup` per layer profile, in enumeration order: the
-    subgroups the arithmetic route reads, and that the
-    `classify-arith-vs-carrier` oracle part holds against `fi_from_profiles`
-    position by position.  Builds no carrier."""
-    levels = distinct_exponents(shape)
-    layer_of = [levels.index(k) for k in shape.exponents]
-    return sorted(
-        (
-            _ProfileSubgroup(shape, tuple(vec[j] for j in layer_of), iso)
-            for vec, iso in fi_profile_iso_types(shape)
-        ),
-        key=_profile_order,
-    )
-
-
-def arithmetic_verdict(shape: GroupShape) -> ClassificationVerdict:
-    """The verdict by exponent arithmetic over the layer profiles, for a shape
-    where `arithmetic_route_applies`; builds no carrier."""
-    subs = profile_records(shape)
-    return _verdict(shape, subs, subs, char_eq_fi=True)
-
-
 def classify(shape: GroupShape) -> ClassificationVerdict:
-    """Full verdict: by the arithmetic route where characteristic equals fully
-    invariant by theorem, and by the carrier route elsewhere.  Neither
-    enumerates subgroups, so only the carrier cap applies."""
-    if arithmetic_route_applies(shape):
-        return arithmetic_verdict(shape)
-    return carrier_verdict(shape)
+    """Full verdict from the profile records, and from the orbit route where
+    characteristic is not known to equal fully invariant.  Nothing is
+    enumerated, so only the carrier cap applies."""
+    fi = profile_records(shape)
+    chars = fi if arithmetic_route_applies(shape) else characteristic_from_orbits(shape)
+    return _verdict(shape, fi, chars, char_eq_fi=len(chars) == len(fi))

@@ -9,12 +9,16 @@ byte-identical for a given corpus and claim set whatever the job count.
 
 Every per-shape claim except `oracle-crosscheck` reads the characteristic
 subgroups from Aut-orbits (`characteristic_from_orbits`) and the fully
-invariant ones from projection profiles (`fi_from_profiles`); neither route
-enumerates the lattice.  Only `oracle-crosscheck` asks a `LatticeStore` for
-the enumerated lattice and its brute-force flags, to check those routes, so
-a report's `runtime_ms` charges enumeration (or the disk-cache read) to that
-claim alone.  Its parts whose inputs are over a cap or a scan limit are
-skipped and named in the report notes; only the carrier cap ends a sweep.
+invariant ones from the layer profiles: the ifi verdicts from the
+carrier-free `profile_records`, the mask comparisons from their rendering
+`fi_from_profiles`.  No route enumerates the lattice.  Only
+`oracle-crosscheck` asks a `LatticeStore` for the enumerated lattice and its
+brute-force flags, to check those routes, so a report's `runtime_ms`
+charges enumeration (or the disk-cache read) to that claim alone.  It also
+holds `classify` against the verdict read off both lattices' masks
+(`carrier_verdict`) on every shape.  Its parts whose inputs are over a cap
+or a scan limit are skipped and named in the report notes; only the carrier
+cap ends a sweep.
 Outside `verify`, only `enumerate --kind all` enumerates.
 
 The registry also carries out-of-scope entries (no checker, a reason
@@ -35,12 +39,10 @@ import numpy as np
 from .cache import LatticeCache
 from .caps import CapExceeded, endo_oracle_cap
 from .classify import (
-    arithmetic_route_applies,
-    arithmetic_verdict,
     carrier_verdict,
+    classify,
     ifi_criterion,
     iso_witnesses,
-    profile_records,
     subgroup_descriptor,
 )
 from .core import (
@@ -70,12 +72,12 @@ from .invariance import (
     characteristic_from_orbits,
     distinct_exponents,
     fi_from_profiles,
-    fi_profile_iso_types,
     is_characteristic,
     is_fully_invariant,
     kaplansky_2group_predicate,
     layer_mask,
     layer_positions,
+    profile_records,
     project_rows,
     projection_table,
     stable_flags,
@@ -260,7 +262,7 @@ def _violation(shape: GroupShape, **witness) -> dict:
 
 def _check_ifi_criterion(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    got = iso_witnesses(fi_from_profiles(shape))[0] is None
+    got = iso_witnesses(profile_records(shape))[0] is None
     want = ifi_criterion(shape)
     if got != want:
         out.violations.append(
@@ -271,7 +273,7 @@ def _check_ifi_criterion(store: LatticeStore, shape: GroupShape) -> CheckOutcome
 
 def _check_strongly_elementary(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    got = iso_witnesses(fi_from_profiles(shape))[1] is None
+    got = iso_witnesses(profile_records(shape))[1] is None
     want = all(k == 1 for k in shape.exponents)
     if got != want:
         out.violations.append(
@@ -287,11 +289,9 @@ def _check_doubling(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     doubled = GroupShape(shape.prime, tuple(sorted(shape.exponents * 2)))
     ic = iso_witnesses(characteristic_from_orbits(shape))[0] is None
 
-    # doubled side by exponent arithmetic; the mask route confirms it while
+    # doubled side from the profile records; the mask route confirms it while
     # the doubled carrier is still cheap
-    types = [t for _, t in fi_profile_iso_types(doubled)]
-    nontrivial_types = [t for t in types if t.exponents and t != doubled]
-    ifi_doubled = len(set(nontrivial_types)) <= 1
+    ifi_doubled = iso_witnesses(profile_records(doubled))[0] is None
     if doubled.order <= 1024:
         direct = iso_witnesses(fi_from_profiles(doubled))[0] is None
         if direct != ifi_doubled:
@@ -618,30 +618,6 @@ def _capped(build: Callable, shape: GroupShape):
         return None
 
 
-def _first_stray_record(shape: GroupShape, profile_subs) -> Optional[int]:
-    """The first position where `profile_records(shape)` and the profile
-    route's subgroups (both in enumeration order) hold different subgroups,
-    or None.
-
-    A record with exponents m is the sum of the p^(m_i) Z(p^(k_i)); it lies in
-    a subgroup iff every p^(m_i) e_i with m_i < k_i does, a few bit tests on
-    the mask, and a contained record of the same order is that subgroup."""
-    records = profile_records(shape)
-    strides = carrier(shape).strides
-    p, exps = shape.prime, shape.exponents
-    for pos, (rec, h) in enumerate(zip(records, profile_subs)):
-        inside = all(
-            h.mask >> (p ** m * stride) & 1
-            for k, m, stride in zip(exps, rec.m, strides)
-            if m < k
-        )
-        if rec.order != h.order or not inside:
-            return pos
-    if len(records) != len(profile_subs):
-        return min(len(records), len(profile_subs))
-    return None
-
-
 def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
 
@@ -695,9 +671,10 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                     detail="enumerated lattice and closed-form count disagree",
                 )
             )
-    # the profile route's arithmetic iso types against mask-derived ones
-    arith = sorted(t.exponents for _, t in fi_profile_iso_types(shape))
-    masked = sorted(h.iso_type().exponents for h in profile_subs)
+    # the profile records' arithmetic iso types against those of their masks,
+    # position by position
+    arith = [h.iso_type() for h in profile_records(shape)]
+    masked = [h.iso_type() for h in profile_subs]
     if arith != masked:
         out.violations.append(
             _violation(
@@ -706,24 +683,19 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                 detail="arithmetic iso types disagree with mask iso types",
             )
         )
-    # the carrier-free classify verdict against the carrier one, and its
-    # records against the profile route's subgroups, wherever classify takes
-    # the arithmetic route
-    if arithmetic_route_applies(shape):
-        by_arithmetic = arithmetic_verdict(shape).to_dict()
-        by_carrier = carrier_verdict(shape).to_dict()
-        fields = sorted(k for k in by_arithmetic if by_arithmetic[k] != by_carrier[k])
-        record = _first_stray_record(shape, profile_subs)
-        if fields or record is not None:
-            out.violations.append(
-                _violation(
-                    shape,
-                    check="classify-arith-vs-carrier",
-                    fields=fields,
-                    record=record,
-                    detail="arithmetic and carrier routes differ",
-                )
+    # classify's verdict against the one read off both lattices' masks
+    by_classify = classify(shape).to_dict()
+    by_carrier = carrier_verdict(shape).to_dict()
+    fields = sorted(k for k in by_classify if by_classify[k] != by_carrier[k])
+    if fields:
+        out.violations.append(
+            _violation(
+                shape,
+                check="classify-vs-carrier",
+                fields=fields,
+                detail="classify and the carrier verdict differ",
             )
+        )
 
     # full closure against the filtered exhaustive enumeration, with the fast
     # invertibility test compared to table bijectivity on every endomorphism.
@@ -1019,7 +991,8 @@ def run_claims(
             import multiprocessing
 
             mp = multiprocessing.get_context("fork")
-            with mp.Pool(jobs, initializer=_worker_init, initargs=(cache_dir,)) as pool:
+            workers = min(jobs, len(units))
+            with mp.Pool(workers, initializer=_worker_init, initargs=(cache_dir,)) as pool:
                 work = [(shape, per_shape) for shape in units]
                 for key, res in pool.imap_unordered(_worker_run, work):
                     unit_results[key] = res

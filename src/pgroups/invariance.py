@@ -10,17 +10,21 @@ Every stability question (do these maps keep this subgroup?) is one batched
   endomorphism is an entrywise combination of those, and a subgroup is closed
   under sums and integer multiples.
 
-The structured route to the fully invariant lattice is `fi_from_profiles`:
-group the cyclic summands into homocyclic layers B_k (one per distinct
-exponent k); fully invariant subgroups are exactly the sums of power
-subgroups p^(n_k) B_k whose profile (n_k) is monotone and grows at most by
-the exponent gap between consecutive layers.  Projections onto layers are
-endomorphisms, which is what pins every fully invariant subgroup to that
-form.  The brute-force route, the enumerated lattice filtered by
-`stable_flags`, lives only in the harness's `compute_shape_lattice`, as the
-oracle the two routes are cross-checked against; nothing here enumerates.
+The fully invariant lattice is stated once, by `profile_records`: group the
+cyclic summands into homocyclic layers B_k (one per distinct exponent k);
+fully invariant subgroups are exactly the sums of power subgroups p^(n_k) B_k
+whose profile (n_k) is monotone and grows at most by the exponent gap
+between consecutive layers (Kaplansky, *Infinite Abelian Groups*).
+Projections onto layers are endomorphisms, which is what pins every fully
+invariant subgroup to that form.  The records carry each subgroup's order,
+iso type and canonical generators by exponent arithmetic, in enumeration
+order, with no carrier; `fi_from_profiles` renders them as masks, checking
+each against the single-entry maps and their order against
+`enumeration_key`.  The brute-force route, the enumerated lattice filtered
+by `stable_flags`, lives only in the harness's `compute_shape_lattice`, as
+the oracle the routes are cross-checked against; nothing here enumerates.
 
-Its characteristic-side twin is `characteristic_from_orbits`: a
+The characteristic-side route is `characteristic_from_orbits`: a
 characteristic subgroup is an addition-closed union of Aut-orbits, so the
 lattice is closed up from orbit labels without enumerating subgroups, and it
 too is cross-checked against the generator flags of the enumerated lattice.
@@ -36,13 +40,14 @@ read off its images with no per-subgroup projection.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 from typing import Iterable
 
 import numpy as np
 
-from .core import GroupShape, carrier, mask_from_bool, masks_to_bool, ulm_invariants
+from .core import GroupElement, GroupShape, carrier, mask_from_bool, masks_to_bool, ulm_invariants
 from .endos import aut_generator_tables, stability_test_tables
 from .lattice import Subgroup, enumeration_key
 
@@ -259,43 +264,125 @@ def _profile_vectors(levels: tuple[int, ...]):
             yield vec
 
 
+@dataclass(frozen=True)
+class _ProfileSubgroup:
+    """The fully invariant subgroup sum_i p^(m_i) Z(p^(k_i)) of `shape`, held
+    by its per-coordinate exponents m and its iso type: it answers what
+    `iso_witnesses` and `subgroup_descriptor` ask of a `Subgroup`, without a
+    carrier.
+
+    Its order is p^(sum (k_i - m_i)), its iso type sorted(k_i - m_i > 0), and
+    its canonical generators are the p^(m_i) e_i in coordinate order over the
+    i with m_i < k_i.  (The greedy generator search starts from pH, the same
+    sum with every m_i raised by one; its least member outside is p^(m_i) e_i
+    for the first i still missing, since a member with a smaller index is zero
+    on every later coordinate and below p^(m_i) on coordinate i.)
+    """
+
+    shape: GroupShape
+    m: tuple[int, ...]
+    iso: GroupShape
+
+    @property
+    def order(self) -> int:
+        return self.shape.prime ** sum(k - m for k, m in zip(self.shape.exponents, self.m))
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        p, rank = self.shape.prime, self.shape.rank
+        return tuple(
+            GroupElement(self.shape, tuple(p ** m if j == i else 0 for j in range(rank)))
+            for i, (k, m) in enumerate(zip(self.shape.exponents, self.m))
+            if m < k
+        )
+
+    def iso_type(self) -> GroupShape:
+        return self.iso
+
+    def is_trivial(self) -> bool:
+        return self.iso.is_trivial_marker()
+
+    def is_full(self) -> bool:
+        return not any(self.m)
+
+
+def _profile_order(h: _ProfileSubgroup) -> tuple:
+    """`enumeration_key` order on profile records (see `profile_records`)."""
+    return h.order, h.m
+
+
+# one statement of the fully invariant lattice per shape: classify, the ifi
+# claims, the mask rendering and the oracle part all read it
 @lru_cache(maxsize=4)
-def fi_from_profiles(shape: GroupShape) -> tuple[Subgroup, ...]:
-    """The fully invariant lattice, built from layer profiles.
+def profile_records(shape: GroupShape) -> tuple[_ProfileSubgroup, ...]:
+    """The fully invariant lattice: one `_ProfileSubgroup` per layer profile,
+    in enumeration order.  Builds no carrier.
 
     Complete because projections onto layers are endomorphisms (so any fully
     invariant H splits as the sum of its layer projections) and the fully
-    invariant subgroups of a homocyclic layer are its power subgroups.  Every
-    candidate is still checked against the single-entry maps.
+    invariant subgroups of a homocyclic layer are its power subgroups.  A
+    record's m_i is the profile entry n_k of its coordinate's layer.
+
+    `enumeration_key` orders subgroups by order, then by the membership
+    bit-vector, the subgroup present at the first differing index first.  On
+    records of one order that is m in lexicographic order, smaller first.
+    Proof: let i be the first coordinate where m^H_i < m^K_i (they agree
+    before it).  A carrier index x below p^(m^H_i) stride_i is zero on every
+    coordinate after i and below p^(m^H_i) on coordinate i, so it lies in H
+    exactly when it lies in K: they agree on the coordinates before i, and on
+    coordinate i both need it to be 0.  The index p^(m^H_i) stride_i itself,
+    p^(m^H_i) e_i, is in H and not in K, as m^H_i < m^K_i <= k_i.
+    `fi_from_profiles` checks this order on every shape it renders.
+    """
+    levels = distinct_exponents(shape)
+    layer_of = [levels.index(k) for k in shape.exponents]
+    return tuple(
+        sorted(
+            (
+                _ProfileSubgroup(shape, tuple(vec[j] for j in layer_of), iso)
+                for vec, iso in fi_profile_iso_types(shape)
+            ),
+            key=_profile_order,
+        )
+    )
+
+
+@lru_cache(maxsize=4)
+def fi_from_profiles(shape: GroupShape) -> tuple[Subgroup, ...]:
+    """The fully invariant lattice as masks over the carrier: `profile_records`
+    rendered in record order, a record with exponents m as the elements whose
+    coordinate i is divisible by p^(m_i).
+
+    Every mask is still checked against the single-entry maps, and the
+    records' order against `enumeration_key`.
     """
     car = carrier(shape)
-    levels = distinct_exponents(shape)
-    vecs = list(_profile_vectors(levels))
+    records = profile_records(shape)
     masks = []
-    for vec in vecs:
+    for rec in records:
         keep = np.ones(car.n, dtype=bool)
-        for k, n in zip(levels, vec):
-            modulus = shape.prime ** n
-            if modulus == 1:
-                continue
-            for i in layer_positions(shape, k):
-                keep &= car.coords_mat[i] % modulus == 0
+        for i, m in enumerate(rec.m):
+            if m:
+                keep &= car.coords_mat[i] % shape.prime ** m == 0
         masks.append(mask_from_bool(keep))
     flags = stable_flags(shape, masks, stability_test_tables(shape))
     if not flags.all():
-        vec = vecs[int(np.argmin(flags))]
+        rec = records[int(np.argmin(flags))]
         raise AssertionError(
-            f"profile {vec} for {shape} produced a non fully invariant subgroup"
+            f"profile {rec.m} for {shape} produced a non fully invariant subgroup"
         )
-    return tuple(Subgroup(shape, m) for m in sorted(masks, key=enumeration_key(shape)))
+    key = enumeration_key(shape)
+    keys = [key(mask) for mask in masks]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise AssertionError(f"profile records for {shape} are not in enumeration order")
+    return tuple(Subgroup(shape, mask) for mask in masks)
 
 
 def fi_profile_iso_types(shape: GroupShape) -> list[tuple[tuple[int, ...], GroupShape]]:
-    """(profile vector, iso type) pairs for the profile route, by exponent
-    arithmetic alone: sum_k p^(n_k) B_k has one Z(p^(k - n_k)) per exponent-k
-    summand.  Never touches the carrier, so it scales past the point where
-    `fi_from_profiles` masks are worth materializing; the two routes are
-    cross-checked on small shapes."""
+    """(profile vector, iso type) pairs, by exponent arithmetic alone:
+    sum_k p^(n_k) B_k has one Z(p^(k - n_k)) per exponent-k summand.  Never
+    touches the carrier; `profile_records` is built on it, and the
+    `profile-iso-arithmetic` oracle part holds its types against the masks'."""
     levels = distinct_exponents(shape)
     mult = {k: len(layer_positions(shape, k)) for k in levels}
     out = []

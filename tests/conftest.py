@@ -261,32 +261,37 @@ def dumb_aut_generators(shape: GroupShape) -> list:
     return gens
 
 
-def dumb_aut_closure(shape: GroupShape) -> list:
+def dumb_aut_closure(shape: GroupShape) -> np.ndarray:
     """Close the automorphism generators under composition as whole carrier
-    tables, keyed by the images of the canonical generators: a plain table
-    BFS over the `dumb_endo_table` tables of `dumb_aut_generators`."""
+    tables: a plain table BFS over the `dumb_endo_table` tables of
+    `dumb_aut_generators`, one (K, |G|) row per automorphism.
+
+    A table is keyed by its images of the canonical generators, read as
+    base-|G| digits.  Each round reads the keys of every generator composed
+    with every frontier table (one 2-d gather per generator), keeps the
+    keys not seen before with `np.unique` and `np.isin`, and composes only
+    those tables whole."""
     car = carrier(shape)
-    gen_tables = [np.array(dumb_endo_table(shape, g)) for g in dumb_aut_generators(shape)]
+    assert car.n ** shape.rank < 2 ** 63, "keys must fit in int64"
+    gens = np.array(
+        [dumb_endo_table(shape, g) for g in dumb_aut_generators(shape)], dtype=np.int32
+    ).reshape(-1, car.n)
+    strides = list(car.strides)
+    places = car.n ** np.arange(shape.rank, dtype=np.int64)
 
-    def key_of(table) -> tuple:
-        return tuple(int(table[s]) for s in car.strides)
-
-    ident = np.arange(car.n, dtype=np.int64)
-    seen = {key_of(ident)}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for t in frontier:
-            for g in gen_tables:
-                composed = g[t]
-                k = key_of(composed)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(composed)
-                    new_frontier.append(composed)
-        frontier = new_frontier
-    return out
+    frontier = np.arange(car.n, dtype=np.int32)[None, :]
+    seen = frontier[:, strides] @ places
+    found = [frontier]
+    while len(gens) and len(frontier):
+        # keys[g * F + f]: the key of generator g after frontier table f
+        keys = np.concatenate([g[frontier[:, strides]] @ places for g in gens])
+        keys, first = np.unique(keys, return_index=True)
+        new = ~np.isin(keys, seen)
+        which, rows = np.divmod(first[new], len(frontier))
+        frontier = gens[which[:, None], frontier[rows]]
+        seen = np.concatenate([seen, keys[new]])
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def hillar_rhea_aut_order(shape: GroupShape) -> int:

@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from pgroups import cli, core
+from pgroups import cli, core, endos
 from pgroups.classify import (
     arithmetic_route_applies,
-    arithmetic_verdict,
     carrier_verdict,
     classify,
     ifi_criterion,
@@ -153,18 +152,38 @@ def test_subgroup_descriptor_of_trivial():
     assert d == {"order": 1, "generators": [], "iso_type": None}
 
 
-def test_arithmetic_route_equals_the_carrier_route():
-    # byte for byte, witnesses and their generators included, on every shape
-    # where characteristic equals fully invariant by theorem
+def test_classify_equals_the_carrier_verdict():
+    # byte for byte, witnesses and their generators included, on every shape:
+    # the records against the profile masks, and on the 2-groups outside the
+    # predicate the size test against the mask comparison
     checked = 0
     for p, max_order in ((2, 1024), (3, 2187), (5, 625), (7, 343)):
         for shape in build_corpus(p, max_order).shapes:
-            if arithmetic_route_applies(shape):
-                arith = json.dumps(arithmetic_verdict(shape).to_dict(), sort_keys=True)
-                carried = json.dumps(carrier_verdict(shape).to_dict(), sort_keys=True)
-                assert arith == carried, shape
-                checked += 1
-    assert checked == 160
+            got = json.dumps(classify(shape).to_dict(), sort_keys=True)
+            want = json.dumps(carrier_verdict(shape).to_dict(), sort_keys=True)
+            assert got == want, shape
+            checked += 1
+    assert checked == 199
+
+
+def test_classify_builds_no_fi_masks_or_single_entry_tables(monkeypatch):
+    # the fully invariant side is always the profile records; only the
+    # oracle renders them as masks and checks those against End(G)
+    def refuse(shape):
+        raise RuntimeError(f"fi masks or single-entry tables built for {shape}")
+
+    classify_mod = sys.modules["pgroups.classify"]
+    monkeypatch.setattr(classify_mod, "fi_from_profiles", refuse)
+    built = endos.stability_test_tables
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgroups") and getattr(module, "stability_test_tables", None) is built:
+            monkeypatch.setattr(module, "stability_test_tables", refuse)
+    routes = set()
+    for p, max_order in ((2, 1024), (3, 729), (5, 625)):
+        for shape in build_corpus(p, max_order).shapes:
+            classify(shape)
+            routes.add(arithmetic_route_applies(shape))
+    assert routes == {True, False}
 
 
 def _refuse_carriers(monkeypatch):

@@ -152,7 +152,7 @@ def test_verify_enumerates_only_for_the_oracle_claim(capsys, monkeypatch):
         f"{part}: skipped on 5 of 11 shapes (oracle caps): {capped}" for part in parts
     ]
     assert not any("profile-iso-arithmetic" in n for n in doc["notes"])
-    assert not any("classify-arith-vs-carrier" in n for n in doc["notes"])
+    assert not any("classify-vs-carrier" in n for n in doc["notes"])
 
 
 def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import pgroups.endos as endos_mod
 import pgroups.harness as harness_mod
+import pgroups.invariance as invariance_mod
 from conftest import dumb_endo_table
 from pgroups.core import GroupShape, carrier, format_shape, make_shape, parse_shape
 from pgroups.endos import stability_test_tables
@@ -28,6 +29,8 @@ from pgroups.harness import (
 )
 from pgroups.invariance import is_characteristic, stable_flags
 from pgroups.lattice import Subgroup, enumerate_subgroups, span
+
+classify_mod = importlib.import_module("pgroups.classify")  # the package binds the function
 
 
 def test_corpus_contents_and_order():
@@ -119,6 +122,45 @@ def test_parallel_runs_are_identical(tmp_path, monkeypatch):
         assert seq == par == cached == recached
 
 
+class _InlineContext:
+    """A stand-in multiprocessing context: records each pool's size and runs
+    the units in this process, so no worker is started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, work):
+        return map(fn, work)
+
+
+def test_no_more_workers_than_shapes(monkeypatch):
+    import multiprocessing
+
+    from pgroups import cli
+
+    ctx = _InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(harness_mod, "_WORKER_STORE", None)
+    corpus = build_corpus(2, 4)  # 2:1, 2:2, 2:1,1
+    ids = ["thm-2.5-i", "oracle-crosscheck"]
+    assert _stripped(run_claims(ids, corpus, jobs=64)) == _stripped(run_claims(ids, corpus))
+    assert _stripped(run_claims(ids, corpus, jobs=2)) == _stripped(run_claims(ids, corpus))
+    monkeypatch.setenv("PGROUPS_JOBS", "64")
+    assert cli.run(["verify", "--p", "2", "--max-order", "4", "--claims", "thm-2.5-i"]) == 0
+    assert ctx.sizes == [3, 2, 3]
+
+
 def test_report_json_is_sorted_and_schema_stable():
     r = run_claims(["thm-2.5-i"], build_corpus(2, 8))[0]
     doc = json.loads(r.to_json())
@@ -175,22 +217,58 @@ def test_a_skipped_closure_names_the_skipped_scan_too(monkeypatch):
         assert f"{part}: {skipped}" in r.notes
 
 
-def test_iso_arithmetic_oracle_runs_above_the_enumeration_cap(monkeypatch):
+@pytest.fixture
+def fresh_profile_caches():
+    """Empty the profile caches before and after a test that patches what
+    they are built from, so no faulty record outlives the patch."""
+    caches = (invariance_mod.profile_records, invariance_mod.fi_from_profiles)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_iso_arithmetic_oracle_runs_above_the_enumeration_cap(
+    monkeypatch, fresh_profile_caches
+):
     # the arithmetic iso types need no lattice, so a wrong one is caught on
-    # every shape, the five over the enumeration cap included
-    iso_types = harness_mod.fi_profile_iso_types
+    # every shape, the five over the enumeration cap included; classify reads
+    # the same records, and with {0} no longer of trivial type its verdict
+    # differs from the masks' on every shape too
+    iso_types = invariance_mod.fi_profile_iso_types
     monkeypatch.setattr(
-        harness_mod,
+        invariance_mod,
         "fi_profile_iso_types",
         lambda s: [(v, GroupShape(s.prime, t.exponents + (1,))) for v, t in iso_types(s)],
     )
     monkeypatch.setenv("PGROUPS_ENUM_CAP", "8")
+    monkeypatch.setattr(harness_mod, "MAX_STORED_VIOLATIONS", 64)  # keep them all
     corpus = build_corpus(2, 16)
     r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail" and r.shapes_checked == 11
-    assert r.total_violations == 11
-    assert [v["shape"] for v in r.violations] == [format_shape(s) for s in corpus.shapes]
-    assert {v["witness"]["check"] for v in r.violations} == {"profile-iso-arithmetic"}
+    assert [(v["shape"], v["witness"]["check"]) for v in r.violations] == [
+        (format_shape(s), check)
+        for s in corpus.shapes
+        for check in ("profile-iso-arithmetic", "classify-vs-carrier")
+    ]
+
+
+def test_iso_arithmetic_oracle_compares_record_by_record(monkeypatch, fresh_profile_caches):
+    # every iso type present but paired with the wrong profile: the multiset
+    # of types is right, so only a comparison position by position sees it
+    iso_types = invariance_mod.fi_profile_iso_types
+
+    def rotated(s):
+        vecs, isos = zip(*iso_types(s))
+        return list(zip(vecs, isos[1:] + isos[:1]))
+
+    monkeypatch.setattr(invariance_mod, "fi_profile_iso_types", rotated)
+    corpus = build_corpus(3, 27)
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
+    assert [
+        v["shape"] for v in r.violations if v["witness"]["check"] == "profile-iso-arithmetic"
+    ] == [format_shape(s) for s in corpus.shapes]
 
 
 def test_count_oracle_catches_a_dropped_subgroup(monkeypatch):
@@ -213,51 +291,87 @@ def test_count_oracle_catches_a_dropped_subgroup(monkeypatch):
     assert (v["enumerated"], v["birkhoff"]) == (4, 5)
 
 
-_classify_mod = importlib.import_module("pgroups.classify")
-_profile_generators = _classify_mod._ProfileSubgroup.generators
+_profile_generators = invariance_mod._ProfileSubgroup.generators
+
+
+def _drop_record_generators(monkeypatch):
+    # only classify's witnesses read record generators
+    monkeypatch.setattr(
+        invariance_mod._ProfileSubgroup,
+        "generators",
+        property(lambda h: _profile_generators.fget(h)[:-1]),
+    )
+
+
+def _drop_a_fi_subgroup_from_the_orbit_route(monkeypatch):
+    # on 2:1,3 the characteristic lattice is the fully invariant one plus one
+    # subgroup; without a fully invariant one the two are equally large, so
+    # classify's size test reads char_eq_fi true where the masks differ
+    shape = make_shape(2, [1, 3])
+    orbits = harness_mod.characteristic_from_orbits
+    dropped = invariance_mod.fi_from_profiles(shape)[1]
+
+    def drop_one(s):
+        return tuple(h for h in orbits(s) if h != dropped)
+
+    for module in (harness_mod, classify_mod):
+        monkeypatch.setattr(module, "characteristic_from_orbits", drop_one)
 
 
 @pytest.mark.parametrize(
-    "owner, attr, fault, corpus, found",
+    "fault, corpus, found",
     [
-        # the records check fires on every shape whose order ties the fault
-        # reorders; the verdicts differ only where a first clash moves
         (
-            _classify_mod,
-            "_profile_order",
-            lambda h: (h.order, tuple(-m for m in h.m)),
-            (3, 243),
-            [("3:1,3", ["witnesses"], 2), ("3:1,4", ["witnesses"], 2)],
-        ),
-        (
-            _classify_mod,
-            "_profile_order",
-            lambda h: (h.order, tuple(-m for m in h.m)),
-            (2, 64),
-            [("2:1,1,4", [], 3)],
-        ),
-        (
-            _classify_mod._ProfileSubgroup,
-            "generators",
-            property(lambda h: _profile_generators.fget(h)[:-1]),
+            _drop_record_generators,
             (3, 27),
-            [("3:2", ["witnesses"], None), ("3:3", ["witnesses"], None),
-             ("3:1,2", ["witnesses"], None)],
+            [
+                ("3:2", "classify-vs-carrier", ["witnesses"]),
+                ("3:3", "classify-vs-carrier", ["witnesses"]),
+                ("3:1,2", "classify-vs-carrier", ["witnesses"]),
+            ],
+        ),
+        (
+            _drop_a_fi_subgroup_from_the_orbit_route,
+            (2, 16),
+            [
+                ("2:1,3", "char-orbits-vs-flags", None),
+                ("2:1,3", "classify-vs-carrier", ["char_eq_fi"]),
+            ],
         ),
     ],
-    ids=["reversed-order-key", "reversed-order-key-p2", "dropped-generator"],
+    ids=["dropped-generator", "orbit-route-drops-a-fi-subgroup"],
 )
 def test_classify_oracle_catches_a_broken_arithmetic_route(
-    monkeypatch, owner, attr, fault, corpus, found
+    monkeypatch, fresh_profile_caches, fault, corpus, found
 ):
-    # the arithmetic route feeds no other part or claim, so this part alone fires
-    monkeypatch.setattr(owner, attr, fault)
+    # each fault breaks what classify reads on the shapes listed, and no
+    # other shape; classify-vs-carrier fires on every one of them
+    fault(monkeypatch)
     r = run_claims(["oracle-crosscheck"], build_corpus(*corpus))[0]
     assert r.status == "fail"
-    assert {v["witness"]["check"] for v in r.violations} == {"classify-arith-vs-carrier"}
     assert [
-        (v["shape"], v["witness"]["fields"], v["witness"]["record"]) for v in r.violations
+        (v["shape"], v["witness"]["check"], v["witness"].get("fields")) for v in r.violations
     ] == found
+
+
+def test_a_reversed_record_order_raises_in_fi_from_profiles(monkeypatch, fresh_profile_caches):
+    # the records' order is proved, not sorted by mask; rendering them as
+    # masks checks it on every shape, so the fault is caught on each shape
+    # with two records of one order, the carrier-route 2-groups included
+    monkeypatch.setattr(
+        invariance_mod, "_profile_order", lambda h: (h.order, tuple(-m for m in h.m))
+    )
+    raised = []
+    for corpus in (build_corpus(3, 243), build_corpus(2, 64)):
+        for shape in corpus.shapes:
+            try:
+                invariance_mod.fi_from_profiles(shape)
+            except AssertionError as err:
+                assert "not in enumeration order" in str(err)
+                raised.append(format_shape(shape))
+    assert raised == [
+        "3:1,3", "3:1,4", "2:1,3", "2:1,4", "2:1,5", "2:2,4", "2:1,1,4", "2:1,2,3",
+    ]
 
 
 def test_closure_oracle_catches_a_missing_automorphism(monkeypatch):

@@ -29,6 +29,7 @@ from pgroups.invariance import (
     kaplansky_2group_predicate,
     layer_mask,
     layer_positions,
+    profile_records,
     project_rows,
     projection_table,
     stable_flags,
@@ -194,6 +195,23 @@ def test_profile_iso_arithmetic_matches_masks():
             if not h.is_trivial()
         )
         assert arithmetic == masked
+
+
+def test_profile_records_describe_their_masks():
+    # each record answers what classify asks of a subgroup as its rendered
+    # mask does: order, canonical generators, iso type, {0} and G
+    from pgroups.harness import build_corpus
+
+    for p, max_order in ((2, 1024), (3, 729), (5, 625)):
+        for s in build_corpus(p, max_order).shapes:
+            records = profile_records(s)
+            subs = fi_from_profiles(s)
+            assert len(records) == len(subs), s
+            for rec, h in zip(records, subs):
+                assert rec.order == h.order, (s, rec.m)
+                assert [g.coords for g in rec.generators] == [g.coords for g in h.generators]
+                assert rec.iso_type() == h.iso_type(), (s, rec.m)
+                assert (rec.is_trivial(), rec.is_full()) == (h.is_trivial(), h.is_full())
 
 
 def test_profile_endpoints(monkeypatch):
