@@ -318,9 +318,27 @@ def _drop_a_fi_subgroup_from_the_orbit_route(monkeypatch):
         monkeypatch.setattr(module, "characteristic_from_orbits", drop_one)
 
 
+def _reverse_the_record_order_key(monkeypatch):
+    # the records' order is proved, not sorted by mask: fi_from_profiles
+    # asserts it, so the oracle run stops on the first shape it reorders
+    monkeypatch.setattr(
+        invariance_mod, "_profile_order", lambda h: (h.order, tuple(-m for m in h.m))
+    )
+
+
 @pytest.mark.parametrize(
     "fault, corpus, found",
     [
+        (
+            _reverse_the_record_order_key,
+            (3, 243),
+            "profile records for 3:1,4 are not in enumeration order",
+        ),
+        (
+            _reverse_the_record_order_key,
+            (2, 64),
+            "profile records for 2:1,2,3 are not in enumeration order",
+        ),
         (
             _drop_record_generators,
             (3, 27),
@@ -339,14 +357,25 @@ def _drop_a_fi_subgroup_from_the_orbit_route(monkeypatch):
             ],
         ),
     ],
-    ids=["dropped-generator", "orbit-route-drops-a-fi-subgroup"],
+    ids=[
+        "reversed-order-key",
+        "reversed-order-key-p2",
+        "dropped-generator",
+        "orbit-route-drops-a-fi-subgroup",
+    ],
 )
 def test_classify_oracle_catches_a_broken_arithmetic_route(
     monkeypatch, fresh_profile_caches, fault, corpus, found
 ):
-    # each fault breaks what classify reads on the shapes listed, and no
-    # other shape; classify-vs-carrier fires on every one of them
+    # a fault in the records' order stops the run with the order assertion
+    # (the most costly shape it reorders is checked first); each other fault
+    # breaks what classify reads on the shapes listed, and no other shape,
+    # and classify-vs-carrier fires on every one of them
     fault(monkeypatch)
+    if isinstance(found, str):
+        with pytest.raises(AssertionError, match=found):
+            run_claims(["oracle-crosscheck"], build_corpus(*corpus))
+        return
     r = run_claims(["oracle-crosscheck"], build_corpus(*corpus))[0]
     assert r.status == "fail"
     assert [
@@ -355,12 +384,10 @@ def test_classify_oracle_catches_a_broken_arithmetic_route(
 
 
 def test_a_reversed_record_order_raises_in_fi_from_profiles(monkeypatch, fresh_profile_caches):
-    # the records' order is proved, not sorted by mask; rendering them as
-    # masks checks it on every shape, so the fault is caught on each shape
-    # with two records of one order, the carrier-route 2-groups included
-    monkeypatch.setattr(
-        invariance_mod, "_profile_order", lambda h: (h.order, tuple(-m for m in h.m))
-    )
+    # rendering the records as masks checks their order on every shape, so
+    # the fault is caught on each shape with two records of one order, the
+    # carrier-route 2-groups included
+    _reverse_the_record_order_key(monkeypatch)
     raised = []
     for corpus in (build_corpus(3, 243), build_corpus(2, 64)):
         for shape in corpus.shapes:
