@@ -18,21 +18,24 @@ determinant, and a run with too many blocks for a table expands each
 determinant along the block's last row (`_expand`), reading the r minors
 from the (r-1) x (r-1) table, or expanding them in turn where that table is
 too large as well.  The tables are built by the same expansion.  The
-brute-force alternative is the definition: an endomorphism is bijective iff
-its carrier table is a permutation.  The two must agree, and the
-verification harness cross-checks that they do.
+brute-force alternative reads the kernel: a homomorphism of a finite p-group
+is bijective iff no element of the socle Ω = {x != 0 : px = 0} maps to 0,
+since a nontrivial kernel holds an element of order p.  The two must agree,
+and the verification harness cross-checks that they do.
 
 The harness does so exhaustively: `endo_table_batches` yields every entry
-matrix of `endo_entry_batches` with its whole carrier table, and
-`bijective_flags_by_table` tests each table for being a permutation by
-sorting it.  Image coordinate i depends on row i of the matrix alone
+matrix of `endo_entry_batches` with its carrier table on the |Ω| + n columns
+Ω and a_1..a_n, `bijective_flags_by_table` reads the Ω cells (no 0 among
+them), and the a_j cells are the generator images compared with the
+closure.  Image coordinate i depends on row i of the matrix alone
 (`_row_terms`), so a table is the sum of n per-row terms, each read from a
-per-row table built once per shape (`induced_tables_batch`: n gathers per
-batch, not a product over all n^2 entries).  The last row varies fastest in
-the enumeration, so the scan sums rows 0..n-2 once per sweep of the last row
-and adds each of that row's tables to it: one add per table cell.  The
-per-row tables, and so the scan's tables, are int16: a shape has them only
-when |G| <= 1024, and a larger one sums its per-row terms batch by batch.
+per-row table on the same columns built once per shape
+(`induced_tables_batch`: n gathers per batch, not a product over all n^2
+entries).  The last row varies fastest in the enumeration, so the scan sums
+rows 0..n-2 once per sweep of the last row and adds each of that row's
+tables to it: one add per table cell.  The per-row tables are int16 up to
+|G| = 2^15 and int32 above; a shape whose tables would hold more than
+`_ROW_TABLE_CELLS` cells sums its per-row terms batch by batch.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
@@ -186,64 +189,78 @@ def endo_entry_batches(
         yield grid.reshape(-1, n, n)[skip : skip + stop - start]
 
 
-# the row tables of one shape hold at most this many int16 cells (2 MB); a
-# shape above it (a cyclic 2:12, say) sums `_row_terms` over the rows of each
-# batch instead.  Exponents ascend, so the last row has p^min(kn, kj) = p^kj
-# choices per cell and |G| codes in all: |G|^2 <= sum(counts) * |G| <= 2^20,
-# every carrier index and every partial row sum is below 1024, and int16
-# holds them all
+# the row tables of one shape hold at most this many cells; a shape above it
+# (a cyclic 2:12 evaluated everywhere, say) sums `_row_terms` over the rows of
+# each batch instead.  A carrier index, and so every partial row sum, is below
+# |G|, so the cells are int16 up to |G| = 2^15 and int32 above.  Exponents
+# ascend, so the last row has p^min(kn, kj) = p^kj choices per cell and |G|
+# codes in all: tables over every column have |G|^2 <= 2^20 cells, |G| <= 1024
 _ROW_TABLE_CELLS = 1 << 20
 
 
-def _row_terms(shape: GroupShape, i: int, rows: np.ndarray) -> np.ndarray:
-    """stride_i * (image coordinate i) of every element, one int64 row per
-    row-i entry vector in a (B, n) batch: coordinate i of the image of x is
-    sum_j e_ij * p^max(0, ki - kj) * x_j mod p^ki, whatever the other rows.
+def _row_terms(
+    shape: GroupShape, i: int, rows: np.ndarray, columns: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """stride_i * (image coordinate i) of every element, or of the carrier
+    indices `columns` only, one int64 row per row-i entry vector in a (B, n)
+    batch: coordinate i of the image of x is sum_j e_ij * p^max(0, ki - kj) *
+    x_j mod p^ki, whatever the other rows.
 
     Weights and coordinates are each < 2^16 under the carrier cap, so the
     sums stay far inside int64."""
     car = carrier(shape)
-    terms = np.einsum("bj,jx->bx", rows * _scales(shape)[i], car.coords_mat)
+    coords = car.coords_mat if columns is None else car.coords_mat[:, columns]
+    terms = np.einsum("bj,jx->bx", rows * _scales(shape)[i], coords)
     terms %= car.radices[i]
     terms *= car.strides[i]
     return terms
 
 
 @lru_cache(maxsize=2)
-def _row_tables(shape: GroupShape) -> tuple[np.ndarray, np.ndarray, tuple] | None:
-    """(moduli, places, tables) for the row route of `induced_tables_batch`,
-    or None for a shape above `_ROW_TABLE_CELLS`.
+def _row_tables(
+    shape: GroupShape, columns: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, tuple] | None:
+    """(moduli, places, tables) for the row route of `induced_tables_batch`
+    on the carrier indices `columns` (every element by default), or None for
+    a shape whose tables would hold more than `_ROW_TABLE_CELLS` cells.
 
     Image coordinate i depends on row i of the entry matrix alone.  A row
     reduced mod `moduli[i]` is coded as sum(row * places[i]) (mixed radix, the
-    last cell varying fastest), and `tables[i]` is the (codes, |G|) int16
-    table of `_row_terms` over every code, so that a carrier table is the sum
-    over i of tables[i][code_i].
+    last cell varying fastest), and `tables[i]` is the (codes, columns) table
+    of `_row_terms` over every code, so that a carrier table is the sum over
+    i of tables[i][code_i].
     """
     n = shape.rank
     car = carrier(shape)
     moduli, _ = _cell_places(shape)
     counts = moduli.prod(axis=1)
-    if int(counts.sum()) * car.n > _ROW_TABLE_CELLS:
+    width = car.n if columns is None else len(columns)
+    if int(counts.sum()) * width > _ROW_TABLE_CELLS:
         return None
     places = np.ones((n, n), dtype=np.int64)
     places[:, :-1] = np.cumprod(moduli[:, :0:-1], axis=1)[:, ::-1]
+    dtype = np.int16 if car.n <= 1 << 15 else np.int32
     step = _batch_size(shape)
     tables = []
     for i in range(n):
         rows = np.arange(counts[i], dtype=np.int64)[:, None] // places[i] % moduli[i]
-        table = np.empty((len(rows), car.n), dtype=np.int16)
+        table = np.empty((len(rows), width), dtype=dtype)
         for start in range(0, len(rows), step):
-            table[start : start + step] = _row_terms(shape, i, rows[start : start + step])
+            table[start : start + step] = _row_terms(
+                shape, i, rows[start : start + step], columns
+            )
         tables.append(table)
     for a in (moduli, places, *tables):
         a.flags.writeable = False  # cached: shared by every later caller
     return moduli, places, tuple(tables)
 
 
-def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
+def induced_tables_batch(
+    shape: GroupShape, entries: np.ndarray, columns: tuple[int, ...] | None = None
+) -> np.ndarray:
     """Induced carrier tables, one int32 row per matrix in a (B, n, n) entry
-    batch.
+    batch, evaluated on the carrier indices `columns` (every element by
+    default).
 
     Row b is the table of entries[b], entries taken mod their cell moduli:
     row[x] is the index of sum_ij entries[b, i, j] * p^max(0, ki - kj) *
@@ -254,58 +271,66 @@ def induced_tables_batch(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
         raise ValueError(f"expected a (B, {n}, {n}) entry array for {shape}")
-    rows = _row_tables(shape)
+    rows = _row_tables(shape, columns)
     if rows is None:
-        out = _row_terms(shape, 0, entries[:, 0])
+        out = _row_terms(shape, 0, entries[:, 0], columns)
         for i in range(1, n):
-            out += _row_terms(shape, i, entries[:, i])
+            out += _row_terms(shape, i, entries[:, i], columns)
         return out.astype(np.int32)
-    return _row_sums(rows, entries, n).astype(np.int32)
-
-
-def _row_sums(rows: tuple, entries: np.ndarray, stop: int) -> np.ndarray:
-    """Sum of the per-row table terms of rows 0..stop-1 of a (B, n, n) entry
-    batch, one int16 row per matrix (zeros for stop = 0); `rows` is
-    `_row_tables(shape)`."""
     moduli, places, tables = rows
-    codes = (entries[:, :stop] % moduli[:stop] * places[:stop]).sum(axis=2)  # (B, stop)
-    out = np.zeros((len(entries), tables[0].shape[1]), dtype=tables[0].dtype)
-    for i in range(stop):
+    codes = (entries % moduli * places).sum(axis=2)  # (B, n)
+    out = np.zeros((len(entries), tables[0].shape[1]), dtype=np.int32)
+    for i in range(n):
         out += tables[i][codes[:, i]]
     return out
 
 
 def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every endomorphism with its whole carrier table, as (entries, tables)
-    batches in `endo_entry_batches` order: tables row b holds the values of
-    `induced_tables_batch(shape, entries)[b]`, as int16 on the row route.
+    """Every endomorphism with its carrier table on the socle and the
+    generators, as (entries, tables) batches in `endo_entry_batches` order.
+
+    Tables row b holds the values of `induced_tables_batch(shape, entries,
+    columns)[b]` (as int16 or int32, the per-row tables' type, on the row
+    route) for the columns Ω = {x != 0 : px = 0}, in carrier order, then
+    a_1..a_n (the strides): the first |Ω| cells decide bijectivity
+    (`bijective_flags_by_table`), the last n are the generator images.
 
     The last matrix row varies fastest, so with c codes for that row every
-    batch is made of whole sweeps of c matrices that share rows 0..n-2.  Each
-    sweep's prefix table is summed once from its first matrix (zeros at rank
-    1), and its c tables are that prefix plus each of the c last-row tables:
-    one add per cell instead of n gathers and n-1 adds.  Only shapes above
-    the row-table budget go through `induced_tables_batch` batch by batch.
+    batch is made of whole sweeps of c matrices that share rows 0..n-2.  A
+    sweep's first matrix has a zero last row, so its table is the sweep's
+    prefix, and the c tables are that prefix plus each of the c last-row
+    tables: one add per cell instead of n gathers and n-1 adds.  Only shapes
+    above the row-table budget go through `induced_tables_batch` batch by
+    batch.  A batch of int64 entries and their tables holds about the bytes
+    of `_batch_size` matrices with whole int32 tables (whole sweeps of them
+    on the row route, at least one).
     """
     n = shape.rank
-    rows = _row_tables(shape)
+    car = carrier(shape)
+    socle = np.flatnonzero(car.order_exponents() == 1)
+    columns = (*socle.tolist(), *car.strides)
+    rows = _row_tables(shape, columns)
+    cell = 4 if rows is None else rows[2][-1].itemsize
+    whole = _batch_size(shape) * (8 * n * n + 4 * car.n)
+    size = max(1, whole // (8 * n * n + cell * len(columns)))
     if rows is None:
-        for ents in endo_entry_batches(shape):
-            yield ents, induced_tables_batch(shape, ents)
+        for ents in endo_entry_batches(shape, size):
+            yield ents, induced_tables_batch(shape, ents, columns)
         return
     last = rows[2][-1]
     c = len(last)
-    # c * |G| is within the row-table budget, so a one-sweep batch stays small
-    for ents in endo_entry_batches(shape, max(1, _batch_size(shape) // c) * c):
-        prefix = _row_sums(rows, ents[::c], n - 1)
-        yield ents, (prefix[:, None, :] + last[None, :, :]).reshape(len(ents), -1)
+    for ents in endo_entry_batches(shape, max(1, size // c) * c):
+        prefix = induced_tables_batch(shape, ents[::c], columns).astype(last.dtype)
+        yield ents, (prefix[:, None, :] + last).reshape(len(ents), -1)
 
 
-def bijective_flags_by_table(tables: np.ndarray) -> np.ndarray:
-    """Row-wise permutation test for a (B, N) batch of carrier tables: a row
-    is a permutation iff, sorted, it reads 0, 1, ..., N-1."""
-    n = tables.shape[1]
-    return (np.sort(tables, axis=1) == np.arange(n, dtype=tables.dtype)).all(axis=1)
+def bijective_flags_by_table(socle_images: np.ndarray) -> np.ndarray:
+    """Bijectivity flags of a (B, |Ω|) batch of endomorphisms given by the
+    carrier indices of their images of the socle Ω = {x != 0 : px = 0}: a
+    map is bijective iff none of them is 0.  A homomorphism of a finite
+    p-group is bijective iff its kernel is trivial, and a nontrivial kernel
+    holds an element of order p."""
+    return (socle_images != 0).all(axis=1)
 
 
 # a run with more r x r blocks mod p than this expands its determinants along

@@ -698,17 +698,19 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         )
 
     # full closure against the filtered exhaustive enumeration, with the fast
-    # invertibility test compared to table bijectivity on every endomorphism.
-    # The scan behind it costs |End|·|G|, and of the oracle caps only the
-    # enumeration cap bounds |G|, so the closure is built only where lat is.
+    # invertibility test compared to the socle-kernel test on every
+    # endomorphism.  The scan behind it costs |End|·(|Ω| + n) table cells
+    # plus the per-row tables, and of the oracle caps only the enumeration
+    # cap bounds |G|, so the closure is built only where lat is.
     closure = _capped(aut_closure_tables, shape) if lat is not None else None
     if runs(closure is not None, "closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
         # compared as image rows, sorted here rather than through the
-        # closure's own rank codes, so the oracle stays independent of it
-        strides = list(carrier(shape).strides)
+        # closure's own rank codes, so the oracle stays independent of it;
+        # a table's last n cells are the generator images, the rest the socle's
+        n = shape.rank
         filtered = []
         for ents, tables in endo_table_batches(shape):
-            bij = bijective_flags_by_table(tables)
+            bij = bijective_flags_by_table(tables[:, :-n])
             fast = automorphism_flags(shape, ents)
             for b in np.nonzero(bij != fast)[0]:
                 out.violations.append(
@@ -720,7 +722,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                         bijective=bool(bij[b]),
                     )
                 )
-            filtered.append(tables[:, strides][bij])
+            filtered.append(tables[bij, -n:])
         closure_rows = _sorted_rows(closure)
         repeated = (closure_rows[1:] == closure_rows[:-1]).all(axis=1)
         closure_rows = closure_rows[np.concatenate(([True], ~repeated))]

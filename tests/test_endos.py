@@ -20,9 +20,11 @@ from conftest import (
     closed_subset_masks,
     dumb_aut_closure,
     dumb_aut_generators,
+    dumb_coords,
     dumb_endo_entries,
     dumb_endo_table,
     dumb_index,
+    dumb_radices,
     einsum_endo_tables,
     hillar_rhea_aut_order,
     mask_members,
@@ -62,6 +64,22 @@ KNOWN_AUT_ORDERS = {
 def _dumb_bijective(s, entries):
     """Ground truth: the pure-Python table of each matrix is a permutation."""
     return [len(set(dumb_endo_table(s, m))) == s.order for m in np.asarray(entries).tolist()]
+
+
+def _socle(s):
+    """Carrier indices of the socle {x != 0 : px = 0}, from coordinates."""
+    p = s.prime
+    radices = dumb_radices(s)
+    return [
+        x
+        for x in range(1, s.order)
+        if all(p * c % r == 0 for c, r in zip(dumb_coords(s, x), radices))
+    ]
+
+
+def _scan_columns(s):
+    """The columns of an `endo_table_batches` table: the socle, then a_1..a_n."""
+    return _socle(s) + list(carrier(s).strides)
 
 
 def test_induced_table_matches_dumb_table(endo_oracle_shapes):
@@ -107,7 +125,7 @@ def test_fast_automorphism_test_vs_bijectivity(endo_oracle_shapes):
         fast, by_table = [], []
         for ents, tables in endo_table_batches(s):
             fast.extend(automorphism_flags(s, ents).tolist())
-            by_table.extend(bijective_flags_by_table(tables).tolist())
+            by_table.extend(bijective_flags_by_table(tables[:, : -s.rank]).tolist())
         assert fast == bij
         assert by_table == bij
 
@@ -115,7 +133,7 @@ def test_fast_automorphism_test_vs_bijectivity(endo_oracle_shapes):
 def test_generators_are_automorphisms(endo_oracle_shapes):
     for s in endo_oracle_shapes:
         assert automorphism_flags(s, endos_mod._aut_generator_entries(s)).all()
-        assert bijective_flags_by_table(aut_generator_tables(s)).all()
+        assert bijective_flags_by_table(aut_generator_tables(s)[:, _socle(s)]).all()
         assert all(_dumb_bijective(s, dumb_aut_generators(s)))
 
 
@@ -328,6 +346,9 @@ def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
         wild = rng.integers(-500, 500, size=(200, s.rank, s.rank))
         want = einsum_endo_tables(s, wild)
         assert np.array_equal(induced_tables_batch(s, wild), want)
+        # and on a few columns only
+        columns = tuple(_scan_columns(s))
+        assert np.array_equal(induced_tables_batch(s, wild, columns), want[:, columns])
 
 
 def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
@@ -367,45 +388,6 @@ def test_row_tables_are_int16_and_every_index_fits():
     assert endos_mod._row_tables(make_shape(2, [10])) is not None  # |G| = 1024
 
 
-def test_bijective_flags_match_unique_count():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 7, 64, 243):
-        perms = np.stack([rng.permutation(n) for _ in range(20)])
-        near = perms.copy()
-        near[:, 0] = near[:, -1]  # one value twice, one slot missed
-        hits = rng.integers(0, n, size=(20, n))
-        tables = np.concatenate([perms, near, hits])
-        rng.shuffle(tables)
-        want = [len(np.unique(row)) == n for row in tables]
-        if n > 1:
-            assert any(want) and not all(want)
-        for dtype in (np.int16, np.int32, np.int64):
-            assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
-    assert bijective_flags_by_table(np.zeros((0, 5), dtype=np.int32)).shape == (0,)
-
-
-def test_bijective_flags_on_out_of_range_values():
-    # a value outside 0..N-1 must not stand in for a slot of another row
-    for tables in ([[0, 0], [-1, 1]], [[0, 2], [1, 1]]):
-        for dtype in (np.int16, np.int32, np.int64):
-            assert bijective_flags_by_table(np.array(tables, dtype=dtype)).tolist() == [
-                False,
-                False,
-            ]
-    rng = np.random.default_rng(12)
-    for n in (1, 3, 16, 81):
-        perms = np.stack([rng.permutation(n) for _ in range(30)])
-        shifted = perms.copy()
-        shifted[:10, 0] = -1 - shifted[:10, 0]  # negative
-        shifted[10:20, 0] += n  # too large
-        shifted[20:, 0] = rng.integers(-3 * n, 3 * n, size=10)
-        tables = np.concatenate([perms, shifted])
-        want = [sorted(row) == list(range(n)) for row in tables.tolist()]
-        assert sum(want) >= 30
-        for dtype in (np.int16, np.int32, np.int64):
-            assert bijective_flags_by_table(tables.astype(dtype)).tolist() == want
-
-
 def _endo_oracle_corpus():
     return [
         s
@@ -415,11 +397,36 @@ def _endo_oracle_corpus():
     ]
 
 
+def _whole_table_bijective(s, entries):
+    """`_dumb_bijective` in numpy: the dense einsum table of each matrix
+    holds |G| distinct values (sorted, no two neighbours are equal)."""
+    tables = np.sort(einsum_endo_tables(s, entries), axis=1)
+    return (tables[:, 1:] != tables[:, :-1]).all(axis=1)
+
+
+def test_scan_flags_and_images_match_whole_tables():
+    # ties the socle-kernel test to the definition on every endomorphism of
+    # the corpus, and the scan's last n columns to the generator images
+    rng = np.random.default_rng(22)
+    shapes = _endo_oracle_corpus()
+    for s in shapes:
+        n = s.rank
+        strides = list(carrier(s).strides)
+        for ents, tables in endo_table_batches(s):
+            flags = bijective_flags_by_table(tables[:, :-n])
+            assert np.array_equal(flags, _whole_table_bijective(s, ents)), s
+            some = rng.integers(0, len(ents), size=4)
+            assert flags[some].tolist() == _dumb_bijective(s, ents[some]), s
+            images = induced_tables_batch(s, ents)[:, strides]
+            assert np.array_equal(tables[:, -n:], images), s
+
+
 def _assert_table_batches_match(s, batches):
+    columns = _scan_columns(s)
     entries = []
     for ents, tables in batches:
-        assert tables.shape == (len(ents), carrier(s).n)
-        assert np.array_equal(tables, induced_tables_batch(s, ents)), s
+        assert tables.shape == (len(ents), len(columns))
+        assert np.array_equal(tables, induced_tables_batch(s, ents)[:, columns]), s
         entries.append(ents)
     return np.concatenate(entries)
 
@@ -428,7 +435,7 @@ def test_table_batches_match_entry_batches():
     shapes = _endo_oracle_corpus()
     assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
     for s in shapes:
-        assert endos_mod._row_tables(s) is not None
+        assert endos_mod._row_tables(s, tuple(_scan_columns(s))) is not None
         got = _assert_table_batches_match(s, endo_table_batches(s))
         assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
 
@@ -441,14 +448,24 @@ def test_table_batches_are_int16_with_the_int32_values():
         make_shape(3, [1, 5]),  # indices up to 728
     ]
     for s in shapes:
+        columns = _scan_columns(s)
         for ents, tables in endo_table_batches(s):
-            want = induced_tables_batch(s, ents)
+            want = induced_tables_batch(s, ents)[:, columns]
             assert tables.dtype == np.int16 and want.dtype == np.int32, s
             assert np.array_equal(tables.astype(np.int32), want), s
+    # above |G| = 2^15 the tables are int32: on Z(2^16), x -> e*x
+    s = make_shape(2, [16])
+    columns = _scan_columns(s)
+    assert columns == [1 << 15, 1]
+    ((ents, tables),) = endo_table_batches(s)
+    assert tables.dtype == np.int32
+    e = ents[:, 0, 0]
+    assert np.array_equal(e, np.arange(1 << 16))
+    assert np.array_equal(tables, np.stack([e * (1 << 15) % (1 << 16), e], axis=1))
 
 
-# largest ents.nbytes + tables.nbytes of one `endo_table_batches` batch with
-# int32 tables, at the batch sizes of `_batch_size`
+# largest ents.nbytes + tables.nbytes of one batch of whole int32 carrier
+# tables at the batch sizes of `_batch_size`: the scan's batches hold no more
 _INT32_BATCH_BYTES = {
     (3, (1, 1, 3)): 253692,
     (2, (1, 1, 1, 1)): 393216,
@@ -457,7 +474,7 @@ _INT32_BATCH_BYTES = {
 
 
 def test_table_batches_hold_no_more_bytes_than_int32_batches():
-    # narrower tables must not turn into larger batches
+    # narrower tables must not turn into batches of more bytes
     for (p, exps), limit in _INT32_BATCH_BYTES.items():
         s = make_shape(p, list(exps))
         sizes = [ents.nbytes + tables.nbytes for ents, tables in endo_table_batches(s)]
@@ -469,25 +486,31 @@ def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
     s = make_shape(3, [4])
     batches = list(endo_table_batches(s))
     assert [len(ents) for ents, _ in batches] == [81]
-    assert np.array_equal(batches[0][1], endos_mod._row_tables(s)[2][-1])
+    columns = tuple(_scan_columns(s))
+    assert np.array_equal(batches[0][1], endos_mod._row_tables(s, columns)[2][-1])
     got = _assert_table_batches_match(s, batches)
     assert got.ravel().tolist() == list(range(81))
-    # 2:2,10 has no row tables; its first batches sum the per-row terms
-    s = make_shape(2, [2, 10])
-    assert endos_mod._row_tables(s) is None
-    batches = itertools.islice(endo_table_batches(s), 3)
-    got = _assert_table_batches_match(s, batches)
-    want = np.concatenate(list(itertools.islice(endo_entry_batches(s), 3)))
-    assert np.array_equal(got, want)
-    assert [dumb_endo_table(s, e.tolist()) for e in got[-2:]] == induced_tables_batch(
-        s, got[-2:]
-    ).tolist()
+    # Z(131^2) has no row tables on its 130 socle elements and a_1 (17161
+    # codes times 131 columns); its first batches sum the per-row terms
+    s = make_shape(131, [2])
+    columns = _scan_columns(s)
+    assert endos_mod._row_tables(s, tuple(columns)) is None
+    got = []
+    for ents, tables in itertools.islice(endo_table_batches(s), 2):
+        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
+        got.append(ents)
+    got = np.concatenate(got)
+    want = np.concatenate(list(endo_entry_batches(s)))
+    assert len(got) < len(want) and np.array_equal(got, want[: len(got)])
+    whole = [dumb_endo_table(s, e.tolist()) for e in got[-2:]]
+    restricted = induced_tables_batch(s, got[-2:], tuple(columns))
+    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
     for s in endo_oracle_shapes[:4]:
         for ents in endo_entry_batches(s):
-            flags = bijective_flags_by_table(induced_tables_batch(s, ents))
+            flags = bijective_flags_by_table(induced_tables_batch(s, ents)[:, _socle(s)])
             assert flags.tolist() == _dumb_bijective(s, ents)
 
 

@@ -564,7 +564,10 @@ def test_expansion_oracle_catches_a_flipped_minor_entry(monkeypatch):
     assert {w["fast"] for _, w in want[1:]} == {True, False}
 
 
-def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
+def _tamper_one_automorphism(monkeypatch, column, value):
+    """Route the oracle's scan through a copy that writes `value` into
+    `column` of the first automorphism's table; returns the tampered
+    matrices."""
     real = harness_mod.endo_table_batches
     tampered = []
 
@@ -573,11 +576,17 @@ def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
             auts = np.nonzero(endos_mod.automorphism_flags(shape, ents))[0]
             if not tampered and len(auts):
                 tables = tables.copy()
-                tables[auts[0], 1] = tables[auts[0], 0]  # one value twice
+                tables[auts[0], column] = value
                 tampered.append(ents[auts[0]].tolist())
             yield ents, tables
 
     monkeypatch.setattr(harness_mod, "endo_table_batches", batches)
+    return tampered
+
+
+def test_scan_oracle_catches_a_socle_element_sent_to_zero(monkeypatch):
+    # the first column is the image of the first socle element
+    tampered = _tamper_one_automorphism(monkeypatch, 0, 0)
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
     r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
@@ -593,6 +602,23 @@ def test_scan_oracle_catches_a_repeated_table_value(monkeypatch):
             "closure_size": 8,
             "repeated_rows": 0,
             "filtered_size": 7,
+            "detail": "generator closure and filtered enumeration differ",
+        },
+    ]
+
+
+def test_scan_oracle_catches_a_wrong_generator_image(monkeypatch):
+    # the last column is the image of a_2; an automorphism never sends it to 0
+    tampered = _tamper_one_automorphism(monkeypatch, -1, 0)
+    corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
+    r = run_claims(["oracle-crosscheck"], corpus)[0]
+    assert r.status == "fail" and len(tampered) == 1
+    assert [v["witness"] for v in r.violations] == [
+        {
+            "check": "closure-vs-filtered-endos",
+            "closure_size": 8,
+            "repeated_rows": 0,
+            "filtered_size": 8,
             "detail": "generator closure and filtered enumeration differ",
         },
     ]
