@@ -24,7 +24,6 @@ import sys
 from functools import cache
 from typing import Optional, Sequence
 
-from .cache import LatticeCache
 from .caps import CapExceeded, default_jobs
 from .classify import classify, subgroup_descriptor
 from .core import format_shape, make_shape
@@ -48,10 +47,6 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not exponents:
         raise ValueError(f"bad partition {text!r}: empty")
     return exponents
-
-
-def _store(cache_dir: Optional[str]) -> LatticeStore:
-    return LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
 
 
 def _describe(desc: dict) -> str:
@@ -98,7 +93,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = make_shape(args.p, _parse_partition(args.partition))
     if args.kind == "all":
-        lat = _store(args.cache).get(shape)
+        lat = LatticeStore(args.cache).get(shape)
         listed = zip(lat.subgroups, lat.char_flags, lat.fi_flags)
     else:
         # both routes list their subgroups in the lattice's order

@@ -58,8 +58,9 @@ prefix summand's generator tables are read off its group's,
 `prefix_aut_generator_tables`).  A generator's table is the identity table
 with the rows it changes corrected, one row at a time for every generator
 at once: the generators that change row i get that row's `_row_terms`, one
-product of their rows i with the coordinates.  E_ij's table is read off
-the coordinates directly: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
+product of their rows i with the coordinates.  The single-entry maps
+E_i1..E_in into summand i are the identity's rows under that same
+`_row_terms`: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
 """
 
 from __future__ import annotations
@@ -518,18 +519,19 @@ def prefix_aut_generator_tables(shape: GroupShape, t: int) -> np.ndarray:
     """`aut_generator_tables` of the prefix summand A = Z(p^k1) + ... +
     Z(p^kt) of G, read off G's own generator tables instead of built.
 
-    Each generator of A, extended by the identity on the other summands, is
-    one of G's generators.  Coordinate 0 varies fastest, so an element of A
-    has the same index in A's carrier as in G's, and the generator's table
-    on A is the first |A| cells of G's.
+    A's generators, extended by the identity on the other summands, are
+    G's generators that differ from the identity only inside the leading
+    t x t block, in the same order (transvections, swaps, units).
+    Coordinate 0 varies fastest, so an element of A has the same index in
+    A's carrier as in G's, and the generator's table on A is the first |A|
+    cells of G's.
     """
     n = shape.rank
-    left = _aut_generator_entries(GroupShape(shape.prime, shape.exponents[:t]))
-    extended = np.tile(np.eye(n, dtype=np.int64), (len(left), 1, 1))
-    extended[:, :t, :t] = left
-    row_of = {ents.tobytes(): k for k, ents in enumerate(_aut_generator_entries(shape))}
-    rows = [row_of[ents.tobytes()] for ents in extended]
-    return aut_generator_tables(shape)[rows, : shape.prime ** sum(shape.exponents[:t])]
+    outside = np.ones((n, n), dtype=bool)
+    outside[:t, :t] = False
+    changed = _aut_generator_entries(shape) != np.eye(n, dtype=np.int64)
+    inside = ~(changed & outside).any(axis=(1, 2))
+    return aut_generator_tables(shape)[inside, : shape.prime ** sum(shape.exponents[:t])]
 
 
 @lru_cache(maxsize=8)
@@ -541,19 +543,14 @@ def stability_test_tables(shape: GroupShape) -> np.ndarray:
     is stable under these: any matrix is an entrywise sum of multiples of the
     E_ij, and stability under a map passes to its integer multiples and sums.
     E_ij sends x to (p^max(0, ki - kj) * x_j mod p^ki) * a_i, so row block i
-    (the n maps into summand i) is one product of the weights of row i with
-    the coordinates, filled in place.
+    (the n maps into summand i) is the `_row_terms` of the identity's rows,
+    filled in place.
     """
     n = shape.rank
-    car = carrier(shape)
-    weights = _scales(shape)
-    out = np.empty((n, n, car.n), dtype=np.int32)
+    out = np.empty((n, n, carrier(shape).n), dtype=np.int32)
     for i in range(n):
-        block = weights[i][:, None] * car.coords_mat
-        block %= car.radices[i]
-        block *= car.strides[i]
-        out[i] = block
-    return out.reshape(n * n, car.n)
+        out[i] = _row_terms(shape, i, np.eye(n, dtype=np.int64))
+    return out.reshape(n * n, -1)
 
 
 def _rank_lookup(shape: GroupShape) -> np.ndarray:

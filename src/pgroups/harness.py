@@ -10,15 +10,17 @@ byte-identical for a given corpus and claim set whatever the job count.
 Every per-shape claim except `oracle-crosscheck` reads the characteristic
 subgroups from Aut-orbits (`characteristic_from_orbits`) and the fully
 invariant ones from the layer profiles: the ifi verdicts from the
-carrier-free `profile_records`, the mask comparisons from their rendering
-`fi_from_profiles`.  No route enumerates the lattice.  Only
-`oracle-crosscheck` asks a `LatticeStore` for the enumerated lattice and its
-brute-force flags, to check those routes, so a report's `runtime_ms`
-charges enumeration (or the disk-cache read) to that claim alone.  It also
-holds `classify` against the verdict read off both lattices' masks
-(`carrier_verdict`) on every shape.  Its parts whose inputs are over a cap
-or a scan limit are skipped and named in the report notes; only the carrier
-cap ends a sweep.
+carrier-free `profile_records` (for `thm-2.1`'s doubled shape too), the mask
+comparisons from their rendering `fi_from_profiles`.  No route enumerates
+the lattice.  Only `oracle-crosscheck` asks a `LatticeStore` for the
+enumerated lattice and its brute-force flags, to check those routes, so a
+report's `runtime_ms` charges enumeration (or the disk-cache read) to that
+claim alone; a cached lattice that fails the same comparison
+(`_lattice_disagreements`) is not read but enumerated again.  The oracle
+also holds the records against their masks and `classify` against the
+verdict read off both lattices' masks (`carrier_verdict`) on every shape.
+Its parts whose inputs are over a cap or a scan limit are skipped and named
+in the report notes; only the carrier cap ends a sweep.
 Outside `verify`, only `enumerate --kind all` enumerates.
 
 The registry also carries out-of-scope entries (no checker, a reason
@@ -147,13 +149,59 @@ def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
     return ShapeLattice(shape, tuple(subs), char, fi)
 
 
-class LatticeStore:
-    """ShapeLattice provider: read from the optional disk cache, or enumerate
-    (and save).  Nothing is kept in memory, as a sweep asks for each shape's
-    lattice once."""
+def _lattice_disagreements(lat: ShapeLattice) -> list[dict]:
+    """Where `lat` disagrees with the routes and the closed-form count, as
+    `oracle-crosscheck` witnesses: its fully invariant flags against the
+    profile route, its characteristic flags against the orbit route (each
+    flagged list in lattice order) and its length against
+    `subgroup_count`.  Only the flagged masks are listed."""
+    shape = lat.shape
+    out = []
+    profile_masks = [h.mask for h in fi_from_profiles(shape)]
+    brute = [h.mask for h, f in zip(lat.subgroups, lat.fi_flags) if f]
+    if brute != profile_masks:
+        out.append(
+            _violation(
+                shape,
+                check="profile-route-vs-brute",
+                profile_count=len(profile_masks),
+                brute_count=len(brute),
+                detail="profile route and brute filtering disagree",
+            )
+        )
+    orbit_masks = [h.mask for h in characteristic_from_orbits(shape)]
+    flag_masks = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
+    if orbit_masks != flag_masks:
+        out.append(
+            _violation(
+                shape,
+                check="char-orbits-vs-flags",
+                orbit_count=len(orbit_masks),
+                flag_count=len(flag_masks),
+                detail="orbit route and generator flags disagree",
+            )
+        )
+    count = subgroup_count(shape)
+    if len(lat.subgroups) != count:
+        out.append(
+            _violation(
+                shape,
+                check="lattice-count-vs-birkhoff",
+                enumerated=len(lat.subgroups),
+                birkhoff=count,
+                detail="enumerated lattice and closed-form count disagree",
+            )
+        )
+    return out
 
-    def __init__(self, cache: Optional[LatticeCache] = None):
-        self._cache = cache
+
+class LatticeStore:
+    """ShapeLattice provider: read from the disk cache under `cache_dir`, if
+    given, or enumerate (and save).  Nothing is kept in memory, as a sweep
+    asks for each shape's lattice once."""
+
+    def __init__(self, cache_dir=None):
+        self._cache = LatticeCache(cache_dir) if cache_dir else None
 
     def get(self, shape: GroupShape) -> ShapeLattice:
         lat = self._load(shape) if self._cache is not None else None
@@ -167,34 +215,28 @@ class LatticeStore:
 
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
         """The cached lattice, or None (so it is recomputed) when the entry is
-        absent, lists other than `subgroup_count(shape)` masks, does not
-        rebuild into subgroups of `shape` (a mask without the zero element or
-        wider than the carrier), does not list each mask once in
-        `enumeration_key` order, or flags other subgroups characteristic or
-        fully invariant than the orbit and profile routes give.  No iso type
-        is stored: each subgroup computes its type from its mask.  Closure
-        under addition is not checked: a subgroup's mask swapped for a
-        non-subgroup keeps the count and is read."""
+        absent, does not rebuild into subgroups of `shape` (a mask without
+        the zero element or wider than the carrier), does not list each mask
+        once in `enumeration_key` order, or fails the comparison that
+        `oracle-crosscheck` reports (`_lattice_disagreements`: a length other
+        than `subgroup_count(shape)`, or other subgroups flagged
+        characteristic or fully invariant than the orbit and profile routes
+        give).  No iso type is stored: each subgroup computes its type from
+        its mask.  Closure under addition is not checked: a subgroup's mask
+        swapped for a non-subgroup keeps the count and is read."""
         got = self._cache.load(shape)
         if got is None:
             return None
         masks, char_flags, fi_flags = got
-        if len(masks) != subgroup_count(shape):
-            return None
         full_mask = carrier(shape).full_mask
         if any(mask & ~full_mask or not mask & 1 for mask in masks):
             return None
         keys = list(map(enumeration_key(shape), masks))
         if any(a >= b for a, b in zip(keys, keys[1:])):
             return None
-        for flags, route in (
-            (char_flags, characteristic_from_orbits),
-            (fi_flags, fi_from_profiles),
-        ):
-            if [m for m, f in zip(masks, flags) if f] != [h.mask for h in route(shape)]:
-                return None
         subs = tuple(Subgroup(shape, mask) for mask in masks)
-        return ShapeLattice(shape, subs, tuple(char_flags), tuple(fi_flags))
+        lat = ShapeLattice(shape, subs, tuple(char_flags), tuple(fi_flags))
+        return None if _lattice_disagreements(lat) else lat
 
 
 # ---- claim plumbing ------------------------------------------------------------------
@@ -284,25 +326,13 @@ def _check_strongly_elementary(store: LatticeStore, shape: GroupShape) -> CheckO
 
 def _check_doubling(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     out = CheckOutcome()
-    # not make_shape: past the confirmation size only the exponent arithmetic
-    # reads the doubled shape, so no doubled carrier is built and no cap applies
+    # not make_shape: only the exponent arithmetic reads the doubled shape, so
+    # no doubled carrier is built and no cap applies
     doubled = GroupShape(shape.prime, tuple(sorted(shape.exponents * 2)))
     ic = iso_witnesses(characteristic_from_orbits(shape))[0] is None
-
-    # doubled side from the profile records; the mask route confirms it while
-    # the doubled carrier is still cheap
+    # the doubled side from its profile records alone: holding records against
+    # their masks is `oracle-crosscheck`'s part
     ifi_doubled = iso_witnesses(profile_records(doubled))[0] is None
-    if doubled.order <= 1024:
-        direct = iso_witnesses(fi_from_profiles(doubled))[0] is None
-        if direct != ifi_doubled:
-            out.violations.append(
-                _violation(
-                    shape,
-                    detail="mask route and arithmetic route disagree on the doubled shape",
-                    mask_route=direct,
-                    arithmetic_route=ifi_doubled,
-                )
-            )
     if ic != ifi_doubled:
         out.violations.append(
             _violation(
@@ -626,7 +656,6 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
             out.skips.extend(names)
         return gate
 
-    profile_subs = fi_from_profiles(shape)
     lat = _capped(store.get, shape)
     if runs(
         lat is not None,
@@ -634,47 +663,13 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         "char-orbits-vs-flags",
         "lattice-count-vs-birkhoff",
     ):
-        # profile route against the brute-force filter
-        brute = {h.mask for h, f in zip(lat.subgroups, lat.fi_flags) if f}
-        if brute != {h.mask for h in profile_subs}:
-            out.violations.append(
-                _violation(
-                    shape,
-                    check="profile-route-vs-brute",
-                    profile_count=len(profile_subs),
-                    brute_count=len(brute),
-                    detail="profile route and brute filtering disagree",
-                )
-            )
-        # orbit route against the generator flags, order included
-        orbit_masks = [h.mask for h in characteristic_from_orbits(shape)]
-        flag_masks = [h.mask for h, c in zip(lat.subgroups, lat.char_flags) if c]
-        if orbit_masks != flag_masks:
-            out.violations.append(
-                _violation(
-                    shape,
-                    check="char-orbits-vs-flags",
-                    orbit_count=len(orbit_masks),
-                    flag_count=len(flag_masks),
-                    detail="orbit route and generator flags disagree",
-                )
-            )
-        # the enumeration against Birkhoff's closed-form subgroup count
-        count = subgroup_count(shape)
-        if len(lat.subgroups) != count:
-            out.violations.append(
-                _violation(
-                    shape,
-                    check="lattice-count-vs-birkhoff",
-                    enumerated=len(lat.subgroups),
-                    birkhoff=count,
-                    detail="enumerated lattice and closed-form count disagree",
-                )
-            )
+        # the brute-force flags against both routes, and the enumeration
+        # against Birkhoff's closed-form subgroup count
+        out.violations.extend(_lattice_disagreements(lat))
     # the profile records' arithmetic iso types against those of their masks,
     # position by position
     arith = [h.iso_type() for h in profile_records(shape)]
-    masked = [h.iso_type() for h in profile_subs]
+    masked = [h.iso_type() for h in fi_from_profiles(shape)]
     if arith != masked:
         out.violations.append(
             _violation(
@@ -963,7 +958,7 @@ _WORKER_STORE: Optional[LatticeStore] = None
 
 def _worker_init(cache_dir) -> None:
     global _WORKER_STORE
-    _WORKER_STORE = LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
+    _WORKER_STORE = LatticeStore(cache_dir)
 
 
 def _worker_run(args):
@@ -999,7 +994,7 @@ def run_claims(
                 for key, res in pool.imap_unordered(_worker_run, work):
                     unit_results[key] = res
         else:
-            local = LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
+            local = LatticeStore(cache_dir)
             for shape in units:
                 unit_results[format_shape(shape)] = _run_unit(local, shape, per_shape)
 
@@ -1025,7 +1020,7 @@ def run_claims(
         all_violations: list[dict] = []
         skip_shapes: dict[str, list[str]] = {}
         if spec.kind == "family":
-            local = LatticeStore(LatticeCache(cache_dir) if cache_dir else None)
+            local = LatticeStore(cache_dir)
             checked, outcome = spec.family(local, corpus)
             report.shapes_checked = checked
             all_violations.extend(outcome.violations)

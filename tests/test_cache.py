@@ -102,9 +102,9 @@ def test_unusable_root_degrades_with_warning(tmp_path, shape, capsys):
 
 def test_cache_transparency(tmp_path, shape):
     fresh = LatticeStore().get(shape)
-    primed = LatticeStore(LatticeCache(tmp_path))
+    primed = LatticeStore(tmp_path)
     first = primed.get(shape)
-    second = LatticeStore(LatticeCache(tmp_path)).get(shape)  # from disk
+    second = LatticeStore(tmp_path).get(shape)  # from disk
     for lat in (first, second):
         assert [h.mask for h in lat.subgroups] == [h.mask for h in fresh.subgroups]
         assert lat.char_flags == fresh.char_flags
@@ -141,7 +141,7 @@ def test_store_rejects_masks_and_iso_types_that_do_not_fit(tmp_path):
     masks, char, fi = _payload(shape)
     fresh = [h.mask for h in compute_shape_lattice(shape).subgroups]
     LatticeCache(tmp_path).save(shape, masks[:-1] + [masks[-1] | 1 << 4], char, fi)
-    lat = LatticeStore(LatticeCache(tmp_path)).get(shape)
+    lat = LatticeStore(tmp_path).get(shape)
     assert [h.mask for h in lat.subgroups] == fresh
     assert str(lat.subgroups[-1].iso_type()) == "2:2"
 
@@ -212,8 +212,8 @@ def test_entries_with_a_missing_or_extra_mask_are_recomputed(
 ):
     # the entry keeps its order and both flag checks; only the closed-form
     # subgroup count turns it away, so the lattice is enumerated and saved
-    # again (`verify` prints the same reports either way: no oracle part
-    # compares the lattice's length)
+    # again (`verify` prints the same reports either way: the oracle checks
+    # the enumerated lattice, whose length is right)
     shape = make_shape(2, exps)
     argv = [arg.format(partition=",".join(map(str, exps))) for arg in argv]
     assert run(argv) == 0

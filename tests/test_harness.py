@@ -900,6 +900,18 @@ def test_split_claims_build_no_addition_rows():
     assert carrier(s)._add_rows == {}
 
 
+@pytest.mark.parametrize("prime, max_order", [(2, 32), (3, 243)])
+def test_doubling_reads_one_route_per_side(monkeypatch, prime, max_order):
+    # G's side from its orbit lattice, the doubled side from its profile
+    # records: no doubled shape is rendered as masks
+    def refuse(shape):
+        raise AssertionError(f"{format_shape(shape)} rendered as masks")
+
+    monkeypatch.setattr(harness_mod, "fi_from_profiles", refuse)
+    r = run_claims(["thm-2.1"], build_corpus(prime, max_order))[0]
+    assert r.status == "pass" and r.total_violations == 0
+
+
 def test_doubling_runs_on_every_shape():
     # 5:1,1,1,1 doubles past the carrier cap; the exponent arithmetic needs no carrier
     r = run_claims(["thm-2.1"], build_corpus(5, 625))[0]

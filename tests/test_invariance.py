@@ -199,10 +199,15 @@ def test_profile_iso_arithmetic_matches_masks():
 
 def test_profile_records_describe_their_masks():
     # each record answers what classify asks of a subgroup as its rendered
-    # mask does: order, canonical generators, iso type, {0} and G
+    # mask does: order, canonical generators, iso type, {0} and G.  The
+    # corpora hold every shape of order <= 1024 that doubles another (p:1,1
+    # for 7 <= p <= 31 among them), whose side of thm-2.1 is read from its
+    # records alone
     from pgroups.harness import build_corpus
 
-    for p, max_order in ((2, 1024), (3, 729), (5, 625)):
+    corpora = [(2, 1024), (3, 729), (5, 625)]
+    corpora += [(p, p * p) for p in (7, 11, 13, 17, 19, 23, 29, 31)]
+    for p, max_order in corpora:
         for s in build_corpus(p, max_order).shapes:
             records = profile_records(s)
             subs = fi_from_profiles(s)
