@@ -12,6 +12,10 @@ in minutes, and each can be overridden by an environment variable:
                              `oracle-crosscheck` skips its lattice parts
                              above it; `classify` and the other `enumerate`
                              kinds never enumerate)
+    PGROUPS_SUBGROUP_CAP     max number of subgroups for full subgroup
+                             enumeration (the closed-form count, read
+                             before the walk starts; same callers as
+                             PGROUPS_ENUM_CAP)
     PGROUPS_ENDO_ORACLE_CAP  max |End(G)| for exhaustive endo enumeration
     PGROUPS_AUT_CLOSURE_CAP  max closure size when expanding Aut generators
 
@@ -25,6 +29,7 @@ import os
 
 DEFAULT_CARRIER_CAP = 2 ** 16
 DEFAULT_ENUM_CAP = 2 ** 12
+DEFAULT_SUBGROUP_CAP = 2 ** 20
 DEFAULT_ENDO_ORACLE_CAP = 2 ** 20
 DEFAULT_AUT_CLOSURE_CAP = 2 ** 18
 
@@ -65,6 +70,10 @@ def carrier_cap() -> int:
 
 def enum_cap() -> int:
     return _env_int("PGROUPS_ENUM_CAP", DEFAULT_ENUM_CAP)
+
+
+def subgroup_cap() -> int:
+    return _env_int("PGROUPS_SUBGROUP_CAP", DEFAULT_SUBGROUP_CAP)
 
 
 def endo_oracle_cap() -> int:

@@ -9,8 +9,8 @@ other kinds list the orbit and profile routes.
 Exit codes: 0 ok, 1 a verification sweep found violations, 2 usage or parse
 error (including unknown claim ids), 3 a resource cap was exceeded (the
 message names the cap): by a `classify` or `enumerate` shape (the enumeration
-cap only for `--kind all`), or by a `verify` corpus shape over the carrier
-cap.  Other caps only skip `verify` oracle parts.
+and subgroup caps only for `--kind all`), or by a `verify` corpus shape over
+the carrier cap.  Other caps only skip `verify` oracle parts.
 
 `run` reuses one parser per process (`build_parser` is cached), so a
 long-lived caller pays for the parser once, not once per request.

@@ -17,11 +17,14 @@ coded in base p is read from a per-(p, r) table of every block's
 determinant, and a run with too many blocks for a table expands each
 determinant along the block's last row (`_expand`), reading the r minors
 from the (r-1) x (r-1) table, or expanding them in turn where that table is
-too large as well.  The tables are built by the same expansion.  The
-brute-force alternative reads the kernel: a homomorphism of a finite p-group
-is bijective iff no element of the socle Ω = {x != 0 : px = 0} maps to 0,
-since a nontrivial kernel holds an element of order p.  The two must agree,
-and the verification harness cross-checks that they do.
+too large as well.  The tables are built by the same expansion.  The test
+also runs by sweeps (below): the blocks above the last row, and the code or
+the cofactors of rows 0..n-2 of the last run's block, are read once per
+sweep head and paired with each of the c last rows by one gather or one
+product.  The brute-force alternative reads the kernel: a homomorphism of a
+finite p-group is bijective iff no element of the socle Ω = {x != 0 : px =
+0} maps to 0, since a nontrivial kernel holds an element of order p.  The
+two must agree, and the verification harness cross-checks that they do.
 
 The harness does so exhaustively: `endo_table_batches` yields every entry
 matrix of `endo_entry_batches` with its carrier table on the |Ω| + n columns
@@ -31,11 +34,15 @@ closure.  Image coordinate i depends on row i of the matrix alone
 (`_row_terms`), so a table is the sum of n per-row terms, each read from a
 per-row table on the same columns built once per shape
 (`induced_tables_batch`: n gathers per batch, not a product over all n^2
-entries).  The last row varies fastest in the enumeration, so the scan sums
-rows 0..n-2 once per sweep of the last row and adds each of that row's
-tables to it: one add per table cell.  The per-row tables are int16 up to
-|G| = 2^15 and int32 above; a shape whose tables would hold more than
-`_ROW_TABLE_CELLS` cells sums its per-row terms batch by batch.
+entries).  The last row varies fastest in the enumeration, and its c = |G|
+codes make a sweep of matrices that share rows 0..n-2; batches are whole
+sweeps, so the scan sums rows 0..n-2 once per sweep and adds each of the
+last row's tables to it: one add per table cell.  The per-row tables are
+int16 up to |G| = 2^15 and int32 above; a shape whose tables would hold more
+than `_ROW_TABLE_CELLS` cells sums its per-row terms batch by batch.  The
+harness compares the generator images of the bijective maps with the
+closure's rows as sorted keys, each row packed positionally into int64
+words.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
@@ -296,15 +303,18 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
     a_1..a_n (the strides): the first |Ω| cells decide bijectivity
     (`bijective_flags_by_table`), the last n are the generator images.
 
-    The last matrix row varies fastest, so with c codes for that row every
-    batch is made of whole sweeps of c matrices that share rows 0..n-2.  A
-    sweep's first matrix has a zero last row, so its table is the sweep's
-    prefix, and the c tables are that prefix plus each of the c last-row
-    tables: one add per cell instead of n gathers and n-1 adds.  Only shapes
-    above the row-table budget go through `induced_tables_batch` batch by
-    batch.  A batch of int64 entries and their tables holds about the bytes
-    of `_batch_size` matrices with whole int32 tables (whole sweeps of them
-    on the row route, at least one).
+    The last matrix row varies fastest and has c = |G| codes (exponents
+    ascend, so cell (n, j) has p^kj choices), so every batch is made of
+    whole sweeps of c matrices that share rows 0..n-2: `ents[::c]` are the
+    sweep heads and `ents[:c, -1]` the c last rows (`automorphism_flags`
+    reads a batch in that form).  On the row route a sweep's first matrix
+    has a zero last row, so its table is the sweep's prefix, and the c
+    tables are that prefix plus each of the c last-row tables: one add per
+    cell instead of n gathers and n-1 adds.  Shapes above the row-table
+    budget go through `induced_tables_batch` batch by batch.  A batch of
+    int64 entries and their tables holds about the bytes of `_batch_size`
+    matrices with whole int32 tables, or one sweep where that is more: at
+    most |G| * (8n^2 + 4(|Ω| + n)) bytes then.
     """
     n = shape.rank
     car = carrier(shape)
@@ -314,13 +324,14 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
     cell = 4 if rows is None else rows[2][-1].itemsize
     whole = _batch_size(shape) * (8 * n * n + 4 * car.n)
     size = max(1, whole // (8 * n * n + cell * len(columns)))
+    c = car.n
+    batches = endo_entry_batches(shape, max(1, size // c) * c)
     if rows is None:
-        for ents in endo_entry_batches(shape, size):
+        for ents in batches:
             yield ents, induced_tables_batch(shape, ents, columns)
         return
     last = rows[2][-1]
-    c = len(last)
-    for ents in endo_entry_batches(shape, max(1, size // c) * c):
+    for ents in batches:
         prefix = induced_tables_batch(shape, ents[::c], columns).astype(last.dtype)
         yield ents, (prefix[:, None, :] + last).reshape(len(ents), -1)
 
@@ -376,44 +387,82 @@ def _minor_places(p: int, r: int) -> np.ndarray:
     return out
 
 
-def _dets(blocks: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, r, r) batch of blocks reduced mod p: read
-    from `_block_dets(p, r)` while that table is within `_BLOCK_TABLE_LIMIT`,
-    expanded by `_expand` otherwise."""
-    r = blocks.shape[1]
+def _dets(blocks: np.ndarray, p: int, last: np.ndarray | None = None) -> np.ndarray:
+    """Determinants mod p of r x r blocks reduced mod p.
+
+    Pairwise (`last` None): a (B, r, r) batch gives B determinants.  Sweep:
+    `blocks` holds S heads, rows 0..r-2 of a block as an (S, r-1, r) array,
+    `last` holds c last rows as a (c, r) array, and every head paired with
+    every last row gives an (S, c) array.  While `_block_dets(p, r)` is
+    within `_BLOCK_TABLE_LIMIT` the determinant is read from it at the head's
+    code plus the last row's (the code is linear in the rows); otherwise it
+    is expanded along the last row, the cofactors once per head
+    (`_cofactors`), then multiplied with each block's own last row (`_expand`)
+    or, for a sweep, with every last row in one product."""
+    sweep = last is not None
+    top, last = (blocks, last) if sweep else (blocks[:, :-1], blocks[:, -1])
+    r = last.shape[1]
     if p ** (r * r) <= _BLOCK_TABLE_LIMIT:
-        return _block_dets(p, r)[blocks.reshape(len(blocks), r * r) @ _block_places(p, r)]
-    return _expand(blocks, p)
+        places = _block_places(p, r)
+        head = top.reshape(len(top), (r - 1) * r) @ places[:-r]
+        tail = last @ places[-r:]
+        return _block_dets(p, r)[np.add.outer(head, tail) if sweep else head + tail]
+    if not sweep:
+        return _expand(blocks, p)
+    return _cofactors(top, p) @ last.T % p
 
 
-def _expand(blocks: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, r, r) batch of blocks reduced mod p, by
-    Laplace expansion along the last row.  The r minors of rows 0..r-2 are
-    coded with `_minor_places` and read from `_block_dets(p, r - 1)` when that
-    table is within `_BLOCK_TABLE_LIMIT`, and expanded in turn otherwise.  A
-    0 x 0 block has determinant 1."""
-    b, r = blocks.shape[:2]
-    if r == 0:
-        return np.ones(b, dtype=np.int64)
-    top = blocks[:, :-1]
+def _cofactors(top: np.ndarray, p: int) -> np.ndarray:
+    """(B, r) signed cofactors mod p along the last row of r x r blocks whose
+    rows 0..r-2 are the (B, r-1, r) batch `top`, reduced mod p: the minors
+    are coded with `_minor_places` and read from `_block_dets(p, r - 1)` when
+    that table is within `_BLOCK_TABLE_LIMIT`, and expanded (`_expand`) in
+    turn otherwise."""
+    b, r = top.shape[0], top.shape[2]
     if p ** ((r - 1) * (r - 1)) <= _BLOCK_TABLE_LIMIT:
         minors = _block_dets(p, r - 1)[top.reshape(b, (r - 1) * r) @ _minor_places(p, r)]
     else:
         minors = np.stack([_expand(np.delete(top, j, axis=2), p) for j in range(r)], axis=1)
     # cofactor signs (-1)^(r-1+j) alternate from + at the last column
-    signs = (-1) ** np.arange(r - 1, 2 * r - 1)
-    return (blocks[:, -1] * minors) @ signs % p
+    return minors * (-1) ** np.arange(r - 1, 2 * r - 1)
 
 
-def automorphism_flags(shape: GroupShape, entries: np.ndarray) -> np.ndarray:
-    """Automorphism flags of a (B, n, n) entry batch: every equal-exponent
-    diagonal block must have a nonzero determinant mod p (`_dets`)."""
+def _expand(blocks: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, r, r) batch of blocks reduced mod p, by
+    Laplace expansion along the last row (`_cofactors`).  A 0 x 0 block has
+    determinant 1."""
+    b, r = blocks.shape[:2]
+    if r == 0:
+        return np.ones(b, dtype=np.int64)
+    return (blocks[:, -1] * _cofactors(blocks[:, :-1], p)).sum(axis=1) % p
+
+
+def automorphism_flags(
+    shape: GroupShape, entries: np.ndarray, last_rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Automorphism flags: every equal-exponent diagonal block must have a
+    nonzero determinant mod p (`_dets`).
+
+    Per-matrix form (`last_rows` None): one flag per matrix of a (B, n, n)
+    entry batch.  Sweep form: `entries` holds S sweep heads, of which only
+    rows 0..n-2 are read, and `last_rows` a (c, n) array of last rows; the
+    S*c flags are those of each head completed by each last row in turn,
+    head-major.  So for a batch `ents` of whole sweeps of c matrices in
+    `endo_entry_batches` order, `automorphism_flags(shape, ents[::c],
+    ents[:c, -1])` equals `automorphism_flags(shape, ents)`.  The runs that
+    do not hold row n-1 are decided once per head, and the last run's
+    determinants come from one table gather or one cofactor product."""
     p = shape.prime
-    flags = np.ones(entries.shape[0], dtype=bool)
-    for run in _equal_exponent_runs(shape):
+    *upper, final = _equal_exponent_runs(shape)
+    flags = np.ones(len(entries), dtype=bool)
+    for run in upper:
         block = entries[:, run.start : run.stop, run.start : run.stop] % p
         flags &= _dets(block, p) != 0
-    return flags
+    k = final.start
+    if last_rows is None:
+        return flags & (_dets(entries[:, k:, k:] % p, p) != 0)
+    dets = _dets(entries[:, k:-1, k:] % p, p, last_rows[:, k:] % p)
+    return (flags[:, None] & (dets != 0)).ravel()
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -635,9 +635,21 @@ def _shape_seed(shape: GroupShape) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array in lexicographic order."""
-    return rows[np.lexsort(rows.T[::-1])]
+def _sorted_keys(rows: np.ndarray, size: int) -> np.ndarray:
+    """The rows of a (K, n) array of values in 0..size-1 as sorted (K, W)
+    int64 keys, equal iff the rows are: each value takes b =
+    bit_length(size - 1) bits at its position, 63 // b values to a word, so
+    a row wider than 63 bits takes several words."""
+    b = max(1, (size - 1).bit_length())
+    per = 63 // b
+    n = rows.shape[1]
+    keys = np.zeros((len(rows), -(-n // per)), dtype=np.int64)
+    for j in range(n):
+        keys[:, j // per] |= rows[:, j].astype(np.int64) << (b * (j % per))
+    if keys.shape[1] == 1:
+        keys.sort(axis=0)
+        return keys
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def _capped(build: Callable, shape: GroupShape):
@@ -699,14 +711,16 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     # cap bounds |G|, so the closure is built only where lat is.
     closure = _capped(aut_closure_tables, shape) if lat is not None else None
     if runs(closure is not None, "closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
-        # compared as image rows, sorted here rather than through the
-        # closure's own rank codes, so the oracle stays independent of it;
-        # a table's last n cells are the generator images, the rest the socle's
-        n = shape.rank
+        # compared as image rows packed into keys here rather than through
+        # the closure's own rank codes, so the oracle stays independent of
+        # it; a table's last n cells are the generator images, the rest the
+        # socle's.  Batches are whole sweeps of c = |G| matrices sharing rows
+        # 0..n-2, so the fast test reads each sweep's head once
+        n, c = shape.rank, shape.order
         filtered = []
         for ents, tables in endo_table_batches(shape):
             bij = bijective_flags_by_table(tables[:, :-n])
-            fast = automorphism_flags(shape, ents)
+            fast = automorphism_flags(shape, ents[::c], ents[:c, -1])
             for b in np.nonzero(bij != fast)[0]:
                 out.violations.append(
                     _violation(
@@ -718,18 +732,18 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                     )
                 )
             filtered.append(tables[bij, -n:])
-        closure_rows = _sorted_rows(closure)
-        repeated = (closure_rows[1:] == closure_rows[:-1]).all(axis=1)
-        closure_rows = closure_rows[np.concatenate(([True], ~repeated))]
-        filtered_rows = _sorted_rows(np.concatenate(filtered))
-        if repeated.any() or not np.array_equal(closure_rows, filtered_rows):
+        closure_keys = _sorted_keys(closure, shape.order)
+        repeated = (closure_keys[1:] == closure_keys[:-1]).all(axis=1)
+        closure_keys = closure_keys[np.concatenate(([True], ~repeated))]
+        filtered_keys = _sorted_keys(np.concatenate(filtered), shape.order)
+        if repeated.any() or not np.array_equal(closure_keys, filtered_keys):
             out.violations.append(
                 _violation(
                     shape,
                     check="closure-vs-filtered-endos",
                     closure_size=len(closure),
                     repeated_rows=int(repeated.sum()),
-                    filtered_size=len(filtered_rows),
+                    filtered_size=len(filtered_keys),
                     detail="generator closure and filtered enumeration differ",
                 )
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .caps import CapExceeded, enum_cap
+from .caps import CapExceeded, enum_cap, subgroup_cap
 from .core import (
     Carrier,
     GroupElement,
@@ -241,10 +241,16 @@ def subgroup_count(shape: GroupShape) -> int:
 
 
 def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
-    """Every subgroup, exactly once, in (order, lexicographic) order."""
+    """Every subgroup, exactly once, in (order, lexicographic) order.
+
+    Gated by the enumeration cap on the group order, and by the subgroup cap
+    on `subgroup_count(shape)`, the walk's length, before it starts."""
     cap = enum_cap()
     if shape.order > cap:
         raise CapExceeded("enumeration", cap, shape.order, f"shape {shape}")
+    cap, count = subgroup_cap(), subgroup_count(shape)
+    if count > cap:
+        raise CapExceeded("subgroup", cap, count, f"subgroups of {shape}")
     car = carrier(shape)
     p = shape.prime
     n = car.n

@@ -163,6 +163,16 @@ def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):
     assert "enumeration cap exceeded" in captured.err
 
 
+def test_enumerate_over_the_subgroup_cap_exits_3(capsys):
+    # 2:1^9 has order 512, under the enumeration cap, but 8,283,458
+    # subgroups; the cap reads the closed-form count before the walk starts
+    assert run(["enumerate", "--p", "2", "--partition", "1,1,1,1,1,1,1,1,1",
+                "--kind", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subgroup cap exceeded: needs 8283458, cap is 1048576" in captured.err
+
+
 @pytest.mark.parametrize("prime, max_order", [(2, 64), (3, 81)])
 def test_route_listings_are_the_full_listing_filtered(capsys, prime, max_order):
     # the two route kinds list what `--kind all` lists under their flag

@@ -491,20 +491,40 @@ def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
     got = _assert_table_batches_match(s, batches)
     assert got.ravel().tolist() == list(range(81))
     # Z(131^2) has no row tables on its 130 socle elements and a_1 (17161
-    # codes times 131 columns); its first batches sum the per-row terms
+    # codes times 131 columns); its one sweep, the whole scan, sums the
+    # per-row terms in one batch
     s = make_shape(131, [2])
     columns = _scan_columns(s)
     assert endos_mod._row_tables(s, tuple(columns)) is None
-    got = []
-    for ents, tables in itertools.islice(endo_table_batches(s), 2):
-        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
-        got.append(ents)
-    got = np.concatenate(got)
-    want = np.concatenate(list(endo_entry_batches(s)))
-    assert len(got) < len(want) and np.array_equal(got, want[: len(got)])
-    whole = [dumb_endo_table(s, e.tolist()) for e in got[-2:]]
-    restricted = induced_tables_batch(s, got[-2:], tuple(columns))
+    ((ents, tables),) = endo_table_batches(s)
+    assert ents.ravel().tolist() == list(range(s.order))
+    assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
+    whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
+    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
     assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
+
+
+def test_table_batches_are_whole_sweeps_on_both_routes():
+    # every batch is whole sweeps of c = |G| matrices, each sharing rows
+    # 0..n-2 and running through the same c last rows: on the row route
+    # (the endo-oracle corpus) and above the row-table budget, where 29:1,1
+    # (841 codes a row, 842 columns) would cut its 76-matrix batches
+    # mid-sweep if they were not rounded up to a sweep
+    cases = [(s, None) for s in _endo_oracle_corpus()]
+    cases += [(make_shape(131, [2]), None), (make_shape(29, [1, 1]), 3)]
+    routes = set()
+    for s, limit in cases:
+        n, c = s.rank, s.order
+        routes.add(endos_mod._row_tables(s, tuple(_scan_columns(s))) is None)
+        seen = 0
+        for ents, _ in itertools.islice(endo_table_batches(s), limit):
+            assert len(ents) % c == 0, s
+            sweeps = ents.reshape(-1, c, n, n)
+            assert (sweeps[:, :, :-1] == sweeps[:, :1, :-1]).all(), s
+            assert (sweeps[:, :, -1] == ents[:c, -1]).all(), s
+            seen += len(ents)
+        assert seen == (endo_count(s) if limit is None else limit * c), s
+    assert routes == {False, True}
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
@@ -629,6 +649,52 @@ def test_automorphism_flags_by_recursive_expansion_over_both_tables(monkeypatch)
         # every block is expanded, and so is each of its r minors
         assert sum(b for k, b in expanded if k == r) == endo_count(s), s
         assert sum(b for k, b in expanded if k == r - 1) == r * endo_count(s), s
+
+
+def _assert_sweep_form_matches(s, rng, dumb=None):
+    """The sweep form on every batch of `endo_table_batches(s)` against the
+    per-matrix form and the socle test, and against `_dumb_bijective` on
+    `dumb` random matrices of each batch (all of them if None)."""
+    c = s.order
+    for ents, tables in endo_table_batches(s):
+        sweep = automorphism_flags(s, ents[::c], ents[:c, -1])
+        assert np.array_equal(sweep, automorphism_flags(s, ents)), s
+        assert np.array_equal(sweep, bijective_flags_by_table(tables[:, : -s.rank])), s
+        some = np.arange(len(ents)) if dumb is None else rng.integers(0, len(ents), dumb)
+        assert sweep[some].tolist() == _dumb_bijective(s, ents[some]), s
+
+
+def test_sweep_form_matches_the_per_matrix_form():
+    # every batch of the endo-oracle corpus, the expansion route (2:1^4 and
+    # 3:1^3) included; `_dumb_bijective` in pure Python on samples only
+    rng = np.random.default_rng(24)
+    shapes = _endo_oracle_corpus()
+    assert {(2, (1, 1, 1, 1)), (3, (1, 1, 1))} <= {(s.prime, s.exponents) for s in shapes}
+    for s in shapes:
+        _assert_sweep_form_matches(s, rng, dumb=4)
+
+
+def test_sweep_form_by_recursive_expansion(monkeypatch):
+    # the limit of `test_automorphism_flags_by_recursive_expansion_over_both_tables`:
+    # every minor is expanded in turn, and only once per sweep head
+    monkeypatch.setattr(endos_mod, "_BLOCK_TABLE_LIMIT", 2)
+    expanded = []
+    real = endos_mod._expand
+
+    def spy(blocks, p):
+        expanded.append((blocks.shape[1], len(blocks)))
+        return real(blocks, p)
+
+    monkeypatch.setattr(endos_mod, "_expand", spy)
+    for s in (make_shape(2, [1, 1, 1]), make_shape(3, [1, 1])):
+        expanded.clear()
+        _assert_sweep_form_matches(s, None)
+        heads = endo_count(s) // s.order
+        r = s.rank
+        # the per-matrix form expands each block and its r minors; the sweep
+        # form only the r minors of each head
+        assert sum(b for k, b in expanded if k == r) == endo_count(s), s
+        assert sum(b for k, b in expanded if k == r - 1) == r * (endo_count(s) + heads), s
 
 
 def test_automorphism_flags_on_unreduced_and_negative_entries():

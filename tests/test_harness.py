@@ -217,6 +217,53 @@ def test_a_skipped_closure_names_the_skipped_scan_too(monkeypatch):
         assert f"{part}: {skipped}" in r.notes
 
 
+def test_shapes_over_the_subgroup_cap_skip_the_lattice_parts(monkeypatch):
+    # 2:1,1,1 has 16 subgroups: every part that reads its lattice, and the
+    # closure built only where the lattice is, is skipped and named
+    monkeypatch.setenv("PGROUPS_SUBGROUP_CAP", "10")
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 8))[0]
+    assert r.status == "pass"
+    parts = [
+        "char-flag-vs-closure", "char-orbits-vs-flags", "closure-vs-filtered-endos",
+        "fast-aut-vs-bijective-table", "fi-flag-vs-random-endos", "lattice-count-vs-birkhoff",
+        "profile-route-vs-brute",
+    ]
+    assert r.notes == [f"{part}: skipped on 1 of 6 shapes (oracle caps): 2:1,1,1" for part in parts]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_packed_keys_compare_rows_exactly(n):
+    # |G| = 2^16 takes 16 bits a value, so a row of 4 or 5 needs 64 or 80
+    # bits: two words.  The rows include values that would run into their
+    # neighbour's field in a packing one bit narrower (2^15 at position j
+    # against 1 at j + 1), a repeated row, and a row swapped for another
+    size = 1 << 16
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, size, size=(300, n))
+    rows[:n] = 0
+    rows[np.arange(n), np.arange(n)] = 1 << 15
+    rows[n : 2 * n] = 0
+    rows[np.arange(n, 2 * n), np.arange(n)] = 1
+    rows[2 * n] = size - 1
+    rows[-1] = rows[n + 1]
+    keys = harness_mod._sorted_keys(rows, size)
+    assert keys.shape == (len(rows), 2) and keys.dtype == np.int64
+    distinct = np.unique(rows, axis=0)
+    assert len(distinct) == len(rows) - 1
+    repeated = (keys[1:] == keys[:-1]).all(axis=1)
+    assert repeated.sum() == 1
+    assert np.array_equal(keys[np.concatenate(([True], ~repeated))], np.unique(keys, axis=0))
+    assert np.array_equal(harness_mod._sorted_keys(rows[::-1], size), keys)
+    swapped = rows.copy()
+    swapped[5] = rows[5] ^ 1
+    assert not np.array_equal(np.unique(swapped, axis=0), distinct)
+    assert not np.array_equal(harness_mod._sorted_keys(swapped, size), keys)
+    # the same rows in another order, with the repeat dropped, give the same
+    # keys once the repeat is dropped on both sides
+    kept = np.unique(keys, axis=0)
+    assert np.array_equal(harness_mod._sorted_keys(distinct[::-1], size), kept)
+
+
 @pytest.fixture
 def fresh_profile_caches():
     """Empty the profile caches before and after a test that patches what

@@ -10,7 +10,7 @@ import pytest
 from conftest import (
     closed_subset_masks, dumb_coords, dumb_index, dumb_order_counter, iso_matches, mask_members,
 )
-from pgroups.caps import CapExceeded
+from pgroups.caps import DEFAULT_SUBGROUP_CAP, CapExceeded
 from pgroups.core import GroupShape, carrier, element, make_shape
 from pgroups.harness import build_corpus
 from pgroups.lattice import Subgroup, enumerate_subgroups, span, subgroup_count
@@ -181,6 +181,19 @@ def test_subgroup_order_is_popcount():
     for h in enumerate_subgroups(s):
         assert h.order == len(mask_members(h.mask))
         assert dumb_order_counter(s, h.members()).total() == h.order
+
+
+def test_subgroup_cap(monkeypatch):
+    # the largest elementary shapes of the acceptance corpora stay under the
+    # default, the next ranks go over it
+    cap = DEFAULT_SUBGROUP_CAP
+    assert subgroup_count(make_shape(2, [1] * 8)) <= cap < subgroup_count(make_shape(2, [1] * 9))
+    assert subgroup_count(make_shape(3, [1] * 6)) <= cap < subgroup_count(make_shape(3, [1] * 7))
+    monkeypatch.setenv("PGROUPS_SUBGROUP_CAP", "15")
+    with pytest.raises(CapExceeded, match="subgroup cap exceeded: needs 16, cap is 15"):
+        enumerate_subgroups(make_shape(2, [1, 1, 1]))
+    monkeypatch.setenv("PGROUPS_SUBGROUP_CAP", "16")
+    assert len(enumerate_subgroups(make_shape(2, [1, 1, 1]))) == 16
 
 
 def test_enumeration_cap(monkeypatch):
