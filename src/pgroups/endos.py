@@ -31,18 +31,15 @@ matrix of `endo_entry_batches` with its carrier table on the |Ω| + n columns
 Ω and a_1..a_n, `bijective_flags_by_table` reads the Ω cells (no 0 among
 them), and the a_j cells are the generator images compared with the
 closure.  Image coordinate i depends on row i of the matrix alone
-(`_row_terms`), so a table is the sum of n per-row terms, each read from a
-per-row table on the same columns built once per shape
-(`induced_tables_batch`: n gathers per batch, not a product over all n^2
-entries).  The last row varies fastest in the enumeration, and its c = |G|
-codes make a sweep of matrices that share rows 0..n-2; batches are whole
-sweeps, so the scan sums rows 0..n-2 once per sweep and adds each of the
-last row's tables to it: one add per table cell.  The per-row tables are
-int16 up to |G| = 2^15 and int32 above; a shape whose tables would hold more
-than `_ROW_TABLE_CELLS` cells sums its per-row terms batch by batch.  The
-harness compares the generator images of the bijective maps with the
-closure's rows as sorted keys, each row packed positionally into int64
-words.
+(`_row_terms`), so every carrier table is the sum of its n per-row terms
+(`induced_tables_batch`: n products of a row with the coordinates, not one
+over all n^2 entries).  The last row varies fastest in the enumeration, and
+its c = |G| codes make a sweep of matrices that share rows 0..n-2; batches
+are whole sweeps, so the scan builds each row's terms over that row's codes
+once, sums rows 0..n-2 into one prefix per sweep, and adds each of the last
+row's terms to it: one add per table cell.  The harness compares the
+generator images of the bijective maps with the closure's rows as sorted
+keys, each row packed positionally into int64 words.
 
 The same matrix is also fixed by the images of a_1..a_n, so a batch of maps
 can be carried as (K, n) rows of carrier indices (`entries_from_images`
@@ -148,8 +145,8 @@ def _cell_places(shape: GroupShape) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch_size(shape: GroupShape) -> int:
     """Matrices per batch: B * n * |G| stays around 2^17 cells, which bounds
-    the (B, |G|) tables, the n gathers of `induced_tables_batch` and the
-    (B, |G|) terms of `_row_terms`; larger batches scan no faster and only
+    the (B, |G|) tables and the (B, |G|) int64 terms of `_row_terms` that
+    `induced_tables_batch` sums; larger batches scan no faster and only
     raise peak memory."""
     return max(64, (1 << 17) // max(1, shape.rank * carrier(shape).n))
 
@@ -166,44 +163,36 @@ def endo_entry_batches(
 
     Matrices come in sweeps of c, the last row's codes, that share rows
     0..n-2: a batch tiles the last row's (c, n) block, decoded once, under
-    rows 0..n-2 decoded once per sweep (index // c), cut where it starts or
-    ends mid-sweep.
+    rows 0..n-2 decoded once per sweep (index // c).  Batches are whole
+    sweeps: `batch_size` is rounded up to a multiple of c.
     """
     cap = endo_oracle_cap()
     total = endo_count(shape)
     if total > cap:
         raise CapExceeded("endo-oracle", cap, total, f"|End| for {shape}")
     n = shape.rank
-    if batch_size is None:
-        batch_size = _batch_size(shape)
     moduli, place = _cell_places(shape)
     c = int(moduli[-1].prod())
-    last = np.arange(c, dtype=np.int64)[:, None] // place[-1] % moduli[-1]
+    step = -(-(batch_size or _batch_size(shape)) // c)  # sweeps per batch
+    last = _row_codes(moduli, place, n - 1)
     # the place values of rows 0..n-2 are multiples of c: a sweep's number
     # is its first matrix's index // c
     prefix_moduli, prefix_place = moduli[:-1].ravel(), place[:-1].ravel() // c
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        sweeps = np.arange(start // c, -(-stop // c), dtype=np.int64)
-        skip = start % c
-        if len(sweeps) == 1:
-            block, skip = last[skip : skip + stop - start], 0
-        else:
-            block = last
-        grid = np.empty((len(sweeps), len(block), n, n), dtype=np.int64)
+    for start in range(0, total // c, step):
+        sweeps = np.arange(start, min(start + step, total // c), dtype=np.int64)
+        grid = np.empty((len(sweeps), c, n, n), dtype=np.int64)
         prefix = sweeps[:, None] // prefix_place % prefix_moduli
         grid[:, :, :-1] = prefix.reshape(len(sweeps), 1, n - 1, n)
-        grid[:, :, -1] = block
-        yield grid.reshape(-1, n, n)[skip : skip + stop - start]
+        grid[:, :, -1] = last
+        yield grid.reshape(-1, n, n)
 
 
-# the row tables of one shape hold at most this many cells; a shape above it
-# (a cyclic 2:12 evaluated everywhere, say) sums `_row_terms` over the rows of
-# each batch instead.  A carrier index, and so every partial row sum, is below
-# |G|, so the cells are int16 up to |G| = 2^15 and int32 above.  Exponents
-# ascend, so the last row has p^min(kn, kj) = p^kj choices per cell and |G|
-# codes in all: tables over every column have |G|^2 <= 2^20 cells, |G| <= 1024
-_ROW_TABLE_CELLS = 1 << 20
+def _row_codes(moduli: np.ndarray, place: np.ndarray, i: int) -> np.ndarray:
+    """Every row i of an entry matrix, reduced mod the cell moduli, as one
+    (prod_j p^min(ki, kj), n) int64 array in enumeration order (the last cell
+    varying fastest); `moduli` and `place` are those of `_cell_places`."""
+    codes = np.arange(moduli[i].prod(), dtype=np.int64)
+    return codes[:, None] // (place[i] // place[i, -1]) % moduli[i]
 
 
 def _row_terms(
@@ -224,45 +213,6 @@ def _row_terms(
     return terms
 
 
-@lru_cache(maxsize=2)
-def _row_tables(
-    shape: GroupShape, columns: tuple[int, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray, tuple] | None:
-    """(moduli, places, tables) for the row route of `induced_tables_batch`
-    on the carrier indices `columns` (every element by default), or None for
-    a shape whose tables would hold more than `_ROW_TABLE_CELLS` cells.
-
-    Image coordinate i depends on row i of the entry matrix alone.  A row
-    reduced mod `moduli[i]` is coded as sum(row * places[i]) (mixed radix, the
-    last cell varying fastest), and `tables[i]` is the (codes, columns) table
-    of `_row_terms` over every code, so that a carrier table is the sum over
-    i of tables[i][code_i].
-    """
-    n = shape.rank
-    car = carrier(shape)
-    moduli, _ = _cell_places(shape)
-    counts = moduli.prod(axis=1)
-    width = car.n if columns is None else len(columns)
-    if int(counts.sum()) * width > _ROW_TABLE_CELLS:
-        return None
-    places = np.ones((n, n), dtype=np.int64)
-    places[:, :-1] = np.cumprod(moduli[:, :0:-1], axis=1)[:, ::-1]
-    dtype = np.int16 if car.n <= 1 << 15 else np.int32
-    step = _batch_size(shape)
-    tables = []
-    for i in range(n):
-        rows = np.arange(counts[i], dtype=np.int64)[:, None] // places[i] % moduli[i]
-        table = np.empty((len(rows), width), dtype=dtype)
-        for start in range(0, len(rows), step):
-            table[start : start + step] = _row_terms(
-                shape, i, rows[start : start + step], columns
-            )
-        tables.append(table)
-    for a in (moduli, places, *tables):
-        a.flags.writeable = False  # cached: shared by every later caller
-    return moduli, places, tuple(tables)
-
-
 def induced_tables_batch(
     shape: GroupShape, entries: np.ndarray, columns: tuple[int, ...] | None = None
 ) -> np.ndarray:
@@ -272,24 +222,21 @@ def induced_tables_batch(
 
     Row b is the table of entries[b], entries taken mod their cell moduli:
     row[x] is the index of sum_ij entries[b, i, j] * p^max(0, ki - kj) *
-    x_j * a_i.  Rows are summed from the shape's cached per-row tables
-    (`_row_tables`), n gathers per batch; a shape above the row-table budget
-    sums the n `_row_terms` of each batch.
+    x_j * a_i, the sum over i of the `_row_terms` of row i.  The terms are
+    added into the output `_batch_size` matrices at a time, so no int64
+    temporary is larger than one row's terms for one batch.
     """
     n = shape.rank
     if entries.ndim != 3 or entries.shape[1:] != (n, n):
         raise ValueError(f"expected a (B, {n}, {n}) entry array for {shape}")
-    rows = _row_tables(shape, columns)
-    if rows is None:
-        out = _row_terms(shape, 0, entries[:, 0], columns)
+    width = carrier(shape).n if columns is None else len(columns)
+    out = np.empty((len(entries), width), dtype=np.int32)
+    step = _batch_size(shape)
+    for start in range(0, len(entries), step):
+        chunk, sums = entries[start : start + step], out[start : start + step]
+        sums[:] = _row_terms(shape, 0, chunk[:, 0], columns)
         for i in range(1, n):
-            out += _row_terms(shape, i, entries[:, i], columns)
-        return out.astype(np.int32)
-    moduli, places, tables = rows
-    codes = (entries % moduli * places).sum(axis=2)  # (B, n)
-    out = np.zeros((len(entries), tables[0].shape[1]), dtype=np.int32)
-    for i in range(n):
-        out += tables[i][codes[:, i]]
+            sums += _row_terms(shape, i, chunk[:, i], columns)
     return out
 
 
@@ -298,21 +245,22 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
     generators, as (entries, tables) batches in `endo_entry_batches` order.
 
     Tables row b holds the values of `induced_tables_batch(shape, entries,
-    columns)[b]` (as int16 or int32, the per-row tables' type, on the row
-    route) for the columns Ω = {x != 0 : px = 0}, in carrier order, then
-    a_1..a_n (the strides): the first |Ω| cells decide bijectivity
+    columns)[b]`, as int16 up to |G| = 2^15 and int32 above (a carrier
+    index, and so every partial sum of row terms, is below |G|), for the
+    columns Ω = {x != 0 : px = 0}, in carrier order, then a_1..a_n (the
+    strides): the first |Ω| cells decide bijectivity
     (`bijective_flags_by_table`), the last n are the generator images.
 
     The last matrix row varies fastest and has c = |G| codes (exponents
     ascend, so cell (n, j) has p^kj choices), so every batch is made of
     whole sweeps of c matrices that share rows 0..n-2: `ents[::c]` are the
     sweep heads and `ents[:c, -1]` the c last rows (`automorphism_flags`
-    reads a batch in that form).  On the row route a sweep's first matrix
-    has a zero last row, so its table is the sweep's prefix, and the c
-    tables are that prefix plus each of the c last-row tables: one add per
-    cell instead of n gathers and n-1 adds.  Shapes above the row-table
-    budget go through `induced_tables_batch` batch by batch.  A batch of
-    int64 entries and their tables holds about the bytes of `_batch_size`
+    reads a batch in that form).  Each row's `_row_terms` are built once, on
+    these columns, over every code of that row; rows 0..n-2 are summed by
+    outer sums into the S = |End| / |G| sweep prefixes, in enumeration order
+    (about |End| cells in all), and a batch's tables are its sweeps'
+    prefixes plus each of the c last-row terms: one add per cell.  A batch
+    of int64 entries and their tables holds about the bytes of `_batch_size`
     matrices with whole int32 tables, or one sweep where that is more: at
     most |G| * (8n^2 + 4(|Ω| + n)) bytes then.
     """
@@ -320,20 +268,29 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
     car = carrier(shape)
     socle = np.flatnonzero(car.order_exponents() == 1)
     columns = (*socle.tolist(), *car.strides)
-    rows = _row_tables(shape, columns)
-    cell = 4 if rows is None else rows[2][-1].itemsize
-    whole = _batch_size(shape) * (8 * n * n + 4 * car.n)
-    size = max(1, whole // (8 * n * n + cell * len(columns)))
-    c = car.n
-    batches = endo_entry_batches(shape, max(1, size // c) * c)
-    if rows is None:
-        for ents in batches:
-            yield ents, induced_tables_batch(shape, ents, columns)
-        return
-    last = rows[2][-1]
-    for ents in batches:
-        prefix = induced_tables_batch(shape, ents[::c], columns).astype(last.dtype)
-        yield ents, (prefix[:, None, :] + last).reshape(len(ents), -1)
+    dtype = np.int16 if car.n <= 1 << 15 else np.int32
+    moduli, place = _cell_places(shape)
+    step = _batch_size(shape)
+    terms = []
+    for i in range(n):
+        rows = _row_codes(moduli, place, i)
+        table = np.empty((len(rows), len(columns)), dtype=dtype)
+        for start in range(0, len(rows), step):
+            table[start : start + step] = _row_terms(
+                shape, i, rows[start : start + step], columns
+            )
+        terms.append(table)
+    *upper, last = terms
+    prefixes = np.zeros((1, len(columns)), dtype=dtype)
+    for table in upper:  # row 0 varies slowest
+        prefixes = (prefixes[:, None] + table).reshape(-1, len(columns))
+    whole = step * (8 * n * n + 4 * car.n)
+    size = whole // (8 * n * n + last.itemsize * len(columns))
+    done = 0
+    for ents in endo_entry_batches(shape, max(1, size // car.n) * car.n):
+        sweeps = prefixes[done : done + len(ents) // car.n]
+        done += len(sweeps)
+        yield ents, (sweeps[:, None] + last).reshape(len(ents), -1)
 
 
 def bijective_flags_by_table(socle_images: np.ndarray) -> np.ndarray:

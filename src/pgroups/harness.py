@@ -707,7 +707,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     # full closure against the filtered exhaustive enumeration, with the fast
     # invertibility test compared to the socle-kernel test on every
     # endomorphism.  The scan behind it costs |End|·(|Ω| + n) table cells
-    # plus the per-row tables, and of the oracle caps only the enumeration
+    # plus its rows' term tables, and of the oracle caps only the enumeration
     # cap bounds |G|, so the closure is built only where lat is.
     closure = _capped(aut_closure_tables, shape) if lat is not None else None
     if runs(closure is not None, "closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):

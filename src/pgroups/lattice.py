@@ -117,25 +117,30 @@ class Subgroup:
 
 
 def _span_mask(car: Carrier, gen_indices: Iterable[int], base: int = 1) -> int:
-    """Close base (already a subgroup mask) over the given indices."""
+    """Close base (already a subgroup mask) over the given indices.
+
+    H + <g> is the union of the cosets H + j*g, each the one before it
+    shifted by g (the add row of g, the one row read per generator), up to
+    the first j with j*g in H."""
     mask = base
     for g in gen_indices:
         if mask >> g & 1:
             continue
-        acc = mask
-        cur = g
+        row = car.add_row(g)
+        acc = coset = mask
+        cur = g  # j*g
         while not mask >> cur & 1:
-            row = car.add_row(cur)
             shifted = 0
             # walks the bits in place: a mask_to_indices list per coset costs
             # more than the shift itself on these small spans
-            m = mask
+            m = coset
             while m:
                 low = m & -m
                 shifted |= 1 << row[low.bit_length() - 1]
                 m ^= low
             acc |= shifted
-            cur = row[g]
+            coset = shifted
+            cur = row[cur]
         mask = acc
     return mask
 

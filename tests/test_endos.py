@@ -280,7 +280,7 @@ def test_entry_batches_match_scalar_enumeration(endo_oracle_shapes):
     for s in endo_oracle_shapes:
         reference = list(dumb_endo_entries(s))
         batched = []
-        for ents in endo_entry_batches(s, batch_size=7):  # force ragged batches
+        for ents in endo_entry_batches(s, batch_size=s.order):  # one sweep a batch
             batched.extend(ents.tolist())
         assert batched == reference
 
@@ -294,18 +294,20 @@ def _indexed_entries(s, start, stop):
 
 
 def test_entry_batches_match_index_decoding():
-    # c matrices per sweep of the last row; batch sizes below c, not a
-    # multiple of c, and the default (269 for 3:2,3, not a multiple of 243)
+    # c matrices per sweep of the last row; batches are whole sweeps, one or
+    # several, and the default (269 for 3:2,3, not a multiple of 243) is
+    # rounded up to two sweeps
     cases = {
-        (3, (4,)): (81, [5, 30, None]),
-        (3, (2, 3)): (243, [100, 250, None]),
-        (2, (1, 1, 1, 1)): (16, [5, 24, None]),
+        (3, (4,)): (81, [81, None]),
+        (3, (2, 3)): (243, [243, 729, None]),
+        (2, (1, 1, 1, 1)): (16, [16, 48, None]),
     }
+    assert endos_mod._batch_size(make_shape(3, [2, 3])) == 269
     for (p, exps), (c, sizes) in cases.items():
         s = make_shape(p, list(exps))
         assert int(endos_mod._cell_places(s)[0][-1].prod()) == c
         for size in sizes:
-            step = endos_mod._batch_size(s) if size is None else size
+            step = -(-(endos_mod._batch_size(s) if size is None else size) // c) * c
             start = 0
             for ents in endo_entry_batches(s, size):
                 stop = min(start + step, endo_count(s))
@@ -323,7 +325,7 @@ def test_entry_batches_cap(monkeypatch):
 
 def test_induced_tables_batch_matches_scalar():
     for s in [make_shape(2, [1, 2]), make_shape(2, [1, 1, 2]), make_shape(3, [1, 2])]:
-        for ents in endo_entry_batches(s, batch_size=64):
+        for ents in endo_entry_batches(s, batch_size=2 * s.order):
             tables = induced_tables_batch(s, ents)
             assert tables.tolist() == [dumb_endo_table(s, m) for m in ents.tolist()]
             break  # first batch is plenty per shape
@@ -335,10 +337,9 @@ def test_induced_tables_batch_rejects_bad_shape():
         induced_tables_batch(s, np.zeros((4, 3, 3), dtype=np.int64))
 
 
-def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
+def test_induced_tables_batch_matches_einsum_kernel(endo_oracle_shapes):
     rng = np.random.default_rng(2024)
     for s in endo_oracle_shapes:
-        assert endos_mod._row_tables(s) is not None
         for ents in endo_entry_batches(s):
             want = einsum_endo_tables(s, ents)
             assert np.array_equal(induced_tables_batch(s, ents), want)
@@ -349,43 +350,17 @@ def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
         # and on a few columns only
         columns = tuple(_scan_columns(s))
         assert np.array_equal(induced_tables_batch(s, wild, columns), want[:, columns])
-
-
-def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
-    s = make_shape(2, [2, 10])  # 4112 row vectors times 4096 elements
-    assert endos_mod._row_tables(s) is None
+    # 2:2,10 sums its terms 64 matrices at a time: 150 matrices are three
+    # chunks, the last one short
+    s = make_shape(2, [2, 10])
+    assert endos_mod._batch_size(s) == 64
     rng = np.random.default_rng(7)
-    ents = rng.integers(-50, 50, size=(3, 2, 2))
+    ents = rng.integers(-50, 50, size=(150, 2, 2))
     tables = induced_tables_batch(s, ents)
-    assert [t.tolist() for t in tables] == [dumb_endo_table(s, e.tolist()) for e in ents]
+    assert tables.dtype == np.int32
     assert np.array_equal(tables, einsum_endo_tables(s, ents))
-
-
-def test_row_tables_are_int16_and_every_index_fits():
-    # the last row of ascending exponents has |G| codes, so a shape inside
-    # the row-table budget has |G|^2 within it and every index below 1024
-    shapes = [
-        *build_corpus(2, 2048).shapes,
-        *build_corpus(3, 2187).shapes,
-        *build_corpus(5, 625).shapes,
-        *build_corpus(7, 343).shapes,
-    ]
-    routed = 0
-    for s in shapes:
-        rows = endos_mod._row_tables(s)
-        if rows is None:
-            continue
-        routed += 1
-        size = carrier(s).n
-        assert size**2 <= endos_mod._ROW_TABLE_CELLS, s
-        tables = rows[2]
-        assert all(t.dtype == np.int16 for t in tables), s
-        assert len(tables[-1]) == size, s
-        # each term is stride_i * coordinate i, and the terms of one table sum
-        # to an index, so even the largest sum of the terms stays below |G|
-        assert sum(int(t.max()) for t in tables) < size, s
-    assert routed >= 40
-    assert endos_mod._row_tables(make_shape(2, [10])) is not None  # |G| = 1024
+    some = [0, 63, 64, 149]
+    assert tables[some].tolist() == [dumb_endo_table(s, e.tolist()) for e in ents[some]]
 
 
 def _endo_oracle_corpus():
@@ -431,15 +406,6 @@ def _assert_table_batches_match(s, batches):
     return np.concatenate(entries)
 
 
-def test_table_batches_match_entry_batches():
-    shapes = _endo_oracle_corpus()
-    assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
-    for s in shapes:
-        assert endos_mod._row_tables(s, tuple(_scan_columns(s))) is not None
-        got = _assert_table_batches_match(s, endo_table_batches(s))
-        assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
-
-
 def test_table_batches_are_int16_with_the_int32_values():
     shapes = [
         make_shape(3, [1, 1, 3]),
@@ -481,50 +447,42 @@ def test_table_batches_hold_no_more_bytes_than_int32_batches():
         assert max(sizes) <= limit, (s, max(sizes))
 
 
-def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
-    # rank 1 is one sweep of the last row under an empty prefix
-    s = make_shape(3, [4])
-    batches = list(endo_table_batches(s))
-    assert [len(ents) for ents, _ in batches] == [81]
-    columns = tuple(_scan_columns(s))
-    assert np.array_equal(batches[0][1], endos_mod._row_tables(s, columns)[2][-1])
-    got = _assert_table_batches_match(s, batches)
-    assert got.ravel().tolist() == list(range(81))
-    # Z(131^2) has no row tables on its 130 socle elements and a_1 (17161
-    # codes times 131 columns); its one sweep, the whole scan, sums the
-    # per-row terms in one batch
-    s = make_shape(131, [2])
-    columns = _scan_columns(s)
-    assert endos_mod._row_tables(s, tuple(columns)) is None
-    ((ents, tables),) = endo_table_batches(s)
-    assert ents.ravel().tolist() == list(range(s.order))
-    assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
-    whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
-    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
-    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
-
-
-def test_table_batches_are_whole_sweeps_on_both_routes():
+def test_table_batches_are_whole_sweeps_of_induced_tables():
     # every batch is whole sweeps of c = |G| matrices, each sharing rows
-    # 0..n-2 and running through the same c last rows: on the row route
-    # (the endo-oracle corpus) and above the row-table budget, where 29:1,1
-    # (841 codes a row, 842 columns) would cut its 76-matrix batches
-    # mid-sweep if they were not rounded up to a sweep
-    cases = [(s, None) for s in _endo_oracle_corpus()]
-    cases += [(make_shape(131, [2]), None), (make_shape(29, [1, 1]), 3)]
-    routes = set()
+    # 0..n-2 and running through the same c last rows, with the induced
+    # tables on the scan's columns: on the endo-oracle corpus (every
+    # endomorphism, in `endo_entry_batches` order), on 3:4 and 131:2 (rank
+    # 1, one sweep under an empty prefix) and on 29:1,1, whose 152-matrix
+    # batches would cut a sweep of 841 if they were not rounded to sweeps
+    shapes = _endo_oracle_corpus()
+    assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
+    cases = [(s, None) for s in shapes]
+    cases += [(make_shape(3, [4]), None), (make_shape(29, [1, 1]), 3)]
     for s, limit in cases:
         n, c = s.rank, s.order
-        routes.add(endos_mod._row_tables(s, tuple(_scan_columns(s))) is None)
-        seen = 0
-        for ents, _ in itertools.islice(endo_table_batches(s), limit):
+        batches = list(itertools.islice(endo_table_batches(s), limit))
+        for ents, _ in batches:
             assert len(ents) % c == 0, s
             sweeps = ents.reshape(-1, c, n, n)
             assert (sweeps[:, :, :-1] == sweeps[:, :1, :-1]).all(), s
             assert (sweeps[:, :, -1] == ents[:c, -1]).all(), s
-            seen += len(ents)
-        assert seen == (endo_count(s) if limit is None else limit * c), s
-    assert routes == {False, True}
+        got = _assert_table_batches_match(s, batches)
+        if limit is None:
+            assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
+        else:
+            assert len(got) == limit * c, s
+            assert np.array_equal(got, _indexed_entries(s, 0, len(got))), s
+    # a rank-1 scan is one batch, one sweep: entries 0..|G|-1, tables e *
+    # columns (131:2 against whole tables on two maps only)
+    for s in (make_shape(3, [4]), make_shape(131, [2])):
+        columns = _scan_columns(s)
+        ((ents, tables),) = endo_table_batches(s)
+        assert ents.ravel().tolist() == list(range(s.order))
+        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
+    whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
+    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
+    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
+    assert np.array_equal(restricted, tables[-2:])
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
@@ -737,7 +695,7 @@ def test_generator_tables_match_induced_tables():
         ]:
             assert tables.dtype == np.int32
             # the dense einsum reference, pinned to `induced_tables_batch` and
-            # to `dumb_endo_table` above, builds no per-row tables for each shape
+            # to `dumb_endo_table` above
             assert np.array_equal(tables, einsum_endo_tables(s, ents)), s
 
 

@@ -113,6 +113,19 @@ def test_span_of_members_is_identity():
         assert regenerated.mask == h.mask
 
 
+def test_span_reads_one_add_row_per_generator():
+    # H + <g> is built coset by coset from the add row of g alone; on
+    # Z(4093) a row for each multiple j*g would be 4092 rows of 4093 ints
+    s = make_shape(4093, [1])
+    car = carrier(s)
+    car._add_rows.clear()
+    assert span(s, [element(s, (5,))]).mask == car.full_mask
+    assert list(car._add_rows) == [5]
+    car._add_rows.clear()
+    assert [g.coords for g in Subgroup(s, car.full_mask).generators] == [(1,)]
+    assert list(car._add_rows) == [1]
+
+
 def test_canonical_generators_regenerate():
     for s in [make_shape(2, [1, 3]), make_shape(2, [1, 1, 2]), make_shape(3, [1, 2])]:
         for h in enumerate_subgroups(s):
