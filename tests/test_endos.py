@@ -337,7 +337,9 @@ def test_induced_tables_batch_rejects_bad_shape():
         induced_tables_batch(s, np.zeros((4, 3, 3), dtype=np.int64))
 
 
-def test_induced_tables_batch_matches_einsum_kernel(endo_oracle_shapes):
+def test_row_table_route_matches_einsum_kernel(endo_oracle_shapes):
+    # `induced_tables_batch` sums the n row terms of each chunk: against the
+    # dense einsum kernel on every endomorphism of the endo-oracle shapes
     rng = np.random.default_rng(2024)
     for s in endo_oracle_shapes:
         for ents in endo_entry_batches(s):
@@ -350,8 +352,11 @@ def test_induced_tables_batch_matches_einsum_kernel(endo_oracle_shapes):
         # and on a few columns only
         columns = tuple(_scan_columns(s))
         assert np.array_equal(induced_tables_batch(s, wild, columns), want[:, columns])
-    # 2:2,10 sums its terms 64 matrices at a time: 150 matrices are three
-    # chunks, the last one short
+
+
+def test_shapes_above_the_row_table_budget_use_the_einsum_kernel():
+    # 2:2,10 (4112 row vectors times 4096 elements) sums its terms 64
+    # matrices at a time: 150 matrices are three chunks, the last one short
     s = make_shape(2, [2, 10])
     assert endos_mod._batch_size(s) == 64
     rng = np.random.default_rng(7)
@@ -447,17 +452,42 @@ def test_table_batches_hold_no_more_bytes_than_int32_batches():
         assert max(sizes) <= limit, (s, max(sizes))
 
 
-def test_table_batches_are_whole_sweeps_of_induced_tables():
-    # every batch is whole sweeps of c = |G| matrices, each sharing rows
-    # 0..n-2 and running through the same c last rows, with the induced
-    # tables on the scan's columns: on the endo-oracle corpus (every
-    # endomorphism, in `endo_entry_batches` order), on 3:4 and 131:2 (rank
-    # 1, one sweep under an empty prefix) and on 29:1,1, whose 152-matrix
-    # batches would cut a sweep of 841 if they were not rounded to sweeps
+def test_table_batches_match_entry_batches():
+    # every endomorphism of the endo-oracle corpus, in `endo_entry_batches`
+    # order, with its induced table on the scan's columns
     shapes = _endo_oracle_corpus()
     assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
-    cases = [(s, None) for s in shapes]
-    cases += [(make_shape(3, [4]), None), (make_shape(29, [1, 1]), 3)]
+    for s in shapes:
+        got = _assert_table_batches_match(s, endo_table_batches(s))
+        assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
+
+
+def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
+    # a rank-1 scan is one batch, one sweep of the last row under an empty
+    # prefix: entries 0..|G|-1, tables e * columns; on 3:4 and on Z(131^2),
+    # whose 17161 codes times 131 columns are the largest term table here
+    for s in (make_shape(3, [4]), make_shape(131, [2])):
+        columns = _scan_columns(s)
+        ((ents, tables),) = endo_table_batches(s)
+        assert ents.ravel().tolist() == list(range(s.order))
+        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
+    s3 = make_shape(3, [4])
+    got = _assert_table_batches_match(s3, endo_table_batches(s3))
+    assert got.ravel().tolist() == list(range(81))
+    # 131:2 against whole tables on its last two maps only
+    whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
+    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
+    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
+    assert np.array_equal(restricted, tables[-2:])
+
+
+def test_table_batches_are_whole_sweeps_on_both_routes():
+    # every batch is whole sweeps of c = |G| matrices, each sharing rows
+    # 0..n-2 and running through the same c last rows: on the endo-oracle
+    # corpus, on 131:2, and on 29:1,1, whose 152-matrix batches would cut a
+    # sweep of 841 if they were not rounded to sweeps
+    cases = [(s, None) for s in _endo_oracle_corpus()]
+    cases += [(make_shape(131, [2]), None), (make_shape(29, [1, 1]), 3)]
     for s, limit in cases:
         n, c = s.rank, s.order
         batches = list(itertools.islice(endo_table_batches(s), limit))
@@ -466,23 +496,12 @@ def test_table_batches_are_whole_sweeps_of_induced_tables():
             sweeps = ents.reshape(-1, c, n, n)
             assert (sweeps[:, :, :-1] == sweeps[:, :1, :-1]).all(), s
             assert (sweeps[:, :, -1] == ents[:c, -1]).all(), s
-        got = _assert_table_batches_match(s, batches)
-        if limit is None:
-            assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
-        else:
-            assert len(got) == limit * c, s
-            assert np.array_equal(got, _indexed_entries(s, 0, len(got))), s
-    # a rank-1 scan is one batch, one sweep: entries 0..|G|-1, tables e *
-    # columns (131:2 against whole tables on two maps only)
-    for s in (make_shape(3, [4]), make_shape(131, [2])):
-        columns = _scan_columns(s)
-        ((ents, tables),) = endo_table_batches(s)
-        assert ents.ravel().tolist() == list(range(s.order))
-        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
-    whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
-    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
-    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
-    assert np.array_equal(restricted, tables[-2:])
+        seen = sum(len(ents) for ents, _ in batches)
+        assert seen == (endo_count(s) if limit is None else limit * c), s
+    # the first three batches of 29:1,1 are the first matrices in index
+    # order, with their induced tables
+    got = _assert_table_batches_match(s, batches)
+    assert np.array_equal(got, _indexed_entries(s, 0, len(got))), s
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
