@@ -26,18 +26,21 @@ finite p-group is bijective iff no element of the socle Ω = {x != 0 : px =
 0} maps to 0, since a nontrivial kernel holds an element of order p.  The
 two must agree, and the verification harness cross-checks that they do.
 
-The harness does so exhaustively: `endo_table_batches` yields every entry
-matrix of `endo_entry_batches` with its carrier table on the |Ω| + n columns
-Ω and a_1..a_n, `bijective_flags_by_table` reads the Ω cells (no 0 among
-them), and the a_j cells are the generator images compared with the
-closure.  Image coordinate i depends on row i of the matrix alone
-(`_row_terms`), so every carrier table is the sum of its n per-row terms
-(`induced_tables_batch`: n products of a row with the coordinates, not one
-over all n^2 entries).  The last row varies fastest in the enumeration, and
-its c = |G| codes make a sweep of matrices that share rows 0..n-2; batches
-are whole sweeps, so the scan builds each row's terms over that row's codes
-once, sums rows 0..n-2 into one prefix per sweep, and adds each of the last
-row's terms to it: one add per table cell.  The harness compares the
+The harness does so exhaustively, with no carrier table built:
+`endo_scan_batches` yields every entry matrix of `endo_entry_batches` with
+its bijectivity flag and, for the bijective ones, the images of a_1..a_n,
+which are compared with the closure.  Image coordinate i depends on row i
+of the matrix alone (`_row_terms`), so every carrier table is the sum of
+its n per-row terms stride_i * (coordinate i), with no reduction between
+them (`induced_tables_batch`: n products of a row with the coordinates, not
+one over all n^2 entries).  The last row varies fastest in the enumeration,
+and its c = |G| codes make a sweep of matrices that share rows 0..n-2; the
+scan builds each row's terms on the columns Ω and a_1..a_n once, sums rows
+0..n-2 into one prefix per sweep, and pairs each prefix with each last-row
+term.  Both terms are >= 0, so a map sends x to 0 iff both of its terms are
+0 at x: it is bijective iff the zero sets of its prefix and of its last
+row's term on Ω are disjoint, one AND of packed 64-bit words per map
+(`bijective_flags_by_table`, sweep form).  The harness compares the
 generator images of the bijective maps with the closure's rows as sorted
 keys, each row packed positionally into int64 words.
 
@@ -65,10 +68,16 @@ at once: the generators that change row i get that row's `_row_terms`, one
 product of their rows i with the coordinates.  The single-entry maps
 E_i1..E_in into summand i are the identity's rows under that same
 `_row_terms`: stride_i * (p^max(0, ki - kj) * x_j mod p^ki).
+
+Random endomorphisms (`random_endo_entries`) come from the stdlib
+`random.Random`: one `randrange` per matrix row over that row's codes,
+decoded as the scan decodes its rows, so every matrix is exactly uniform;
+the program never imports `numpy.random`, whose import costs milliseconds.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from typing import Iterator
 
@@ -174,7 +183,7 @@ def endo_entry_batches(
     moduli, place = _cell_places(shape)
     c = int(moduli[-1].prod())
     step = -(-(batch_size or _batch_size(shape)) // c)  # sweeps per batch
-    last = _row_codes(moduli, place, n - 1)
+    last = _row_codes(moduli, n - 1)
     # the place values of rows 0..n-2 are multiples of c: a sweep's number
     # is its first matrix's index // c
     prefix_moduli, prefix_place = moduli[:-1].ravel(), place[:-1].ravel() // c
@@ -187,12 +196,21 @@ def endo_entry_batches(
         yield grid.reshape(-1, n, n)
 
 
-def _row_codes(moduli: np.ndarray, place: np.ndarray, i: int) -> np.ndarray:
+def _row_places(moduli: np.ndarray) -> np.ndarray:
+    """(n, n) mixed-radix place values of the cells within each matrix row,
+    the last cell varying fastest: a row's code is sum_j row[j] *
+    places[i, j], below prod_j moduli[i, j] (at most |G|)."""
+    places = np.ones_like(moduli)
+    places[:, :-1] = np.cumprod(moduli[:, :0:-1], axis=1)[:, ::-1]
+    return places
+
+
+def _row_codes(moduli: np.ndarray, i: int) -> np.ndarray:
     """Every row i of an entry matrix, reduced mod the cell moduli, as one
     (prod_j p^min(ki, kj), n) int64 array in enumeration order (the last cell
-    varying fastest); `moduli` and `place` are those of `_cell_places`."""
+    varying fastest); `moduli` are those of `_cell_places`."""
     codes = np.arange(moduli[i].prod(), dtype=np.int64)
-    return codes[:, None] // (place[i] // place[i, -1]) % moduli[i]
+    return codes[:, None] // _row_places(moduli)[i] % moduli[i]
 
 
 def _row_terms(
@@ -240,40 +258,48 @@ def induced_tables_batch(
     return out
 
 
-def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every endomorphism with its carrier table on the socle and the
-    generators, as (entries, tables) batches in `endo_entry_batches` order.
+def endo_scan_batches(
+    shape: GroupShape,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every endomorphism with its bijectivity flag, and the generator
+    images of the bijective ones, as (entries, bijective, images) batches in
+    `endo_entry_batches` order.
 
-    Tables row b holds the values of `induced_tables_batch(shape, entries,
-    columns)[b]`, as int16 up to |G| = 2^15 and int32 above (a carrier
-    index, and so every partial sum of row terms, is below |G|), for the
-    columns Ω = {x != 0 : px = 0}, in carrier order, then a_1..a_n (the
-    strides): the first |Ω| cells decide bijectivity
-    (`bijective_flags_by_table`), the last n are the generator images.
+    `bijective` holds one flag per matrix of `entries`: whether no element of
+    the socle Ω = {x != 0 : px = 0} maps to 0 (`bijective_flags_by_table`).
+    `images` holds one int row per flagged matrix, in batch order: the
+    carrier indices of its images of a_1..a_n, as int16 up to |G| = 2^15 and
+    int32 above.  No carrier table is built: a table cell is the sum of its
+    n `_row_terms`, stride_i * (image coordinate i), with no reduction
+    between them, so a map's table on a column x is its sweep's prefix (rows
+    0..n-2 summed) plus its last row's term there.
 
     The last matrix row varies fastest and has c = |G| codes (exponents
     ascend, so cell (n, j) has p^kj choices), so every batch is made of
     whole sweeps of c matrices that share rows 0..n-2: `ents[::c]` are the
     sweep heads and `ents[:c, -1]` the c last rows (`automorphism_flags`
-    reads a batch in that form).  Each row's `_row_terms` are built once, on
-    these columns, over every code of that row; rows 0..n-2 are summed by
-    outer sums into the S = |End| / |G| sweep prefixes, in enumeration order
-    (about |End| cells in all), and a batch's tables are its sweeps'
-    prefixes plus each of the c last-row terms: one add per cell.  A batch
-    of int64 entries and their tables holds about the bytes of `_batch_size`
-    matrices with whole int32 tables, or one sweep where that is more: at
-    most |G| * (8n^2 + 4(|Ω| + n)) bytes then.
+    reads a batch in that form).  Each row's `_row_terms` are built once on
+    the columns Ω and a_1..a_n over every code of that row; rows 0..n-2 are
+    summed by outer sums into the S = |End| / |G| sweep prefixes, in
+    enumeration order.  Both terms of a cell are >= 0, so the cell is 0
+    exactly when both are: a map sends x in Ω to 0 iff x lies in its
+    prefix's zero set and in its last row's, and the sweep form of
+    `bijective_flags_by_table` decides every map of a batch from those zero
+    sets, packed into 64-bit words.  A batch's int64 entries, its maps'
+    zero-set words, flags and image rows hold about the bytes of
+    `_batch_size` matrices with whole int32 tables, or one sweep where that
+    is more.
     """
     n = shape.rank
     car = carrier(shape)
     socle = np.flatnonzero(car.order_exponents() == 1)
     columns = (*socle.tolist(), *car.strides)
     dtype = np.int16 if car.n <= 1 << 15 else np.int32
-    moduli, place = _cell_places(shape)
+    moduli, _ = _cell_places(shape)
     step = _batch_size(shape)
     terms = []
     for i in range(n):
-        rows = _row_codes(moduli, place, i)
+        rows = _row_codes(moduli, i)
         table = np.empty((len(rows), len(columns)), dtype=dtype)
         for start in range(0, len(rows), step):
             table[start : start + step] = _row_terms(
@@ -284,22 +310,52 @@ def endo_table_batches(shape: GroupShape) -> Iterator[tuple[np.ndarray, np.ndarr
     prefixes = np.zeros((1, len(columns)), dtype=dtype)
     for table in upper:  # row 0 varies slowest
         prefixes = (prefixes[:, None] + table).reshape(-1, len(columns))
+    # bytes a map: int64 entries, zero-set words, a flag and an image row
     whole = step * (8 * n * n + 4 * car.n)
-    size = whole // (8 * n * n + last.itemsize * len(columns))
+    size = whole // (8 * n * n + 8 * -(-len(socle) // 64) + 1 + last.itemsize * n)
+    c = car.n
     done = 0
-    for ents in endo_entry_batches(shape, max(1, size // car.n) * car.n):
-        sweeps = prefixes[done : done + len(ents) // car.n]
+    for ents in endo_entry_batches(shape, max(1, size // c) * c):
+        sweeps = prefixes[done : done + len(ents) // c]
         done += len(sweeps)
-        yield ents, (sweeps[:, None] + last).reshape(len(ents), -1)
+        bijective = bijective_flags_by_table(sweeps[:, :-n], last[:, :-n])
+        heads, tails = np.divmod(np.flatnonzero(bijective), c)
+        yield ents, bijective, sweeps[heads, -n:] + last[tails, -n:]
 
 
-def bijective_flags_by_table(socle_images: np.ndarray) -> np.ndarray:
-    """Bijectivity flags of a (B, |Ω|) batch of endomorphisms given by the
-    carrier indices of their images of the socle Ω = {x != 0 : px = 0}: a
-    map is bijective iff none of them is 0.  A homomorphism of a finite
-    p-group is bijective iff its kernel is trivial, and a nontrivial kernel
-    holds an element of order p."""
-    return (socle_images != 0).all(axis=1)
+def _zero_words(values: np.ndarray) -> np.ndarray:
+    """The zero set of each row of a (B, m) array, as a (B, ceil(m / 64))
+    array of uint64 bit sets (bit x set iff values[b, x] == 0)."""
+    m = values.shape[1]
+    bits = np.zeros((len(values), -(-m // 64) * 64), dtype=bool)
+    np.equal(values, 0, out=bits[:, :m])
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def bijective_flags_by_table(
+    socle_images: np.ndarray, last_terms: np.ndarray | None = None
+) -> np.ndarray:
+    """Bijectivity flags of endomorphisms from their images of the socle Ω
+    = {x != 0 : px = 0}: a map is bijective iff no element of Ω maps to 0.
+    A homomorphism of a finite p-group is bijective iff its kernel is
+    trivial, and a nontrivial kernel holds an element of order p.
+
+    Pairwise form (`last_terms` None): `socle_images` is a (B, |Ω|) batch
+    of carrier indices, one flag per row, which must hold no 0.  Sweep form:
+    `socle_images` holds the (S, |Ω|) socle columns of S sweep prefixes and
+    `last_terms` the (c, |Ω|) last-row terms, both >= 0, and the map of
+    prefix s and last row l sends x to prefix[s, x] + last[l, x]; that is 0
+    iff both terms are, so the map fails iff the zero sets of its two terms
+    meet.  Each side's zero sets are packed into uint64 words
+    (`_zero_words`), and the S*c flags, head-major, are those of the maps
+    whose two sets share no bit: one AND a word per map."""
+    if last_terms is None:
+        return (socle_images != 0).all(axis=1)
+    heads, tails = _zero_words(socle_images), _zero_words(last_terms)
+    met = heads[:, None, 0] & tails[:, 0]
+    for w in range(1, heads.shape[1]):
+        met |= heads[:, None, w] & tails[:, w]
+    return (met == 0).ravel()
 
 
 # a run with more r x r blocks mod p than this expands its determinants along
@@ -689,10 +745,16 @@ def aut_closure_tables(shape: GroupShape) -> np.ndarray:
     return group
 
 
-def random_endo_entries(shape: GroupShape, rng: np.random.Generator, count: int) -> np.ndarray:
+def random_endo_entries(shape: GroupShape, rng: random.Random, count: int) -> np.ndarray:
     """`count` uniformly random entry matrices as one (count, n, n) int64
-    array, drawn in one call: cell (i, j) of each matrix is uniform in
-    0..p^min(ki, kj) - 1, and the cells are drawn in row-major order, matrix
-    after matrix, as `count * n * n` successive per-cell draws would be."""
+    array: each row i of each matrix is one `rng.randrange` over the row's
+    prod_j p^min(ki, kj) codes, matrix after matrix, decoded as `_row_codes`
+    decodes them (the last cell varying fastest), so cell (i, j) is uniform
+    in 0..p^min(ki, kj) - 1 and the cells are independent.  The stdlib
+    generator keeps `numpy.random`, which costs milliseconds to import, out
+    of the process."""
     n = shape.rank
-    return rng.integers(0, _cell_places(shape)[0], size=(count, n, n))
+    moduli, _ = _cell_places(shape)
+    sizes = moduli.prod(axis=1).tolist()
+    codes = np.array([rng.randrange(m) for _ in range(count) for m in sizes], dtype=np.int64)
+    return codes.reshape(count, n, 1) // _row_places(moduli) % moduli

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -61,9 +62,8 @@ from .endos import (
     aut_closure_tables,
     aut_generator_tables,
     automorphism_flags,
-    bijective_flags_by_table,
     endo_count,
-    endo_table_batches,
+    endo_scan_batches,
     entries_from_images,
     induced_tables_batch,
     prefix_aut_generator_tables,
@@ -706,20 +706,20 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
 
     # full closure against the filtered exhaustive enumeration, with the fast
     # invertibility test compared to the socle-kernel test on every
-    # endomorphism.  The scan behind it costs |End|·(|Ω| + n) table cells
-    # plus its rows' term tables, and of the oracle caps only the enumeration
-    # cap bounds |G|, so the closure is built only where lat is.
+    # endomorphism.  The scan behind it costs one AND of two zero sets per
+    # endomorphism plus its rows' term tables (|G|·(|Ω| + n) cells for the
+    # last row), and of the oracle caps only the enumeration cap bounds |G|,
+    # so the closure is built only where lat is.
     closure = _capped(aut_closure_tables, shape) if lat is not None else None
     if runs(closure is not None, "closure-vs-filtered-endos", "fast-aut-vs-bijective-table"):
         # compared as image rows packed into keys here rather than through
         # the closure's own rank codes, so the oracle stays independent of
-        # it; a table's last n cells are the generator images, the rest the
-        # socle's.  Batches are whole sweeps of c = |G| matrices sharing rows
-        # 0..n-2, so the fast test reads each sweep's head once
-        n, c = shape.rank, shape.order
+        # it; the scan yields the bijective maps' generator images.  Batches
+        # are whole sweeps of c = |G| matrices sharing rows 0..n-2, so the
+        # fast test reads each sweep's head once
+        c = shape.order
         filtered = []
-        for ents, tables in endo_table_batches(shape):
-            bij = bijective_flags_by_table(tables[:, :-n])
+        for ents, bij, images in endo_scan_batches(shape):
             fast = automorphism_flags(shape, ents[::c], ents[:c, -1])
             for b in np.nonzero(bij != fast)[0]:
                 out.violations.append(
@@ -731,7 +731,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
                         bijective=bool(bij[b]),
                     )
                 )
-            filtered.append(tables[bij, -n:])
+            filtered.append(images)
         closure_keys = _sorted_keys(closure, shape.order)
         repeated = (closure_keys[1:] == closure_keys[:-1]).all(axis=1)
         closure_keys = closure_keys[np.concatenate(([True], ~repeated))]
@@ -751,8 +751,7 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
     # fully-invariant flags against sampled random endomorphisms
     scanned = lat is not None and len(lat.subgroups) <= _SUBGROUP_SCAN_LIMIT
     if runs(scanned, "fi-flag-vs-random-endos"):
-        rng = np.random.default_rng(_shape_seed(shape))
-        ents = random_endo_entries(shape, rng, _SAMPLED_ENDOS)
+        ents = random_endo_entries(shape, random.Random(_shape_seed(shape)), _SAMPLED_ENDOS)
         rows = induced_tables_batch(shape, ents)
         kept = stable_flags(shape, [h.mask for h in lat.subgroups], rows)
         for h, f, k in zip(lat.subgroups, lat.fi_flags, kept):

@@ -281,14 +281,18 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
                 low = cand & -cand
                 x = low.bit_length() - 1
                 cand ^= low
-                # K = H + <x>, built as the union of the p cosets H + j*x
+                # K = H + <x>, the union of the p cosets H + j*x, each the
+                # one before it shifted by x: one add row per x, and no list
+                # for the last coset (so none at all for p = 2)
                 k = hmask
-                cur = x
-                for _ in range(p - 1):
-                    row = car.add_row(cur)
-                    for m in members:
-                        k |= 1 << row[m]
-                    cur = row[x]
+                row = car.add_row(x)
+                coset = members
+                for _ in range(p - 2):
+                    coset = [row[m] for m in coset]
+                    for m in coset:
+                        k |= 1 << m
+                for m in coset:
+                    k |= 1 << row[m]
                 found.add(k)
                 # anything inside K with p*x' in H spans K again; skip it
                 cand &= ~k

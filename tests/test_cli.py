@@ -257,6 +257,25 @@ def test_huge_exponent_sum_exits_on_the_carrier_cap(command, sum_):
     assert f"carrier cap exceeded: needs 2^{sum_}," in done.stderr
 
 
+def test_verify_all_never_imports_numpy_random():
+    # importing numpy.random costs milliseconds a request; the sampled
+    # endomorphisms come from the stdlib generator.  A fresh process, since
+    # this test process may have imported it already
+    script = (
+        "import sys\n"
+        "from pgroups.cli import run\n"
+        "code = run(['verify', '--p', '2', '--max-order', '16', '--claims', 'all'])\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.count('"claim_id"') == 21
+
+
 def test_prime_beyond_the_exact_bound_is_a_usage_error(capsys):
     assert run(["classify", "--p", str(10 ** 25 + 13), "--partition", "1"]) == 2
     assert "decided exactly only below" in capsys.readouterr().err

@@ -10,6 +10,7 @@ and against the whole-table closure `dumb_aut_closure`.
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from pgroups.endos import (
     bijective_flags_by_table,
     endo_count,
     endo_entry_batches,
-    endo_table_batches,
+    endo_scan_batches,
     entries_from_images,
     induced_tables_batch,
     prefix_aut_generator_tables,
@@ -78,12 +79,13 @@ def _socle(s):
 
 
 def _scan_columns(s):
-    """The columns of an `endo_table_batches` table: the socle, then a_1..a_n."""
+    """The columns the scan builds its row terms on: the socle, then
+    a_1..a_n."""
     return _socle(s) + list(carrier(s).strides)
 
 
 def test_induced_table_matches_dumb_table(endo_oracle_shapes):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for s in endo_oracle_shapes:
         ents = random_endo_entries(s, rng, 25)
         got = induced_tables_batch(s, ents).tolist()
@@ -93,7 +95,7 @@ def test_induced_table_matches_dumb_table(endo_oracle_shapes):
 def test_compose_and_add_match_tables():
     s = make_shape(2, [1, 2])
     car = carrier(s)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     e1, e2 = random_endo_entries(s, rng, 40), random_endo_entries(s, rng, 40)
     t1, t2 = induced_tables_batch(s, e1), induced_tables_batch(s, e2)
     # m1 after m2 is the endomorphism with the composed generator images,
@@ -123,9 +125,9 @@ def test_fast_automorphism_test_vs_bijectivity(endo_oracle_shapes):
     for s in endo_oracle_shapes:
         bij = [len(set(t)) == s.order for t in all_dumb_endo_tables(s)]
         fast, by_table = [], []
-        for ents, tables in endo_table_batches(s):
+        for ents, bijective, _ in endo_scan_batches(s):
             fast.extend(automorphism_flags(s, ents).tolist())
-            by_table.extend(bijective_flags_by_table(tables[:, : -s.rank]).tolist())
+            by_table.extend(bijective.tolist())
         assert fast == bij
         assert by_table == bij
 
@@ -264,8 +266,8 @@ def test_aut_closure_cap(monkeypatch):
 
 def test_random_endo_is_seeded_and_valid():
     s = make_shape(2, [1, 1, 2])
-    a = random_endo_entries(s, np.random.default_rng(5), 20)
-    b = random_endo_entries(s, np.random.default_rng(5), 20)
+    a = random_endo_entries(s, random.Random(5), 20)
+    b = random_endo_entries(s, random.Random(5), 20)
     assert np.array_equal(a, b)
     for m in a.tolist():
         for i in range(s.rank):
@@ -386,27 +388,30 @@ def _whole_table_bijective(s, entries):
 
 def test_scan_flags_and_images_match_whole_tables():
     # ties the socle-kernel test to the definition on every endomorphism of
-    # the corpus, and the scan's last n columns to the generator images
+    # the corpus, and the scan's images to the bijective maps' generator
+    # images
     rng = np.random.default_rng(22)
     shapes = _endo_oracle_corpus()
     for s in shapes:
-        n = s.rank
         strides = list(carrier(s).strides)
-        for ents, tables in endo_table_batches(s):
-            flags = bijective_flags_by_table(tables[:, :-n])
+        for ents, flags, images in endo_scan_batches(s):
             assert np.array_equal(flags, _whole_table_bijective(s, ents)), s
             some = rng.integers(0, len(ents), size=4)
             assert flags[some].tolist() == _dumb_bijective(s, ents[some]), s
-            images = induced_tables_batch(s, ents)[:, strides]
-            assert np.array_equal(tables[:, -n:], images), s
+            assert np.array_equal(images, induced_tables_batch(s, ents[flags])[:, strides]), s
 
 
-def _assert_table_batches_match(s, batches):
-    columns = _scan_columns(s)
+def _assert_scan_batches_match(s, batches):
+    """Each batch's flags against the pairwise form on its induced tables'
+    socle columns, and its images against those tables' generator columns
+    at the flagged maps; returns the batches' entries, concatenated."""
+    socle, strides = _socle(s), list(carrier(s).strides)
     entries = []
-    for ents, tables in batches:
-        assert tables.shape == (len(ents), len(columns))
-        assert np.array_equal(tables, induced_tables_batch(s, ents)[:, columns]), s
+    for ents, bijective, images in batches:
+        tables = induced_tables_batch(s, ents)
+        assert bijective.shape == (len(ents),) and bijective.dtype == bool
+        assert np.array_equal(bijective, bijective_flags_by_table(tables[:, socle])), s
+        assert np.array_equal(images, tables[bijective][:, strides]), s
         entries.append(ents)
     return np.concatenate(entries)
 
@@ -419,24 +424,26 @@ def test_table_batches_are_int16_with_the_int32_values():
         make_shape(3, [1, 5]),  # indices up to 728
     ]
     for s in shapes:
-        columns = _scan_columns(s)
-        for ents, tables in endo_table_batches(s):
-            want = induced_tables_batch(s, ents)[:, columns]
-            assert tables.dtype == np.int16 and want.dtype == np.int32, s
-            assert np.array_equal(tables.astype(np.int32), want), s
-    # above |G| = 2^15 the tables are int32: on Z(2^16), x -> e*x
+        strides = list(carrier(s).strides)
+        for ents, bijective, images in endo_scan_batches(s):
+            want = induced_tables_batch(s, ents[bijective])[:, strides]
+            assert images.dtype == np.int16 and want.dtype == np.int32, s
+            assert np.array_equal(images.astype(np.int32), want), s
+    # above |G| = 2^15 the images are int32: on Z(2^16), x -> e*x is
+    # bijective iff e is odd, and sends a_1 to e
     s = make_shape(2, [16])
-    columns = _scan_columns(s)
-    assert columns == [1 << 15, 1]
-    ((ents, tables),) = endo_table_batches(s)
-    assert tables.dtype == np.int32
+    assert _scan_columns(s) == [1 << 15, 1]
+    ((ents, bijective, images),) = endo_scan_batches(s)
+    assert images.dtype == np.int32
     e = ents[:, 0, 0]
     assert np.array_equal(e, np.arange(1 << 16))
-    assert np.array_equal(tables, np.stack([e * (1 << 15) % (1 << 16), e], axis=1))
+    assert np.array_equal(bijective, e % 2 == 1)
+    assert np.array_equal(images[:, 0], e[bijective])
 
 
 # largest ents.nbytes + tables.nbytes of one batch of whole int32 carrier
-# tables at the batch sizes of `_batch_size`: the scan's batches hold no more
+# tables at the batch sizes of `_batch_size`: a scan batch, with its maps'
+# zero-set words (ceil(|Ω| / 64) words of 8 bytes a map), holds no more
 _INT32_BATCH_BYTES = {
     (3, (1, 1, 3)): 253692,
     (2, (1, 1, 1, 1)): 393216,
@@ -445,63 +452,115 @@ _INT32_BATCH_BYTES = {
 
 
 def test_table_batches_hold_no_more_bytes_than_int32_batches():
-    # narrower tables must not turn into batches of more bytes
+    # dropping the tables must not turn into batches of more bytes
     for (p, exps), limit in _INT32_BATCH_BYTES.items():
         s = make_shape(p, list(exps))
-        sizes = [ents.nbytes + tables.nbytes for ents, tables in endo_table_batches(s)]
+        words = -(-len(_socle(s)) // 64)
+        sizes = [
+            ents.nbytes + bijective.nbytes + images.nbytes + 8 * words * len(ents)
+            for ents, bijective, images in endo_scan_batches(s)
+        ]
         assert max(sizes) <= limit, (s, max(sizes))
 
 
 def test_table_batches_match_entry_batches():
     # every endomorphism of the endo-oracle corpus, in `endo_entry_batches`
-    # order, with its induced table on the scan's columns
+    # order, with its flag and, if bijective, its generator images
     shapes = _endo_oracle_corpus()
     assert any(s.rank >= 3 for s in shapes) and any(s.prime == 3 for s in shapes)
     for s in shapes:
-        got = _assert_table_batches_match(s, endo_table_batches(s))
+        got = _assert_scan_batches_match(s, endo_scan_batches(s))
         assert np.array_equal(got, np.concatenate(list(endo_entry_batches(s)))), s
 
 
 def test_table_batches_sweep_rank_1_and_fall_back_over_the_row_table_budget():
     # a rank-1 scan is one batch, one sweep of the last row under an empty
-    # prefix: entries 0..|G|-1, tables e * columns; on 3:4 and on Z(131^2),
-    # whose 17161 codes times 131 columns are the largest term table here
+    # prefix: entries 0..|G|-1, x -> e*x bijective iff p does not divide e,
+    # sending a_1 to e; on 3:4 and on Z(131^2), whose 17161 codes times 131
+    # columns are the largest term table here
     for s in (make_shape(3, [4]), make_shape(131, [2])):
-        columns = _scan_columns(s)
-        ((ents, tables),) = endo_table_batches(s)
-        assert ents.ravel().tolist() == list(range(s.order))
-        assert np.array_equal(tables, ents[:, 0] * np.array(columns) % s.order)
+        ((ents, bijective, images),) = endo_scan_batches(s)
+        e = ents[:, 0, 0]
+        assert e.tolist() == list(range(s.order))
+        assert np.array_equal(bijective, e % s.prime != 0)
+        assert np.array_equal(images[:, 0], e[bijective])
     s3 = make_shape(3, [4])
-    got = _assert_table_batches_match(s3, endo_table_batches(s3))
+    got = _assert_scan_batches_match(s3, endo_scan_batches(s3))
     assert got.ravel().tolist() == list(range(81))
     # 131:2 against whole tables on its last two maps only
     whole = [dumb_endo_table(s, e.tolist()) for e in ents[-2:]]
-    restricted = induced_tables_batch(s, ents[-2:], tuple(columns))
-    assert [[t[x] for x in columns] for t in whole] == restricted.tolist()
-    assert np.array_equal(restricted, tables[-2:])
+    assert [len(set(t)) == s.order for t in whole] == bijective[-2:].tolist() == [True, True]
+    assert [[t[1]] for t in whole] == images[-2:].tolist()
 
 
 def test_table_batches_are_whole_sweeps_on_both_routes():
     # every batch is whole sweeps of c = |G| matrices, each sharing rows
     # 0..n-2 and running through the same c last rows: on the endo-oracle
-    # corpus, on 131:2, and on 29:1,1, whose 152-matrix batches would cut a
+    # corpus, on 131:2, and on 29:1,1, whose 1754-matrix batches would cut a
     # sweep of 841 if they were not rounded to sweeps
     cases = [(s, None) for s in _endo_oracle_corpus()]
     cases += [(make_shape(131, [2]), None), (make_shape(29, [1, 1]), 3)]
     for s, limit in cases:
         n, c = s.rank, s.order
-        batches = list(itertools.islice(endo_table_batches(s), limit))
-        for ents, _ in batches:
+        batches = list(itertools.islice(endo_scan_batches(s), limit))
+        for ents, *_ in batches:
             assert len(ents) % c == 0, s
             sweeps = ents.reshape(-1, c, n, n)
             assert (sweeps[:, :, :-1] == sweeps[:, :1, :-1]).all(), s
             assert (sweeps[:, :, -1] == ents[:c, -1]).all(), s
-        seen = sum(len(ents) for ents, _ in batches)
-        assert seen == (endo_count(s) if limit is None else limit * c), s
+        seen = sum(len(ents) for ents, *_ in batches)
+        assert seen == (endo_count(s) if limit is None else 2 * limit * c), s
     # the first three batches of 29:1,1 are the first matrices in index
-    # order, with their induced tables
-    got = _assert_table_batches_match(s, batches)
+    # order, with their flags and images
+    got = _assert_scan_batches_match(s, batches)
     assert np.array_equal(got, _indexed_entries(s, 0, len(got))), s
+
+
+def _sweep_terms(s, ents):
+    """The socle columns of the sweep prefixes of a batch of whole sweeps
+    (each head with its last row 0) and of its c last-row terms (each last
+    row with rows 0..n-2 0): a map's table is the sum of its two terms."""
+    c, socle = s.order, tuple(_socle(s))
+    heads, lasts = ents[::c].copy(), np.zeros_like(ents[:c])
+    heads[:, -1] = 0
+    lasts[:, -1] = ents[:c, -1]
+    return induced_tables_batch(s, heads, socle), induced_tables_batch(s, lasts, socle)
+
+
+def test_sweep_bijectivity_matches_the_pairwise_form():
+    # every endomorphism of p=2 <= 32, p=3 <= 243 and p=11 <= 121; 11:1,1
+    # has |Ω| = 120, so its zero sets take two words.  Zeroing one last-row
+    # term of the last socle column flips the same flags in both forms: those
+    # of the bijective maps with that last row whose prefix is 0 there
+    shapes = [
+        s
+        for p, max_order in ((2, 32), (3, 243), (11, 121))
+        for s in build_corpus(p, max_order).shapes
+        if endo_count(s) <= endo_oracle_cap()
+    ]
+    assert max(len(_socle(s)) for s in shapes) == 120
+    flipped = 0
+    for s in shapes:
+        socle, c = tuple(_socle(s)), s.order
+        for ents, bijective, _ in endo_scan_batches(s):
+            tables = induced_tables_batch(s, ents, socle)
+            pairwise = bijective_flags_by_table(tables)
+            assert np.array_equal(bijective, pairwise), s
+            prefix, last = _sweep_terms(s, ents)
+            assert np.array_equal((prefix[:, None] + last).reshape(tables.shape), tables), s
+            assert np.array_equal(bijective_flags_by_table(prefix, last), pairwise), s
+            x = len(socle) - 1
+            nonzero = np.flatnonzero(last[:, x])
+            if not len(nonzero):
+                continue
+            l = nonzero[len(nonzero) // 2]
+            last[l, x] = 0
+            tampered = bijective_flags_by_table((prefix[:, None] + last).reshape(tables.shape))
+            assert np.array_equal(bijective_flags_by_table(prefix, last), tampered), s
+            changed = np.flatnonzero(tampered != pairwise)
+            assert (changed % c == l).all() and not tampered[changed].any(), s
+            flipped += len(changed)
+    assert flipped > 0
 
 
 def test_bijective_flags_match_scalar(endo_oracle_shapes):
@@ -629,14 +688,14 @@ def test_automorphism_flags_by_recursive_expansion_over_both_tables(monkeypatch)
 
 
 def _assert_sweep_form_matches(s, rng, dumb=None):
-    """The sweep form on every batch of `endo_table_batches(s)` against the
+    """The sweep form on every batch of `endo_scan_batches(s)` against the
     per-matrix form and the socle test, and against `_dumb_bijective` on
     `dumb` random matrices of each batch (all of them if None)."""
     c = s.order
-    for ents, tables in endo_table_batches(s):
+    for ents, bijective, _ in endo_scan_batches(s):
         sweep = automorphism_flags(s, ents[::c], ents[:c, -1])
         assert np.array_equal(sweep, automorphism_flags(s, ents)), s
-        assert np.array_equal(sweep, bijective_flags_by_table(tables[:, : -s.rank])), s
+        assert np.array_equal(sweep, bijective), s
         some = np.arange(len(ents)) if dumb is None else rng.integers(0, len(ents), dumb)
         assert sweep[some].tolist() == _dumb_bijective(s, ents[some]), s
 

@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import itertools
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -611,29 +613,33 @@ def test_expansion_oracle_catches_a_flipped_minor_entry(monkeypatch):
     assert {w["fast"] for _, w in want[1:]} == {True, False}
 
 
-def _tamper_one_automorphism(monkeypatch, column, value):
-    """Route the oracle's scan through a copy that writes `value` into
-    `column` of the first automorphism's table; returns the tampered
-    matrices."""
-    real = harness_mod.endo_table_batches
+def _tamper_one_automorphism(monkeypatch, tamper):
+    """Route the oracle's scan through a copy that passes the batch holding
+    the first automorphism through `tamper(bijective, images, b)`, b being
+    that automorphism's place in the batch (its image is images[0]);
+    returns the tampered matrices."""
+    real = harness_mod.endo_scan_batches
     tampered = []
 
     def batches(shape):
-        for ents, tables in real(shape):
-            auts = np.nonzero(endos_mod.automorphism_flags(shape, ents))[0]
-            if not tampered and len(auts):
-                tables = tables.copy()
-                tables[auts[0], column] = value
-                tampered.append(ents[auts[0]].tolist())
-            yield ents, tables
+        for ents, bijective, images in real(shape):
+            if not tampered and bijective.any():
+                b = int(np.flatnonzero(bijective)[0])
+                bijective, images = tamper(bijective.copy(), images.copy(), b)
+                tampered.append(ents[b].tolist())
+            yield ents, bijective, images
 
-    monkeypatch.setattr(harness_mod, "endo_table_batches", batches)
+    monkeypatch.setattr(harness_mod, "endo_scan_batches", batches)
     return tampered
 
 
 def test_scan_oracle_catches_a_socle_element_sent_to_zero(monkeypatch):
-    # the first column is the image of the first socle element
-    tampered = _tamper_one_automorphism(monkeypatch, 0, 0)
+    # a socle element sent to 0 clears the map's flag and drops its image
+    def drop(bijective, images, b):
+        bijective[b] = False
+        return bijective, images[1:]
+
+    tampered = _tamper_one_automorphism(monkeypatch, drop)
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
     r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail"
@@ -656,7 +662,11 @@ def test_scan_oracle_catches_a_socle_element_sent_to_zero(monkeypatch):
 
 def test_scan_oracle_catches_a_wrong_generator_image(monkeypatch):
     # the last column is the image of a_2; an automorphism never sends it to 0
-    tampered = _tamper_one_automorphism(monkeypatch, -1, 0)
+    def zero_last_image(bijective, images, b):
+        images[0, -1] = 0
+        return bijective, images
+
+    tampered = _tamper_one_automorphism(monkeypatch, zero_last_image)
     corpus = harness_mod.Corpus(2, 8, (make_shape(2, [1, 2]),))
     r = run_claims(["oracle-crosscheck"], corpus)[0]
     assert r.status == "fail" and len(tampered) == 1
@@ -679,19 +689,28 @@ def test_sampled_endos_are_the_scalar_draws():
     ]
     n_sampled = harness_mod._SAMPLED_ENDOS
     for s in shapes:
-        batch_rng = np.random.default_rng(_shape_seed(s))
-        scalar_rng = np.random.default_rng(_shape_seed(s))
+        batch_rng = random.Random(_shape_seed(s))
+        scalar_rng = random.Random(_shape_seed(s))
         got = endos_mod.random_endo_entries(s, batch_rng, n_sampled)
-        # one draw per cell, row-major, matrix after matrix
+        # one draw per row over the row's codes, row-major, matrix after
+        # matrix, read as mixed-radix digits with the last cell fastest
         moduli = [[s.prime ** min(ki, kj) for kj in s.exponents] for ki in s.exponents]
+
+        def decode(code, row):
+            digits = []
+            for m in reversed(row):
+                code, digit = divmod(code, m)
+                digits.append(digit)
+            return digits[::-1]
+
         want = [
-            [[int(scalar_rng.integers(0, m)) for m in row] for row in moduli]
+            [decode(scalar_rng.randrange(math.prod(row)), row) for row in moduli]
             for _ in range(n_sampled)
         ]
         assert got.shape == (n_sampled, s.rank, s.rank)
         assert got.tolist() == want, s
         # the same stream: both generators stand at the same place afterwards
-        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state, s
+        assert batch_rng.getstate() == scalar_rng.getstate(), s
 
 
 def test_custom_claim_runs_through_registry(monkeypatch):

@@ -126,6 +126,16 @@ def test_span_reads_one_add_row_per_generator():
     assert list(car._add_rows) == [1]
 
 
+def test_enumeration_reads_one_add_row_per_extension():
+    # the walk builds K = H + <x> coset by coset from the add row of x alone;
+    # on Z(4093) a row for each multiple j*x would be 4092 rows of 4093 ints
+    s = make_shape(4093, [1])
+    car = carrier(s)
+    car._add_rows.clear()
+    assert [h.mask for h in enumerate_subgroups(s)] == [1, car.full_mask]
+    assert len(car._add_rows) <= 1
+
+
 def test_canonical_generators_regenerate():
     for s in [make_shape(2, [1, 3]), make_shape(2, [1, 1, 2]), make_shape(3, [1, 2])]:
         for h in enumerate_subgroups(s):
