@@ -285,10 +285,11 @@ def endo_scan_batches(
     exactly when both are: a map sends x in Ω to 0 iff x lies in its
     prefix's zero set and in its last row's, and the sweep form of
     `bijective_flags_by_table` decides every map of a batch from those zero
-    sets, packed into 64-bit words.  A batch's int64 entries, its maps'
-    zero-set words, flags and image rows hold about the bytes of
-    `_batch_size` matrices with whole int32 tables, or one sweep where that
-    is more.
+    sets, packed into 64-bit words (the last rows' once per shape).  The
+    arrays a batch allocates (entries, zero-set words and their AND, flags,
+    index pairs and image rows, counted as if every map were bijective)
+    hold together no more bytes than `_batch_size` matrices with whole int32
+    tables, or one sweep where that is more.
     """
     n = shape.rank
     car = carrier(shape)
@@ -310,16 +311,22 @@ def endo_scan_batches(
     prefixes = np.zeros((1, len(columns)), dtype=dtype)
     for table in upper:  # row 0 varies slowest
         prefixes = (prefixes[:, None] + table).reshape(-1, len(columns))
-    # bytes a map: int64 entries, zero-set words, a flag and an image row
+    c, words = car.n, -(-len(socle) // 64)
+    last_zeros = _zero_words(last[:, :-n])
+    # bytes a batch allocates: for each map its int64 entries, the AND of
+    # its two zero sets (and one temporary while a second word is ORed in),
+    # its flag and, were it bijective, its (sweep, last row) pair and three
+    # image rows (two gathers and their sum); for each sweep its number, two
+    # int64 copies of rows 0..n-2, its zero-set words and their unpacked bits
+    per_map = 8 * n * n + 8 * min(words, 2) + 1 + 16 + 3 * n * last.itemsize
+    per_sweep = 8 + 16 * (n - 1) * n + 72 * words
     whole = step * (8 * n * n + 4 * car.n)
-    size = whole // (8 * n * n + 8 * -(-len(socle) // 64) + 1 + last.itemsize * n)
-    c = car.n
     done = 0
-    for ents in endo_entry_batches(shape, max(1, size // c) * c):
+    for ents in endo_entry_batches(shape, max(1, whole // (c * per_map + per_sweep)) * c):
         sweeps = prefixes[done : done + len(ents) // c]
         done += len(sweeps)
-        bijective = bijective_flags_by_table(sweeps[:, :-n], last[:, :-n])
-        heads, tails = np.divmod(np.flatnonzero(bijective), c)
+        bijective = bijective_flags_by_table(sweeps[:, :-n], last_zeros)
+        heads, tails = np.nonzero(bijective.reshape(-1, c))
         yield ents, bijective, sweeps[heads, -n:] + last[tails, -n:]
 
 
@@ -333,25 +340,26 @@ def _zero_words(values: np.ndarray) -> np.ndarray:
 
 
 def bijective_flags_by_table(
-    socle_images: np.ndarray, last_terms: np.ndarray | None = None
+    socle_images: np.ndarray, last_zeros: np.ndarray | None = None
 ) -> np.ndarray:
     """Bijectivity flags of endomorphisms from their images of the socle Ω
     = {x != 0 : px = 0}: a map is bijective iff no element of Ω maps to 0.
     A homomorphism of a finite p-group is bijective iff its kernel is
     trivial, and a nontrivial kernel holds an element of order p.
 
-    Pairwise form (`last_terms` None): `socle_images` is a (B, |Ω|) batch
+    Pairwise form (`last_zeros` None): `socle_images` is a (B, |Ω|) batch
     of carrier indices, one flag per row, which must hold no 0.  Sweep form:
     `socle_images` holds the (S, |Ω|) socle columns of S sweep prefixes and
-    `last_terms` the (c, |Ω|) last-row terms, both >= 0, and the map of
-    prefix s and last row l sends x to prefix[s, x] + last[l, x]; that is 0
-    iff both terms are, so the map fails iff the zero sets of its two terms
-    meet.  Each side's zero sets are packed into uint64 words
-    (`_zero_words`), and the S*c flags, head-major, are those of the maps
-    whose two sets share no bit: one AND a word per map."""
-    if last_terms is None:
+    `last_zeros` the zero sets of c last-row terms on Ω, packed by
+    `_zero_words` (the scan packs them once per shape); both terms are >= 0,
+    and the map of prefix s and last row l sends x to prefix[s, x] +
+    last[l, x], which is 0 iff both terms are, so the map fails iff the zero
+    sets of its two terms meet.  The prefixes' zero sets are packed the same
+    way, and the S*c flags, head-major, are those of the maps whose two sets
+    share no bit: one AND a word per map."""
+    if last_zeros is None:
         return (socle_images != 0).all(axis=1)
-    heads, tails = _zero_words(socle_images), _zero_words(last_terms)
+    heads, tails = _zero_words(socle_images), last_zeros
     met = heads[:, None, 0] & tails[:, 0]
     for w in range(1, heads.shape[1]):
         met |= heads[:, None, w] & tails[:, w]

@@ -5,7 +5,10 @@ A :class:`Subgroup` is a membership bitmask over the carrier's dense index.
 the subgroups of order p^m, and each is extended by candidate elements x with
 p*x in H (every index-p overgroup of H is H + <x> for such an x, and every
 subgroup of order p^(m+1) is an index-p overgroup of something on level m, so
-the walk is exhaustive).  No algebraic shortcut feeds this walk; it is the
+the walk is exhaustive).  On p = 2, H + <x> is H and H + x, read off the
+add row of x; on odd p each coset H + j*x is the one before it moved by x
+as a whole mask, one shift pair per nonzero coordinate of x, so no add row
+is read.  No algebraic shortcut feeds this walk; it is the
 oracle layer the structured routes are cross-checked against.
 `subgroup_count` gives the number of subgroups it lists in closed form.
 
@@ -266,6 +269,21 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
     for x, t in enumerate(mulp):
         premask[t] |= 1 << x
 
+    coords = car.coords_mat.T.tolist()
+    moves: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def move(i: int, c: int) -> tuple[int, int, int]:
+        # adding c to coordinate i (radix r, stride s) moves the bits whose
+        # coordinate i is below r - c up by c*s and wraps the rest down by
+        # (r - c)*s; those low bits are the first (r - c)*s of every block
+        # of r*s
+        got = moves.get((i, c))
+        if got is None:
+            r, s = car.radices[i], car.strides[i]
+            below = car.full_mask // ((1 << (r * s)) - 1) * ((1 << ((r - c) * s)) - 1)
+            got = moves[i, c] = (below, c * s, (r - c) * s)
+        return got
+
     key = enumeration_key(shape)
     all_masks = [1]
     frontier = [1]
@@ -281,18 +299,22 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
                 low = cand & -cand
                 x = low.bit_length() - 1
                 cand ^= low
-                # K = H + <x>, the union of the p cosets H + j*x, each the
-                # one before it shifted by x: one add row per x, and no list
-                # for the last coset (so none at all for p = 2)
                 k = hmask
-                row = car.add_row(x)
-                coset = members
-                for _ in range(p - 2):
-                    coset = [row[m] for m in coset]
-                    for m in coset:
-                        k |= 1 << m
-                for m in coset:
-                    k |= 1 << row[m]
+                if p == 2:
+                    # K = H + (H + x), read off the add row of x
+                    row = car.add_row(x)
+                    for m in members:
+                        k |= 1 << row[m]
+                else:
+                    # K = H + <x>, the union of the p cosets H + j*x, each
+                    # the one before it moved by x as a whole mask
+                    steps = [move(i, c) for i, c in enumerate(coords[x]) if c]
+                    coset = hmask
+                    for _ in range(p - 1):
+                        for below, up, down in steps:
+                            part = coset & below
+                            coset = (part << up) | ((coset ^ part) >> down)
+                        k |= coset
                 found.add(k)
                 # anything inside K with p*x' in H spans K again; skip it
                 cand &= ~k

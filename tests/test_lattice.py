@@ -126,15 +126,33 @@ def test_span_reads_one_add_row_per_generator():
     assert list(car._add_rows) == [1]
 
 
-def test_enumeration_reads_one_add_row_per_extension():
-    # the walk builds K = H + <x> coset by coset from the add row of x alone;
-    # on Z(4093) a row for each multiple j*x would be 4092 rows of 4093 ints
+def test_odd_enumeration_reads_no_add_rows():
+    # on odd p the walk moves each coset H + j*x as a mask, so it caches no
+    # add row: on Z(4093) a row for each multiple j*x would be 4092 rows of
+    # 4093 ints.  On mixed radices the masks are as many as the closed form
+    # counts, and closed under H -> H + <x> for p*x in H (the union of the
+    # cosets H + j*x, j < p) taken from add rows
     s = make_shape(4093, [1])
     car = carrier(s)
     car._add_rows.clear()
     assert [h.mask for h in enumerate_subgroups(s)] == [1, car.full_mask]
-    assert len(car._add_rows) <= 1
-
+    assert not car._add_rows
+    for s in [make_shape(3, [1, 1, 2]), make_shape(5, [1, 2]), make_shape(7, [1, 1])]:
+        car = carrier(s)
+        car._add_rows.clear()
+        masks = {h.mask for h in enumerate_subgroups(s)}
+        assert not car._add_rows and len(masks) == subgroup_count(s), s
+        for h in masks:
+            members = mask_members(h)
+            for x in range(car.n):
+                if not h >> car.mul_row(s.prime)[x] & 1:
+                    continue
+                k = h
+                for m in members:
+                    for _ in range(s.prime - 1):
+                        m = car.add_row(x)[m]
+                        k |= 1 << m
+                assert k in masks, (s, h, x)
 
 def test_canonical_generators_regenerate():
     for s in [make_shape(2, [1, 3]), make_shape(2, [1, 1, 2]), make_shape(3, [1, 2])]:
