@@ -14,7 +14,7 @@ in minutes, and each can be overridden by an environment variable:
                              kinds never enumerate)
     PGROUPS_SUBGROUP_CAP     max number of subgroups for full subgroup
                              enumeration (the closed-form count, read
-                             before the walk starts; same callers as
+                             before enumeration starts; same callers as
                              PGROUPS_ENUM_CAP)
     PGROUPS_ENDO_ORACLE_CAP  max |End(G)| for exhaustive endo enumeration
     PGROUPS_AUT_CLOSURE_CAP  max closure size when expanding Aut generators

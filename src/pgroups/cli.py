@@ -94,24 +94,31 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = make_shape(args.p, _parse_partition(args.partition))
     if args.kind == "all":
         lat = LatticeStore(args.cache).get(shape)
+        count = len(lat.subgroups)
         listed = zip(lat.subgroups, lat.char_flags, lat.fi_flags)
     else:
         # both routes list their subgroups in the lattice's order
         char, fi = characteristic_from_orbits(shape), fi_from_profiles(shape)
         char_set, fi_set = set(char), set(fi)
         route = char if args.kind == "characteristic" else fi
+        count = len(route)
         listed = ((h, h in char_set, h in fi_set) for h in route)
-    entries = [
-        subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f}
-        for h, c, f in listed
-    ]
-    payload = {
-        "shape": format_shape(shape),
-        "kind": args.kind,
-        "count": len(entries),
-        "subgroups": entries,
-    }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # the text of json.dumps(payload, sort_keys=True, indent=2) with payload
+    # {"count", "kind", "shape", "subgroups"}, written one subgroup at a time
+    # so no list of every descriptor is held; each kind lists at least the
+    # trivial subgroup, so the list is never empty
+    head = {"count": count, "kind": args.kind, "shape": format_shape(shape)}
+    out = sys.stdout
+    out.write("{\n")
+    for name, value in sorted(head.items()):
+        out.write(f"  {json.dumps(name)}: {json.dumps(value)},\n")
+    out.write('  "subgroups": [\n')
+    sep = "    "
+    for h, c, f in listed:
+        entry = subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f}
+        out.write(sep + json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    "))
+        sep = ",\n    "
+    out.write("\n  ]\n}\n")
     return EXIT_OK
 
 

@@ -154,7 +154,8 @@ def _lattice_disagreements(lat: ShapeLattice) -> list[dict]:
     `oracle-crosscheck` witnesses: its fully invariant flags against the
     profile route, its characteristic flags against the orbit route (each
     flagged list in lattice order) and its length against
-    `subgroup_count`.  Only the flagged masks are listed."""
+    `subgroup_count`, with its masks in strictly increasing
+    `enumeration_key` order.  Only the flagged masks are listed."""
     shape = lat.shape
     out = []
     profile_masks = [h.mask for h in fi_from_profiles(shape)]
@@ -181,15 +182,21 @@ def _lattice_disagreements(lat: ShapeLattice) -> list[dict]:
                 detail="orbit route and generator flags disagree",
             )
         )
+    # a repeated subgroup breaks the strict order even where a dropped one
+    # keeps the count
     count = subgroup_count(shape)
-    if len(lat.subgroups) != count:
+    keys = list(map(enumeration_key(shape), (h.mask for h in lat.subgroups)))
+    in_order = all(a < b for a, b in zip(keys, keys[1:]))
+    if len(lat.subgroups) != count or not in_order:
         out.append(
             _violation(
                 shape,
                 check="lattice-count-vs-birkhoff",
                 enumerated=len(lat.subgroups),
                 birkhoff=count,
-                detail="enumerated lattice and closed-form count disagree",
+                in_order=in_order,
+                detail="enumerated lattice is not the closed-form count of"
+                " subgroups in strictly increasing enumeration order",
             )
         )
     return out
@@ -216,12 +223,11 @@ class LatticeStore:
     def _load(self, shape: GroupShape) -> Optional[ShapeLattice]:
         """The cached lattice, or None (so it is recomputed) when the entry is
         absent, does not rebuild into subgroups of `shape` (a mask without
-        the zero element or wider than the carrier), does not list each mask
-        once in `enumeration_key` order, or fails the comparison that
-        `oracle-crosscheck` reports (`_lattice_disagreements`: a length other
-        than `subgroup_count(shape)`, or other subgroups flagged
-        characteristic or fully invariant than the orbit and profile routes
-        give).  No iso type is stored: each subgroup computes its type from
+        the zero element or wider than the carrier), or fails the comparison
+        that `oracle-crosscheck` reports (`_lattice_disagreements`: a length
+        other than `subgroup_count(shape)`, masks not each listed once in
+        `enumeration_key` order, or other subgroups flagged characteristic
+        or fully invariant than the orbit and profile routes give).  No iso type is stored: each subgroup computes its type from
         its mask.  Closure under addition is not checked: a subgroup's mask
         swapped for a non-subgroup keeps the count and is read."""
         got = self._cache.load(shape)
@@ -230,9 +236,6 @@ class LatticeStore:
         masks, char_flags, fi_flags = got
         full_mask = carrier(shape).full_mask
         if any(mask & ~full_mask or not mask & 1 for mask in masks):
-            return None
-        keys = list(map(enumeration_key(shape), masks))
-        if any(a >= b for a, b in zip(keys, keys[1:])):
             return None
         subs = tuple(Subgroup(shape, mask) for mask in masks)
         lat = ShapeLattice(shape, subs, tuple(char_flags), tuple(fi_flags))

@@ -1,15 +1,18 @@
 """Subgroups as bitmasks, spans, and exhaustive lattice enumeration.
 
 A :class:`Subgroup` is a membership bitmask over the carrier's dense index.
-`enumerate_subgroups` does a breadth-first walk of the lattice: level m holds
-the subgroups of order p^m, and each is extended by candidate elements x with
-p*x in H (every index-p overgroup of H is H + <x> for such an x, and every
-subgroup of order p^(m+1) is an index-p overgroup of something on level m, so
-the walk is exhaustive).  On p = 2, H + <x> is H and H + x, read off the
-add row of x; on odd p each coset H + j*x is the one before it moved by x
-as a whole mask, one shift pair per nonzero coordinate of x, so no add row
-is read.  No algebraic shortcut feeds this walk; it is the
-oracle layer the structured routes are cross-checked against.
+`enumerate_subgroups` lists each subgroup once by its echelon basis.  With
+G = Z^n / L, L spanned by the p^(lambda_i) e_i, a subgroup is M / L for one
+lattice L <= M <= Z^n, and M has one Hermite normal form: rows
+b_i = p^(a_i) e_i + t_i, t_i on the columns after i, t_ij in [0, p^(a_j))
+(Hart & Forcade, Phys. Rev. B 77, 224115, 2008).  M contains L iff
+a_i <= lambda_i and p^(lambda_i - a_i) t_i lies in H_(i+1) = <b_(i+1), ...>,
+so rows are picked from the last coordinate up, each kept or dropped by one
+bit test on the mask of H_(i+1).  H_i is the union of the p^(lambda_i - a_i)
+cosets H_(i+1) + c*b_i, each the one before it moved by b_i as a whole mask,
+so no add row is read and no subgroup is reached twice.  The search reads no
+automorphism generator, orbit or profile, only the group's radices: it is
+the oracle layer the structured routes are cross-checked against.
 `subgroup_count` gives the number of subgroups it lists in closed form.
 
 Output order is deterministic: ascending order, then lexicographic on the
@@ -252,7 +255,7 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
     """Every subgroup, exactly once, in (order, lexicographic) order.
 
     Gated by the enumeration cap on the group order, and by the subgroup cap
-    on `subgroup_count(shape)`, the walk's length, before it starts."""
+    on `subgroup_count(shape)`, the search's length, before it starts."""
     cap = enum_cap()
     if shape.order > cap:
         raise CapExceeded("enumeration", cap, shape.order, f"shape {shape}")
@@ -260,64 +263,60 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
     if count > cap:
         raise CapExceeded("subgroup", cap, count, f"subgroups of {shape}")
     car = carrier(shape)
-    p = shape.prime
-    n = car.n
-
-    # premask[t] holds the indices that land on t under multiplication by p
-    mulp = car.mul_row(p)
-    premask = [0] * n
-    for x, t in enumerate(mulp):
-        premask[t] |= 1 << x
-
-    coords = car.coords_mat.T.tolist()
+    p, rank = shape.prime, shape.rank
+    radices, strides = car.radices, car.strides
     moves: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def move(i: int, c: int) -> tuple[int, int, int]:
         # adding c to coordinate i (radix r, stride s) moves the bits whose
-        # coordinate i is below r - c up by c*s and wraps the rest down by
-        # (r - c)*s; those low bits are the first (r - c)*s of every block
-        # of r*s
+        # coordinate i is below r - c, the first (r - c)*s of every block of
+        # r*s, up by c*s, and wraps the rest down by (r - c)*s
         got = moves.get((i, c))
         if got is None:
-            r, s = car.radices[i], car.strides[i]
+            r, s = radices[i], strides[i]
             below = car.full_mask // ((1 << (r * s)) - 1) * ((1 << ((r - c) * s)) - 1)
             got = moves[i, c] = (below, c * s, (r - c) * s)
         return got
 
-    key = enumeration_key(shape)
-    all_masks = [1]
-    frontier = [1]
-    while frontier:
-        found: set[int] = set()
-        for hmask in frontier:
-            members = mask_to_indices(hmask)
-            cand = 0
-            for m in members:
-                cand |= premask[m]
-            cand &= ~hmask
-            while cand:
-                low = cand & -cand
-                x = low.bit_length() - 1
-                cand ^= low
-                k = hmask
-                if p == 2:
-                    # K = H + (H + x), read off the add row of x
-                    row = car.add_row(x)
-                    for m in members:
-                        k |= 1 << row[m]
-                else:
-                    # K = H + <x>, the union of the p cosets H + j*x, each
-                    # the one before it moved by x as a whole mask
-                    steps = [move(i, c) for i, c in enumerate(coords[x]) if c]
-                    coset = hmask
-                    for _ in range(p - 1):
-                        for below, up, down in steps:
-                            part = coset & below
-                            coset = (part << up) | ((coset ^ part) >> down)
-                        k |= coset
-                found.add(k)
-                # anything inside K with p*x' in H spans K again; skip it
-                cand &= ~k
-        frontier = sorted(found, key=key)
-        all_masks.extend(frontier)
-    return [Subgroup(shape, m) for m in all_masks]
+    # H_(i+1) masks grouped by their rows' exponents a_(i+1), ...; for each
+    # group every tail t_i as its nonzero (t_ij, radix, stride) and the shift
+    # pairs that add it
+    levels: dict[tuple[int, ...], list[int]] = {(): [1]}
+    tails_of: dict[tuple[int, ...], list] = {(): [((), ())]}
+    for i in reversed(range(rank)):
+        lam, j = shape.exponents[i], i + 1
+        grown: dict[tuple[int, ...], list[int]] = {}
+        for diag, hs in levels.items():
+            tails = tails_of[diag[1:]]
+            if diag:
+                # t_ij in [0, p^(a_j)), then the tails on the columns after j
+                tails = tails_of[diag] = tails + [
+                    (((t, radices[j], strides[j]),) + nz, (move(j, t),) + steps)
+                    for t in range(1, p ** diag[0])
+                    for nz, steps in tails
+                ]
+            for a in range(lam):
+                m = p ** (lam - a)
+                head = (move(i, p**a),)
+                # b_i = p^a e_i + t_i is kept iff m t_i lies in H_(i+1)
+                rows = [
+                    (sum(m * t % r * s for t, r, s in nz), head + steps)
+                    for nz, steps in tails
+                ]
+                out = grown[(a,) + diag] = []
+                for h in hs:
+                    for target, steps in rows:
+                        if not h >> target & 1:
+                            continue
+                        acc = coset = h  # the m cosets H_(i+1) + c*b_i
+                        for _ in range(m - 1):
+                            for below, up, down in steps:
+                                part = coset & below
+                                coset = (part << up) | ((coset ^ part) >> down)
+                            acc |= coset
+                        out.append(acc)
+            # a_i = lambda_i: b_i is 0 mod L and only t_i = 0 is reduced
+            grown[(lam,) + diag] = hs
+        levels = grown
+    masks = sorted((h for hs in levels.values() for h in hs), key=enumeration_key(shape))
+    return [Subgroup(shape, m) for m in masks]

@@ -100,6 +100,44 @@ def closed_subset_masks(shape: GroupShape) -> set[int]:
     return out
 
 
+def walk_subgroup_masks(shape: GroupShape) -> list[int]:
+    """Every subgroup mask in `enumeration_key` order, by a breadth-first walk
+    with no algebra: level m holds the subgroups of order p^m, every index-p
+    overgroup of H is H + <x> for some x outside H with p*x in H, and that is
+    the union of the cosets H + j*x (j < p), read off the add row of x.  An
+    overgroup reached from several H is kept once."""
+    from pgroups.lattice import enumeration_key
+
+    car = carrier(shape)
+    p = shape.prime
+    premask = [0] * car.n  # premask[t]: the x with p*x = t
+    for x, t in enumerate(car.mul_row(p)):
+        premask[t] |= 1 << x
+    key = enumeration_key(shape)
+    out = frontier = [1]
+    while frontier:
+        found = set()
+        for h in frontier:
+            members = mask_members(h)
+            cand = 0
+            for m in members:
+                cand |= premask[m]
+            cand &= ~h
+            while cand:
+                row = car.add_row((cand & -cand).bit_length() - 1)
+                k, coset = h, members
+                for _ in range(p - 1):
+                    coset = [row[m] for m in coset]
+                    for m in coset:
+                        k |= 1 << m
+                found.add(k)
+                # anything in K with p*x' in H spans K again
+                cand &= ~k
+        frontier = sorted(found, key=key)
+        out = out + frontier
+    return out
+
+
 def dumb_endo_table(shape: GroupShape, entries) -> list[int]:
     """Image index for every element under the matrix, coordinate by coordinate:
     image coordinate i is sum_j e_ij * p^max(0, ki - kj) * x_j mod p^ki."""

@@ -178,6 +178,21 @@ def test_entries_out_of_order_or_repeated_are_recomputed(tmp_path, capsys):
         assert capsys.readouterr().out == uncached
 
 
+def test_entry_with_a_repeated_mask_in_place_of_another_is_recomputed(tmp_path, capsys):
+    # 2:1,1 with its order-2 subgroup of mask 3 listed twice and the one of
+    # mask 5 dropped: the count and both flagged lists hold, and the order
+    # check of `lattice-count-vs-birkhoff` turns the entry away
+    shape = make_shape(2, [1, 1])
+    payload = _payload(shape)
+    LatticeCache(tmp_path).save(shape, *([seq[i] for i in (0, 1, 1, 3, 4)] for seq in payload))
+    assert LatticeStore(tmp_path)._load(shape) is None
+    listing = ["enumerate", "--p", "2", "--partition", "1,1", "--kind", "all"]
+    assert run(listing) == 0
+    uncached = capsys.readouterr().out
+    assert run(listing + ["--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == uncached
+
+
 _RUNTIME = re.compile(r'"runtime_ms": [0-9]+, ')
 
 

@@ -340,6 +340,29 @@ def test_count_oracle_catches_a_dropped_subgroup(monkeypatch):
     assert (v["enumerated"], v["birkhoff"]) == (4, 5)
 
 
+def test_count_oracle_catches_a_repeated_subgroup(monkeypatch):
+    # one subgroup flagged neither way listed twice in place of another keeps
+    # the count and every flagged list; only the strict order sees it
+    def repeat_one(shape):
+        subs = enumerate_subgroups(shape)
+        chars = {h.mask for h in harness_mod.characteristic_from_orbits(shape)}
+        plain = [i for i, h in enumerate(subs) if h.mask not in chars]
+        if len(plain) < 2:
+            return subs
+        i, j = plain[:2]
+        return subs[:j] + [subs[i]] + subs[j + 1:]
+
+    monkeypatch.setattr(harness_mod, "enumerate_subgroups", repeat_one)
+    r = run_claims(["oracle-crosscheck"], build_corpus(2, 16))[0]
+    assert r.status == "fail"
+    assert [v["shape"] for v in r.violations] == [
+        "2:1,1", "2:1,2", "2:1,3", "2:2,2", "2:1,1,1", "2:1,1,2", "2:1,1,1,1",
+    ]
+    assert {v["witness"]["check"] for v in r.violations} == {"lattice-count-vs-birkhoff"}
+    v = r.violations[0]["witness"]
+    assert (v["enumerated"], v["birkhoff"], v["in_order"]) == (5, 5, False)
+
+
 _profile_generators = invariance_mod._ProfileSubgroup.generators
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     closed_subset_masks, dumb_coords, dumb_index, dumb_order_counter, iso_matches, mask_members,
+    walk_subgroup_masks,
 )
 from pgroups.caps import DEFAULT_SUBGROUP_CAP, CapExceeded
 from pgroups.core import GroupShape, carrier, element, make_shape
@@ -56,6 +57,26 @@ def test_subgroup_count_equals_enumeration():
     for p, max_order in ((2, 128), (3, 243), (5, 625), (7, 343)):
         for s in build_corpus(p, max_order).shapes:
             assert subgroup_count(s) == len(enumerate_subgroups(s)), s
+
+
+def test_echelon_enumeration_equals_the_walk():
+    # the echelon search against the breadth-first walk, masks and order
+    shapes = [
+        s for p, max_order in ((2, 64), (3, 243), (5, 625), (7, 343))
+        for s in build_corpus(p, max_order).shapes
+    ]
+    for s in shapes + [make_shape(4093, [1]), make_shape(3, [1, 2, 3])]:
+        assert [h.mask for h in enumerate_subgroups(s)] == walk_subgroup_masks(s), s
+
+
+def test_enumeration_reads_no_add_rows():
+    # every coset is moved as a whole mask, on p = 2 as on odd p
+    for s in [make_shape(2, [1, 1, 2, 3]), make_shape(2, [1] * 6), make_shape(3, [1, 2]),
+              make_shape(5, [1, 1, 2]), make_shape(4093, [1])]:
+        car = carrier(s)
+        car._add_rows.clear()
+        assert len(enumerate_subgroups(s)) == subgroup_count(s)
+        assert not car._add_rows, s
 
 
 @pytest.mark.parametrize(
@@ -127,8 +148,8 @@ def test_span_reads_one_add_row_per_generator():
 
 
 def test_odd_enumeration_reads_no_add_rows():
-    # on odd p the walk moves each coset H + j*x as a mask, so it caches no
-    # add row: on Z(4093) a row for each multiple j*x would be 4092 rows of
+    # on odd p the search moves each coset H + c*b as a mask, so it caches no
+    # add row: on Z(4093) a row for each multiple c*b would be 4092 rows of
     # 4093 ints.  On mixed radices the masks are as many as the closed form
     # counts, and closed under H -> H + <x> for p*x in H (the union of the
     # cosets H + j*x, j < p) taken from add rows
