@@ -35,6 +35,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Optional
 
 import numpy as np
@@ -185,8 +186,8 @@ def _lattice_disagreements(lat: ShapeLattice) -> list[dict]:
     # a repeated subgroup breaks the strict order even where a dropped one
     # keeps the count
     count = subgroup_count(shape)
-    keys = list(map(enumeration_key(shape), (h.mask for h in lat.subgroups)))
-    in_order = all(a < b for a, b in zip(keys, keys[1:]))
+    keys = map(enumeration_key(shape), (h.mask for h in lat.subgroups))
+    in_order = all(a < b for a, b in pairwise(keys))
     if len(lat.subgroups) != count or not in_order:
         out.append(
             _violation(

@@ -9,10 +9,9 @@ b_i = p^(a_i) e_i + t_i, t_i on the columns after i, t_ij in [0, p^(a_j))
 a_i <= lambda_i and p^(lambda_i - a_i) t_i lies in H_(i+1) = <b_(i+1), ...>,
 so rows are picked from the last coordinate up, each kept or dropped by one
 bit test on the mask of H_(i+1).  H_i is the union of the p^(lambda_i - a_i)
-cosets H_(i+1) + c*b_i, each the one before it moved by b_i as a whole mask,
-so no add row is read and no subgroup is reached twice.  The search reads no
-automorphism generator, orbit or profile, only the group's radices: it is
-the oracle layer the structured routes are cross-checked against.
+cosets H_(i+1) + c*b_i, each the one before it moved by b_i as a whole mask.
+No subgroup is reached twice, and no add row, automorphism generator, orbit
+or profile is read: this is the oracle the structured routes are checked by.
 `subgroup_count` gives the number of subgroups it lists in closed form.
 
 Output order is deterministic: ascending order, then lexicographic on the
@@ -278,9 +277,8 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
             got = moves[i, c] = (below, c * s, (r - c) * s)
         return got
 
-    # H_(i+1) masks grouped by their rows' exponents a_(i+1), ...; for each
-    # group every tail t_i as its nonzero (t_ij, radix, stride) and the shift
-    # pairs that add it
+    # H_(i+1) masks grouped by their rows' exponents a_(i+1), ...; for each group,
+    # every tail t_i as its nonzero (t_ij, radix, stride) and their shift pairs
     levels: dict[tuple[int, ...], list[int]] = {(): [1]}
     tails_of: dict[tuple[int, ...], list] = {(): [((), ())]}
     for i in reversed(range(rank)):
@@ -292,17 +290,14 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
                 # t_ij in [0, p^(a_j)), then the tails on the columns after j
                 tails = tails_of[diag] = tails + [
                     (((t, radices[j], strides[j]),) + nz, (move(j, t),) + steps)
-                    for t in range(1, p ** diag[0])
-                    for nz, steps in tails
+                    for t in range(1, p ** diag[0]) for nz, steps in tails
                 ]
             for a in range(lam):
                 m = p ** (lam - a)
                 head = (move(i, p**a),)
                 # b_i = p^a e_i + t_i is kept iff m t_i lies in H_(i+1)
-                rows = [
-                    (sum(m * t % r * s for t, r, s in nz), head + steps)
-                    for nz, steps in tails
-                ]
+                rows = [(sum(m * t % r * s for t, r, s in nz), head + steps)
+                        for nz, steps in tails]
                 out = grown[(a,) + diag] = []
                 for h in hs:
                     for target, steps in rows:
@@ -318,5 +313,11 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
             # a_i = lambda_i: b_i is 0 mod L and only t_i = 0 is reduced
             grown[(lam,) + diag] = hs
         levels = grown
-    masks = sorted((h for hs in levels.values() for h in hs), key=enumeration_key(shape))
+    # |H| = p^(sum(lambda) - sum(a)): each order level is sorted alone, and the
+    # groups' lists go before the subgroups are built
+    key = enumeration_key(shape)
+    masks: list[int] = []
+    for total in sorted({sum(diag) for diag in levels}, reverse=True):
+        masks += sorted((h for d, hs in levels.items() if sum(d) == total for h in hs), key=key)
+    levels.clear()
     return [Subgroup(shape, m) for m in masks]
