@@ -139,6 +139,9 @@ class ShapeLattice:
     subgroups: tuple[Subgroup, ...]
     char_flags: tuple[bool, ...]
     fi_flags: tuple[bool, ...]
+    # true where `_lattice_disagreements` has found nothing, as it must for a
+    # cache entry to be read
+    checked: bool = False
 
 
 def compute_shape_lattice(shape: GroupShape) -> ShapeLattice:
@@ -240,7 +243,10 @@ class LatticeStore:
             return None
         subs = tuple(Subgroup(shape, mask) for mask in masks)
         lat = ShapeLattice(shape, subs, tuple(char_flags), tuple(fi_flags))
-        return None if _lattice_disagreements(lat) else lat
+        if _lattice_disagreements(lat):
+            return None
+        lat.checked = True
+        return lat
 
 
 # ---- claim plumbing ------------------------------------------------------------------
@@ -680,8 +686,10 @@ def _check_oracles(store: LatticeStore, shape: GroupShape) -> CheckOutcome:
         "lattice-count-vs-birkhoff",
     ):
         # the brute-force flags against both routes, and the enumeration
-        # against Birkhoff's closed-form subgroup count
-        out.violations.extend(_lattice_disagreements(lat))
+        # against Birkhoff's closed-form subgroup count; a lattice read from
+        # the cache has been through this already
+        if not lat.checked:
+            out.violations.extend(_lattice_disagreements(lat))
     # the profile records' arithmetic iso types against those of their masks,
     # position by position
     arith = [h.iso_type() for h in profile_records(shape)]
