@@ -231,9 +231,10 @@ class LatticeStore:
         that `oracle-crosscheck` reports (`_lattice_disagreements`: a length
         other than `subgroup_count(shape)`, masks not each listed once in
         `enumeration_key` order, or other subgroups flagged characteristic
-        or fully invariant than the orbit and profile routes give).  No iso type is stored: each subgroup computes its type from
-        its mask.  Closure under addition is not checked: a subgroup's mask
-        swapped for a non-subgroup keeps the count and is read."""
+        or fully invariant than the orbit and profile routes give).  No iso
+        type is stored: each subgroup computes its type from its mask.
+        Closure under addition is not checked: a subgroup's mask swapped for
+        a non-subgroup keeps the count and is read."""
         got = self._cache.load(shape)
         if got is None:
             return None

@@ -165,7 +165,7 @@ def test_enumerate_over_the_enumeration_cap_exits_3(capsys, monkeypatch):
 
 def test_enumerate_over_the_subgroup_cap_exits_3(capsys):
     # 2:1^9 has order 512, under the enumeration cap, but 8,283,458
-    # subgroups; the cap reads the closed-form count before the walk starts
+    # subgroups; the cap reads the closed-form count before enumeration starts
     assert run(["enumerate", "--p", "2", "--partition", "1,1,1,1,1,1,1,1,1",
                 "--kind", "all"]) == 3
     captured = capsys.readouterr()
