@@ -313,11 +313,11 @@ def enumerate_subgroups(shape: GroupShape) -> list[Subgroup]:
             # a_i = lambda_i: b_i is 0 mod L and only t_i = 0 is reduced
             grown[(lam,) + diag] = hs
         levels = grown
-    # |H| = p^(sum(lambda) - sum(a)), and each order level is sorted alone
-    by_order: dict[int, list[int]] = {}
-    for diag, hs in levels.items():
-        by_order.setdefault(sum(diag), []).extend(hs)
-    levels.clear()
+    # |H| = p^(sum(lambda) - sum(a)): each order level is sorted alone, and the
+    # groups' lists go before the subgroups are built
     key = enumeration_key(shape)
-    return [Subgroup(shape, m) for total in sorted(by_order, reverse=True)
-            for m in sorted(by_order.pop(total), key=key)]
+    masks: list[int] = []
+    for total in sorted({sum(diag) for diag in levels}, reverse=True):
+        masks += sorted((h for d, hs in levels.items() if sum(d) == total for h in hs), key=key)
+    levels.clear()
+    return [Subgroup(shape, m) for m in masks]
