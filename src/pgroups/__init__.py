@@ -11,6 +11,21 @@ plus the types those calls return; everything else is imported from its
 submodule (`pgroups.endos`, `pgroups.invariance`, ...).
 """
 
+import os
+import sys
+
+# pgroups makes no BLAS call: every numpy product it runs (`@`, `einsum`) is
+# on integer arrays, which numpy computes in its own loops.  Yet once numpy
+# loads, OpenBLAS's idle server thread busy-waits for 0.1-0.2 s before it
+# sleeps, which doubles the CPU time of a short run.  So when pgroups is the
+# first to load numpy, and the caller has chosen no thread count, OpenBLAS
+# gets one thread and starts no server.  This must run before `.cache`
+# imports `.core`, which imports numpy.
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cache import LatticeCache
 from .caps import CapExceeded
 from .classify import ClassificationVerdict, classify

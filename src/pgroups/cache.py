@@ -86,7 +86,9 @@ class LatticeCache:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as raw:
-                    with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
+                    # zlib's default level: on 2:1^8 gzip's own level 9 took
+                    # 11.7 s against 0.77 s, for a 5% smaller entry
+                    with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0, compresslevel=6) as gz:
                         gz.write(json.dumps(doc, sort_keys=True).encode())
                 os.replace(tmp, path)
             except BaseException:

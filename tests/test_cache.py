@@ -44,6 +44,18 @@ def test_write_is_deterministic(tmp_path, shape):
     assert cache._path(shape).read_bytes() == first
 
 
+def test_entry_written_at_level_9_loads(tmp_path, shape):
+    # caches filled before saves moved to zlib's default level hold level-9 entries
+    cache = LatticeCache(tmp_path)
+    payload = _payload(shape)
+    cache.save(shape, *payload)
+    path = cache._path(shape)
+    level_9 = gzip.compress(gzip.decompress(path.read_bytes()), compresslevel=9, mtime=0)
+    assert level_9 != path.read_bytes()
+    path.write_bytes(level_9)
+    assert cache.load(shape) == tuple(payload)
+
+
 def test_corrupted_entry_is_absent(tmp_path, shape):
     cache = LatticeCache(tmp_path)
     cache.save(shape, *_payload(shape))
