@@ -20,6 +20,8 @@ from pathlib import Path
 from .core import GroupShape, format_shape
 
 FORMAT_VERSION = 2
+# masks written to a cache entry per piece
+_MASK_CHUNK = 4096
 
 
 def _flags_to_str(flags) -> str:
@@ -28,6 +30,22 @@ def _flags_to_str(flags) -> str:
 
 def _str_to_flags(s: str) -> list[bool]:
     return [c == "1" for c in s]
+
+
+def _document_pieces(shape: GroupShape, masks, char_flags, fi_flags):
+    """The text of `json.dumps(doc, sort_keys=True)` for the entry document
+    {"char", "count", "fi", "masks", "shape", "version"}, in pieces: the masks
+    as hex strings, _MASK_CHUNK at a time, so no list of every hex string, nor
+    the whole text, is held at once (2:1^8 has 417,199 masks)."""
+    before = {"char": _flags_to_str(char_flags), "count": len(masks), "fi": _flags_to_str(fi_flags)}
+    after = {"shape": format_shape(shape), "version": FORMAT_VERSION}
+    # the keys sort as before < "masks" < after, so the masks go between them
+    yield json.dumps(before, sort_keys=True)[:-1] + ', "masks": ['
+    sep = ""
+    for start in range(0, len(masks), _MASK_CHUNK):
+        yield sep + ", ".join(f'"{m:x}"' for m in masks[start : start + _MASK_CHUNK])
+        sep = ", "
+    yield "], " + json.dumps(after, sort_keys=True)[1:]
 
 
 class LatticeCache:
@@ -73,14 +91,6 @@ class LatticeCache:
     def save(self, shape: GroupShape, masks, char_flags, fi_flags) -> None:
         if self._disabled:
             return
-        doc = {
-            "version": FORMAT_VERSION,
-            "shape": format_shape(shape),
-            "count": len(masks),
-            "masks": [format(m, "x") for m in masks],
-            "char": _flags_to_str(char_flags),
-            "fi": _flags_to_str(fi_flags),
-        }
         path = self._path(shape)
         try:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -89,7 +99,8 @@ class LatticeCache:
                     # zlib's default level: on 2:1^8 gzip's own level 9 took
                     # 11.7 s against 0.77 s, for a 5% smaller entry
                     with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0, compresslevel=6) as gz:
-                        gz.write(json.dumps(doc, sort_keys=True).encode())
+                        for piece in _document_pieces(shape, masks, char_flags, fi_flags):
+                            gz.write(piece.encode())
                 os.replace(tmp, path)
             except BaseException:
                 try:

@@ -96,6 +96,11 @@ def ifi_criterion(shape: GroupShape) -> bool:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
+    """The verdicts on one shape.  `witnesses` maps the name of each false
+    verdict to its witness: a pair of `subgroup_descriptor`s, or one for
+    weakly_ic.  Each subgroup is described once, so entries that name the
+    same subgroup share one descriptor dict."""
+
     shape: GroupShape
     is_ifi: bool
     is_ic: bool
@@ -122,12 +127,20 @@ class ClassificationVerdict:
 
 def _verdict(shape: GroupShape, fi, chars, char_eq_fi: bool) -> ClassificationVerdict:
     """The verdict on the fully invariant and characteristic families, each
-    in enumeration order."""
+    in enumeration order.  On the arithmetic route (`chars is fi`) the ic
+    witnesses are the ifi ones, found once."""
     ifi_w, s_ifi_w = iso_witnesses(fi)
-    ic_w, s_ic_w = iso_witnesses(chars)
+    ic_w, s_ic_w = (ifi_w, s_ifi_w) if chars is fi else iso_witnesses(chars)
     weakly_hits = [
         h for h in chars if not h.is_full() and h.iso_type() == shape
     ]
+    described: dict = {}
+
+    def describe(h) -> dict:
+        if h not in described:
+            described[h] = subgroup_descriptor(h)
+        return described[h]
+
     witnesses: dict = {}
     for name, pair in (
         ("ifi", ifi_w),
@@ -137,13 +150,10 @@ def _verdict(shape: GroupShape, fi, chars, char_eq_fi: bool) -> ClassificationVe
     ):
         if pair:
             first, second = pair
-            witnesses[name] = {
-                "first": subgroup_descriptor(first),
-                "second": subgroup_descriptor(second),
-            }
+            witnesses[name] = {"first": describe(first), "second": describe(second)}
     if weakly_hits:
         # can only happen for infinite groups; recorded for honesty
-        witnesses["weakly_ic"] = subgroup_descriptor(weakly_hits[0])
+        witnesses["weakly_ic"] = describe(weakly_hits[0])
 
     return ClassificationVerdict(
         shape=shape,

@@ -10,7 +10,8 @@ Exit codes: 0 ok, 1 a verification sweep found violations, 2 usage or parse
 error (including unknown claim ids), 3 a resource cap was exceeded (the
 message names the cap): by a `classify` or `enumerate` shape (the enumeration
 and subgroup caps only for `--kind all`), or by a `verify` corpus shape over
-the carrier cap.  Other caps only skip `verify` oracle parts.
+the carrier cap.  Other caps only skip `verify` oracle parts.  4 (from `main`
+only) stdout was closed before everything was written.
 
 `run` reuses one parser per process (`build_parser` is cached), so a
 long-lived caller pays for the parser once, not once per request.
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .caps import CapExceeded, default_jobs
@@ -34,6 +37,40 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 4
+
+
+def _json_text(obj, prefix: str = "") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, with every
+    line after the first starting with `prefix`: dicts (str keys), lists,
+    tuples and scalars, as `classify` and `enumerate` print them.
+
+    The stdlib encoder runs in C only without `indent`; this writes the
+    containers in Python and hands strings to its C string encoder.  Exact
+    ints are written by `int.__repr__` (the exact-type test keeps out bool,
+    an int subclass), and every other scalar (bool, None, float) by
+    `json.dumps` itself.
+    """
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = prefix + "  "
+        items = [_json_text(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + prefix + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = prefix + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + prefix + "}"
+    return json.dumps(obj)
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -86,7 +123,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.table:
         print(_render_table(verdict))
     else:
-        print(json.dumps(verdict, sort_keys=True, indent=2))
+        print(_json_text(verdict))
     return EXIT_OK
 
 
@@ -103,20 +140,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         route = char if args.kind == "characteristic" else fi
         count = len(route)
         listed = ((h, h in char_set, h in fi_set) for h in route)
-    # the text of json.dumps(payload, sort_keys=True, indent=2) with payload
-    # {"count", "kind", "shape", "subgroups"}, written one subgroup at a time
-    # so no list of every descriptor is held; each kind lists at least the
-    # trivial subgroup, so the list is never empty
+    # _json_text(payload) for payload {"count", "kind", "shape", "subgroups"}:
+    # the three head keys sort before "subgroups", whose entries are written
+    # one at a time at the list's depth, so no list of every descriptor is
+    # held; each kind lists at least the trivial subgroup, so the list is
+    # never empty
     head = {"count": count, "kind": args.kind, "shape": format_shape(shape)}
     out = sys.stdout
     out.write("{\n")
     for name, value in sorted(head.items()):
-        out.write(f"  {json.dumps(name)}: {json.dumps(value)},\n")
+        out.write(f"  {_json_text(name)}: {_json_text(value)},\n")
     out.write('  "subgroups": [\n')
     sep = "    "
     for h, c, f in listed:
         entry = subgroup_descriptor(h) | {"characteristic": c, "fully_invariant": f}
-        out.write(sep + json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    "))
+        out.write(sep + _json_text(entry, "    "))
         sep = ",\n    "
     out.write("\n  ]\n}\n")
     return EXIT_OK
@@ -193,7 +231,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    raise SystemExit(run(argv))
+    """The console entry point: `run`, then exit with its code.  A reader
+    that closes stdout early (`| head`) ends the run with EXIT_PIPE and no
+    traceback; `run` itself still raises the BrokenPipeError."""
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; pointed at devnull,
+        # that flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

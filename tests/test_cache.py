@@ -9,7 +9,7 @@ import pytest
 import pgroups.cache as cache_mod
 from pgroups.cache import LatticeCache
 from pgroups.cli import run
-from pgroups.core import make_shape
+from pgroups.core import format_shape, make_shape
 from pgroups.harness import LatticeStore, compute_shape_lattice
 from pgroups.lattice import enumeration_key
 
@@ -53,6 +53,43 @@ def test_entry_written_at_level_9_loads(tmp_path, shape):
     level_9 = gzip.compress(gzip.decompress(path.read_bytes()), compresslevel=9, mtime=0)
     assert level_9 != path.read_bytes()
     path.write_bytes(level_9)
+    assert cache.load(shape) == tuple(payload)
+
+
+def _whole_document(shape, masks, char, fi) -> str:
+    """The entry text as one `json.dumps` of the whole document."""
+    doc = {
+        "version": cache_mod.FORMAT_VERSION,
+        "shape": format_shape(shape),
+        "count": len(masks),
+        "masks": [format(m, "x") for m in masks],
+        "char": "".join("1" if f else "0" for f in char),
+        "fi": "".join("1" if f else "0" for f in fi),
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, 4096])
+def test_entry_written_in_pieces_is_one_json_document(tmp_path, monkeypatch, chunk):
+    # 2:1,1,1 has 16 subgroups: chunks of 1 and 3 split its masks, 16 and
+    # 4096 write them in one piece
+    shape = make_shape(2, [1, 1, 1])
+    monkeypatch.setattr(cache_mod, "_MASK_CHUNK", chunk)
+    cache = LatticeCache(tmp_path)
+    payload = _payload(shape)
+    assert len(payload[0]) == 16
+    cache.save(shape, *payload)
+    text = gzip.decompress(cache._path(shape).read_bytes()).decode()
+    assert text == _whole_document(shape, *payload)
+    assert cache.load(shape) == tuple(payload)
+
+
+def test_entry_written_as_one_document_loads(tmp_path, shape):
+    # entries written before saves went in pieces: one json.dumps, one write
+    cache = LatticeCache(tmp_path)
+    payload = _payload(shape)
+    whole = _whole_document(shape, *payload).encode()
+    cache._path(shape).write_bytes(gzip.compress(whole, compresslevel=6, mtime=0))
     assert cache.load(shape) == tuple(payload)
 
 

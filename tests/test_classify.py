@@ -186,6 +186,40 @@ def test_classify_builds_no_fi_masks_or_single_entry_tables(monkeypatch):
     assert routes == {True, False}
 
 
+def test_each_witness_is_found_and_described_once(monkeypatch):
+    # one iso_witnesses call per family (one on the arithmetic route, where
+    # the families are the same records), one descriptor per witness subgroup
+    classify_mod = sys.modules["pgroups.classify"]
+    families, described = [], []
+
+    def witnesses(subs):
+        families.append(subs)
+        return iso_witnesses(subs)
+
+    def descriptor(h):
+        described.append(h)
+        return subgroup_descriptor(h)
+
+    monkeypatch.setattr(classify_mod, "iso_witnesses", witnesses)
+    monkeypatch.setattr(classify_mod, "subgroup_descriptor", descriptor)
+    shared = 0
+    for p, max_order in ((2, 128), (3, 243)):
+        for shape in build_corpus(p, max_order).shapes:
+            families.clear()
+            described.clear()
+            verdict = classify(shape).to_dict()
+            assert len(families) == (1 if arithmetic_route_applies(shape) else 2), shape
+            assert len(described) == len(set(described)), shape
+            entries = [
+                d
+                for w in verdict["witnesses"].values()
+                for d in ((w["first"], w["second"]) if "first" in w else (w,))
+            ]
+            assert len(entries) >= len(described)
+            shared += len(entries) > len(described)
+    assert shared > 0
+
+
 def _refuse_carriers(monkeypatch):
     # every module that bound `carrier`, and the routes that cache what it built
     def refuse(shape):

@@ -8,9 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pgroups.cli as cli_mod
 import pgroups.harness as harness_mod
-from pgroups.cli import build_parser, run
+from pgroups.cli import EXIT_PIPE, build_parser, run
 from pgroups.harness import CheckOutcome, ClaimSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -310,3 +312,88 @@ def test_shared_parser_carries_no_state_between_calls(capsys):
     for argv, outcome in zip(calls, shared):
         build_parser.cache_clear()
         assert _outcome(argv, capsys) == outcome, argv
+
+
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-1)
+    | st.floats()
+    | st.text()
+    | _TRICKY_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | _TRICKY_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES, st.sampled_from(["", "    "]))
+def test_json_text_is_the_stdlib_indented_text(obj, prefix):
+    expected = json.dumps(obj, sort_keys=True, indent=2)
+    assert cli_mod._json_text(obj, prefix) == expected.replace("\n", "\n" + prefix)
+
+
+def test_json_text_writes_empty_containers_at_every_depth():
+    for obj in ({}, [], (), {"a": {}}, {"a": []}, [[]], [{}, [[{}]]], {"a": {"b": [()]}}):
+        assert cli_mod._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _classify_argvs():
+    return [
+        ["classify", "--p", str(p), "--partition", ",".join(map(str, shape.exponents))]
+        for p, max_order in ((2, 128), (3, 243), (5, 625))
+        for shape in harness_mod.build_corpus(p, max_order).shapes
+    ]
+
+
+_ENUMERATE_ARGVS = [
+    ["enumerate", "--p", p, "--partition", partition, "--kind", kind]
+    for p, partition in (("2", "1"), ("2", "1,3"), ("3", "1,1"))
+    for kind in ("all", "characteristic", "fully-invariant")
+]
+
+
+def test_json_output_is_the_stdlib_indented_text(capsys):
+    argvs = _classify_argvs()
+    assert len(argvs) == 73
+    for argv in argvs + _ENUMERATE_ARGVS:
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+
+
+def test_closed_pipe_exits_with_its_code_and_no_traceback():
+    # 2:1^6 lists 2825 subgroups, far more than a pipe buffer holds, so the
+    # writes go on after the reader has gone
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["enumerate", "--p", "2", "--partition", "1,1,1,1,1,1", "--kind", "all"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "pgroups.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.readline() == b'  "count": 2825,\n'
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == EXIT_PIPE
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+
+
+def test_run_leaves_a_closed_pipe_to_its_caller(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        run(["enumerate", "--p", "2", "--partition", "1,1", "--kind", "all"])
